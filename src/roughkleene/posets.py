@@ -39,6 +39,10 @@ class NotALattice(PosetError):
         super().__init__(f"no unique {kind} for elements {pair}")
 
 
+class DownsetCapExceeded(PosetError):
+    """A poset too large for downset enumeration: a bound, not a defect."""
+
+
 class SpatialityFailure(PosetError):
     """Some element is not the join of the join-irreducibles below it.
 
@@ -191,7 +195,7 @@ class Poset:
     def downsets(self) -> list:
         """All down-closed subsets as bitmasks, ascending. Only for small posets."""
         if self.n > 20:
-            raise PosetError(f"downset enumeration capped at 20 elements, got {self.n}")
+            raise DownsetCapExceeded(f"downset enumeration capped at 20 elements, got {self.n}")
         out = []
         for s in range(1 << self.n):
             m = s

@@ -8,7 +8,7 @@ join-irreducibles) and the verdicts are required to agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .demorgan import DeMorgan
 from .posets import JoinIrreducibles, Lattice, has_two_levels, is_distributive
@@ -292,6 +292,7 @@ class RegularityReport:
     regular: bool
     n: bool | None = None
     k: bool | None = None
+    k_witness: tuple | None = None
 
 
 def is_regular(dp: DoubleP, ji: JoinIrreducibles, neg=None) -> RegularityReport:
@@ -337,7 +338,8 @@ def demorgan_pseudo_report(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles):
     """Full diagnostic for a pseudocomplemented De Morgan structure.
 
     Also enforces the interplay laws: neg swaps star and plus, and for
-    regular structures (K) holds exactly when (N) does.
+    regular structures (K) holds exactly when (N) does.  The (K) verdict
+    and its first witness are returned in k and k_witness.
     """
     from .demorgan import is_kleene
 
@@ -351,13 +353,4 @@ def demorgan_pseudo_report(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles):
     kleene, k_witness = is_kleene(dm)
     if report.regular and kleene != report.n:
         raise CriteriaDisagree({"K": kleene, "N": report.n, "regular": True})
-    return RegularityReport(
-        m=report.m,
-        d=report.d,
-        prime_chain_max=report.prime_chain_max,
-        two_levels=report.two_levels,
-        two_levels_witness=report.two_levels_witness,
-        regular=report.regular,
-        n=report.n,
-        k=kleene,
-    )
+    return replace(report, k=kleene, k_witness=k_witness)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .demorgan import DeMorgan, compute_g, is_kleene
+from .demorgan import DeMorgan, compute_g
 from .posets import JoinIrreducibles, bits, join_irreducibles, mask_of
 from .pseudo import DoubleP, compute_pseudocomplements, demorgan_pseudo_report
 from .rough import (
@@ -72,10 +72,9 @@ def build_similarity(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles) -> Similar
     """Similarity and spans for a regular Kleene structure, with the span
     laws checked: spans meet iff their atoms are similar, a span is a
     singleton iff its atom is fixed, and distinct atoms never share spans."""
-    kleene, witness = is_kleene(dm)
-    if not kleene:
-        raise NotKleene(witness)
     report = demorgan_pseudo_report(dm, dp, ji)
+    if not report.k:
+        raise NotKleene(report.k_witness)
     if not report.regular:
         raise NotRegular(report.two_levels_witness)
     lat = dm.lattice
@@ -260,7 +259,8 @@ class RepresentationResult:
 def represent(dm: DeMorgan, rs_method: str = "auto") -> RepresentationResult:
     """Full pipeline: similarity, universe, tolerance, rough algebra, verified
     isomorphism.  rs_method picks how the rough algebra is assembled:
-    "powerset", "spatial", or "auto" (powerset for universes of up to 12)."""
+    "powerset" (raises BoundsExceeded beyond build_rs's universe cap),
+    "spatial", or "auto" (powerset for universes of up to 12)."""
     dp = compute_pseudocomplements(dm.lattice)
     ji = join_irreducibles(dm.lattice)
     sim = build_similarity(dm, dp, ji)
@@ -268,7 +268,7 @@ def represent(dm: DeMorgan, rs_method: str = "auto") -> RepresentationResult:
     if rs_method == "auto":
         rs_method = "powerset" if tol.n <= 12 else "spatial"
     if rs_method == "powerset":
-        rs = build_rs(tol, max_universe=max(16, tol.n))
+        rs = build_rs(tol)
     elif rs_method == "spatial":
         rs = build_rs_spatial(tol)
     else:

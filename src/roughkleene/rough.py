@@ -7,17 +7,18 @@ meets X.  The set of all such pairs, ordered coordinatewise, is assembled
 into a lattice-with-operations when the order admits one.
 
 Two independent constructions of the pair set are provided: the powerset
-sweep (the defining one, capped by universe size) and the join closure of
-the block-derived join-irreducibles (fast, needs an irredundant covering).
-Their agreement is an acceptance-level oracle.
+sweep (the defining one, 2^|U| subsets, capped by universe size) and the
+downset route, which joins each downset of the block-derived
+join-irreducibles and so costs time linear in the number of pairs (needs an
+irredundant covering).  Their agreement is an acceptance-level oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .demorgan import validate_demorgan, is_kleene, compute_g
-from .posets import Lattice, NotALattice, Poset, bits
+from .demorgan import validate_demorgan, compute_g
+from .posets import Lattice, NotALattice, Poset, bits, mask_of
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report
 
 
@@ -318,24 +319,56 @@ def formula_join_irreducibles(tol: Tolerance, cov: Covering):
     return sorted(out)
 
 
+class _Memo(dict):
+    """A dict that fills itself: a missing key is stored as fn(key)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def join_closure_pairs(tol: Tolerance):
-    """All joins of the block-derived join-irreducibles (plus the bottom pair)."""
+    """All joins of the block-derived join-irreducibles, one per downset.
+
+    For a tolerance induced by an irredundant covering the rough pairs form
+    a finite distributive lattice, so each pair is the join of exactly one
+    downset of its join-irreducibles J (Birkhoff).  The downsets are walked
+    in a linear extension of J, adding an element only when everything below
+    it is already chosen; each leaf yields the join
+    (lower(upper(union of lowers)), union of uppers).  Two downsets with the
+    same join would contradict the theorem and raise FormulaMismatch.
+    """
     cov = induced_irredundant_covering(tol)
     if cov is None:
         raise ToleranceError("join closure needs a tolerance induced by an irredundant covering")
-    items = set(formula_join_irreducibles(tol, cov))
-    items.add((0, 0))
-    frontier = list(items)
-    while frontier:
-        fresh = []
-        for a, b in frontier:
-            for c, d in list(items):
-                j = (tol.lower(tol.upper(a | c)), b | d)
-                if j not in items:
-                    items.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    return sorted(items)
+    # coordinatewise p < q implies a smaller bit count, so this is a linear extension
+    ji = sorted(formula_join_irreducibles(tol, cov),
+                key=lambda pr: (pr[0].bit_count() + pr[1].bit_count(), pr))
+    below = [
+        mask_of(k for k, (c, d) in enumerate(ji[:i]) if c & ~a == 0 and d & ~b == 0)
+        for i, (a, b) in enumerate(ji)
+    ]
+    closure = _Memo(lambda s: tol.lower(tol.upper(s)))
+    seen = set()
+
+    def walk(i, chosen, lo, up):
+        if i == len(ji):
+            pair = (closure[lo], up)
+            if pair in seen:
+                raise FormulaMismatch("two downsets share a join", {"pair": pair})
+            seen.add(pair)
+            return
+        walk(i + 1, chosen, lo, up)
+        if below[i] & ~chosen == 0:
+            a, b = ji[i]
+            walk(i + 1, chosen | 1 << i, lo | a, up | b)
+
+    walk(0, 0, 0, 0)
+    return sorted(seen)
 
 
 def _assemble(tol: Tolerance, pairs):
@@ -354,14 +387,18 @@ def _assemble(tol: Tolerance, pairs):
     except NotALattice as exc:
         i, j = exc.pair
         raise NotALattice((pairs[i], pairs[j]), exc.kind) from None
-    meet, join = lattice.meet, lattice.join
+    # the keys b & d and a | c take far fewer values than there are P^2
+    # pairs, so each closure is computed once per distinct key
+    interior = _Memo(lambda s: tol.upper(tol.lower(s)))
+    closure = _Memo(lambda s: tol.lower(tol.upper(s)))
     for i, (a, b) in enumerate(pairs):
+        meet_i, join_i = lattice.meet[i], lattice.join[i]
         for j, (c, d) in enumerate(pairs):
-            want = (a & c, tol.upper(tol.lower(b & d)))
-            if pairs[meet[i][j]] != want:
+            want = (a & c, interior[b & d])
+            if pairs[meet_i[j]] != want:
                 raise FormulaMismatch("meet", {"pair": (pairs[i], pairs[j]), "formula": want})
-            want = (tol.lower(tol.upper(a | c)), b | d)
-            if pairs[join[i][j]] != want:
+            want = (closure[a | c], b | d)
+            if pairs[join_i[j]] != want:
                 raise FormulaMismatch("join", {"pair": (pairs[i], pairs[j]), "formula": want})
     full = (1 << tol.n) - 1
     neg, star, plus = [], [], []
@@ -380,17 +417,18 @@ def _assemble(tol: Tolerance, pairs):
         from .posets import join_irreducibles
 
         demorgan = validate_demorgan(lattice, neg)
-        kleene, witness = is_kleene(demorgan)
-        if not kleene:
-            raise FormulaMismatch("irredundant rough algebra is not Kleene", {"witness": witness})
         doublep = compute_pseudocomplements(lattice)
+        ji = join_irreducibles(lattice)
+        report = demorgan_pseudo_report(demorgan, doublep, ji)
+        if not report.k:
+            raise FormulaMismatch(
+                "irredundant rough algebra is not Kleene", {"witness": report.k_witness}
+            )
         if doublep.star != star or doublep.plus != plus:
             raise FormulaMismatch(
                 "pseudocomplement formulas",
                 {"star": doublep.star == star, "plus": doublep.plus == plus},
             )
-        ji = join_irreducibles(lattice)
-        report = demorgan_pseudo_report(demorgan, doublep, ji)
         if not report.regular:
             raise FormulaMismatch("irredundant rough algebra is not regular", {})
     return RoughSetAlgebra(
@@ -411,10 +449,13 @@ def build_rs(tol: Tolerance, max_universe: int = 16, force: bool = False) -> Rou
 
 
 def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
-    """Assemble the same algebra from block-derived join-irreducibles.
+    """Assemble the same algebra from the downsets of the block-derived
+    join-irreducibles (join_closure_pairs).
 
-    Avoids the 2^|U| sweep; only valid for tolerances induced by an
-    irredundant covering (where the pair set is join-generated).
+    Avoids the 2^|U| sweep: the pair set costs time linear in its size.
+    Only valid for tolerances induced by an irredundant covering, whose
+    rough pairs form a distributive lattice join-generated by those
+    join-irreducibles.
     """
     return _assemble(tol, join_closure_pairs(tol))
 

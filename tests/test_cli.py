@@ -47,6 +47,30 @@ class TestCheck:
         _, out2, _ = run_cli(capsys, "check", fixture_path("jposet_two_level.json"))
         assert out1 == out2
 
+    def test_oversized_jposet_is_a_bound_violation(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "check", _antichain_jposet(tmp_path, 21))
+        assert code == 2
+        assert "capped at 20" in err
+
+
+def _antichain_jposet(tmp_path, n):
+    labels = [f"p{i}" for i in range(n)]
+    path = tmp_path / f"antichain{n}.json"
+    path.write_text(json.dumps({"labels": labels, "covers": [], "g": {x: x for x in labels}}))
+    return str(path)
+
+
+def _complete_two_level_jposet(tmp_path, n):
+    """n atoms below all of n upper points, gmap pairing them: every pair of
+    atoms is similar, so the universe has n + n + n(n-1)/2 points."""
+    labels = [f"a{i}" for i in range(n)] + [f"b{i}" for i in range(n)]
+    covers = [[i, n + j] for i in range(n) for j in range(n)]
+    g = {f"a{i}": f"b{i}" for i in range(n)}
+    g.update({b: a for a, b in g.items()})
+    path = tmp_path / f"complete{n}.json"
+    path.write_text(json.dumps({"labels": labels, "covers": covers, "g": g}))
+    return str(path)
+
 
 class TestRepresent:
     def test_fixture_bundle(self, capsys, tmp_path):
@@ -77,6 +101,20 @@ class TestRepresent:
         path.write_text(json.dumps(doc))
         code, _, err = run_cli(capsys, "represent", str(path))
         assert code == 2
+
+    def test_oversized_jposet_is_a_bound_violation(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "represent", _antichain_jposet(tmp_path, 21))
+        assert code == 2
+        assert "capped at 20" in err
+
+    def test_powerset_method_keeps_the_universe_cap(self, capsys, tmp_path):
+        path = _complete_two_level_jposet(tmp_path, 5)
+        code, _, err = run_cli(capsys, "represent", path, "--method", "powerset")
+        assert code == 2
+        assert "universe of 20 exceeds the enumeration cap 16" in err
+        code, out, _ = run_cli(capsys, "represent", path)
+        assert code == 0
+        assert json.loads(out)["report"]["universeSize"] == 20
 
 
 class TestVerify:

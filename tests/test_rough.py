@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from conftest import (
@@ -16,12 +17,15 @@ from roughkleene.generators import (
     tolerance_from_encoding,
 )
 from roughkleene.isomorph import isomorphisms, lattice_key
-from roughkleene.posets import NotALattice, bits, mask_of
+from roughkleene import rough
+from roughkleene.posets import Lattice, NotALattice, bits, mask_of
 from roughkleene.rough import (
     BoundsExceeded,
     Covering,
+    FormulaMismatch,
     Tolerance,
     approximations,
+    _powerset_pairs,
     blocks_of,
     build_rs,
     build_rs_spatial,
@@ -291,6 +295,65 @@ class TestDualRoute:
                 assert join_closure_pairs(tol) == list(rs.pairs)
                 count += 1
         assert count == 60  # 1 + 2 + 8 + 49
+
+    def test_downset_route_equals_powerset_on_random_irredundant(self):
+        rng = random.Random(7)
+        count = 0
+        while count < 40:
+            n = rng.randint(6, 9)
+            blocks = [rng.randrange(1, 1 << n) for _ in range(rng.randint(2, 5))]
+            covered = 0
+            for b in blocks:
+                covered |= b
+            blocks.append(((1 << n) - 1) & ~covered or blocks[0])
+            cov = Covering([str(i) for i in range(n)], blocks)
+            if not is_irredundant(cov).irredundant:
+                continue
+            tol = tolerance_from_covering(cov)
+            assert join_closure_pairs(tol) == _powerset_pairs(tol)
+            count += 1
+
+    def test_partition_seven_pairs(self):
+        tol = tolerance_from_covering(Covering([str(i) for i in range(14)],
+                                               [3 << (2 * i) for i in range(7)]))
+        start = time.perf_counter()
+        pairs = join_closure_pairs(tol)
+        elapsed = time.perf_counter() - start
+        assert len(pairs) == 3**7
+        assert pairs == _powerset_pairs(tol)
+        assert elapsed < 1.0
+
+    def test_repeated_join_is_caught(self, monkeypatch):
+        # a join of two join-irreducibles passed off as a third: the downsets
+        # with and without it share a join, which the Birkhoff check refuses
+        tol = tolerance_from_covering(Covering(["1", "2", "3", "4"], [3, 12]))
+        real = rough.formula_join_irreducibles
+        monkeypatch.setattr(rough, "formula_join_irreducibles",
+                            lambda t, c: real(t, c) + [(0, 15)])
+        with pytest.raises(FormulaMismatch, match="two downsets share a join"):
+            join_closure_pairs(tol)
+
+
+class TestFormulaCheck:
+    @pytest.mark.parametrize("kind", ["meet", "join"])
+    def test_corrupted_table_is_caught(self, monkeypatch, kind):
+        real = Lattice.from_poset
+
+        def corrupted(p):
+            lat = real(p)
+            tables = {"meet": [list(r) for r in lat.meet], "join": [list(r) for r in lat.join]}
+            # bottom v bottom and top ^ top both land on the wrong end
+            corner = lat.bottom if kind == "join" else lat.top
+            tables[kind][corner][corner] = lat.top if kind == "join" else lat.bottom
+            frozen = {k: tuple(map(tuple, v)) for k, v in tables.items()}
+            return Lattice(lat.poset, frozen["meet"], frozen["join"], lat.bottom, lat.top)
+
+        monkeypatch.setattr(Lattice, "from_poset", staticmethod(corrupted))
+        with pytest.raises(FormulaMismatch, match=f"^{kind}:") as info:
+            build_rs(TOL)
+        full = (1 << TOL.n) - 1
+        corner = (0, 0) if kind == "join" else (full, full)
+        assert info.value.details == {"pair": (corner, corner), "formula": corner}
 
 
 class TestPartitions:
