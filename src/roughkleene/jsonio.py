@@ -40,6 +40,8 @@ def load_document(path) -> dict:
             doc = json.load(fh)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from None
     if not isinstance(doc, dict):
@@ -55,6 +57,19 @@ def _labels(doc):
     labels = doc.get("labels")
     if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
         raise ParseError("must be a list of strings", field="labels")
+    if len(set(labels)) != len(labels):
+        raise ParseError("labels must be pairwise distinct", field="labels")
+    return labels
+
+
+def _point_labels(doc):
+    """Labels of universe points.  Rough pairs are labelled ({a,b},{...}),
+    so a point label must be nonempty and free of , { } ( ) for those
+    labels to stay distinct."""
+    labels = _labels(doc)
+    for x in labels:
+        if not x or any(c in x for c in ",{}()"):
+            raise ParseError(f"point label {x!r} is empty or contains one of ,{{}}()", field="labels")
     return labels
 
 
@@ -83,7 +98,17 @@ def parse_poset(doc) -> Poset:
             raise ParseError(str(exc), field="covers") from None
     if "leq" in doc:
         rows = doc["leq"]
-        if not isinstance(rows, list) or len(rows) != len(labels):
+        n = len(labels)
+        if (
+            not isinstance(rows, list)
+            or len(rows) != n
+            or not all(
+                isinstance(row, list)
+                and len(row) == n
+                and all(isinstance(v, int) and v in (0, 1) for v in row)
+                for row in rows
+            )
+        ):
             raise ParseError("must be an n x n 0/1 matrix", field="leq")
         report = validate_order(rows)
         if not report.valid:
@@ -104,8 +129,12 @@ def parse_algebra(doc):
     """
     if "g" in doc:
         jposet = parse_poset(doc)
+        # downsets are labelled "0" or by their maxima joined with "|"
+        for x in jposet.labels:
+            if x == "0" or "|" in x:
+                raise ParseError(f"join-irreducible label {x!r} is '0' or contains '|'", field="labels")
         gdoc = doc["g"]
-        if not isinstance(gdoc, dict):
+        if not isinstance(gdoc, dict) or not all(isinstance(v, str) for v in gdoc.values()):
             raise ParseError("must map labels to labels", field="g")
         pos = {lab: i for i, lab in enumerate(jposet.labels)}
         try:
@@ -131,7 +160,7 @@ def parse_algebra(doc):
 
 
 def parse_tolerance(doc) -> Tolerance:
-    labels = _labels(doc)
+    labels = _point_labels(doc)
     pairs = _int_pairs(doc, "pairs")
     n = len(labels)
     for i, j in pairs:
@@ -141,7 +170,7 @@ def parse_tolerance(doc) -> Tolerance:
 
 
 def parse_covering(doc) -> Covering:
-    labels = _labels(doc)
+    labels = _point_labels(doc)
     value = doc.get("blocks")
     if not isinstance(value, list):
         raise ParseError("must be a list of lists of point ids", field="blocks")

@@ -282,6 +282,20 @@ class Lattice:
             out = self.join[out][i]
         return out
 
+    def join_of(self, mask: int) -> int:
+        """The join of the elements in a mask.
+
+        Elements below the running join are dropped unvisited, so the join
+        grows strictly at each step and the fold takes at most as many
+        steps as the longest chain of the lattice.
+        """
+        below, join = self.poset.below, self.join
+        out = self.bottom
+        while mask:
+            out = join[out][(mask & -mask).bit_length() - 1]
+            mask &= ~below[out]
+        return out
+
 
 @dataclass(frozen=True)
 class JoinIrreducibles:
@@ -322,22 +336,50 @@ def is_distributive(lat: Lattice):
     """Whether x∧(y∨z) == (x∧y)∨(x∧z) for all triples.
 
     Fast path: a finite lattice is distributive iff every join-irreducible j
-    is join-prime (j <= x∨y implies j <= x or j <= y).  On failure the
-    lexicographically first violating triple of the defining law is returned.
+    is join-prime (j <= x∨y implies j <= x or j <= y), that is, iff the
+    downset L∖↑j is closed under ∨.  A finite downset D is closed under ∨
+    exactly when ⋁D ∈ D (Davey & Priestley, ch. 2), so each test is one
+    fold over the join table (Lattice.join_of), not a scan of all pairs
+    outside ↑j.  On failure the lexicographically first violating triple
+    of the defining law is returned.
     """
-    p = lat.poset
-    join = lat.join
-    for j in range(p.n):
-        if j == lat.bottom or len(p.lower_covers(j)) != 1:
+    below = lat.poset.below
+    for j in range(lat.n):
+        # j has one lower cover iff the elements strictly below j join to
+        # less than j; that is never so for the bottom
+        if lat.join_of(below[j] ^ (1 << j)) == j:
             continue
-        up = p.above[j]
-        outside = [x for x in range(p.n) if not up >> x & 1]
-        for x in outside:
-            row = join[x]
-            for y in outside:
-                if up >> row[y] & 1:
-                    return False, _first_bad_triple(lat)
+        if not is_join_prime(lat, j):
+            return False, _first_bad_triple(lat)
     return True, None
+
+
+def is_join_prime(lat: Lattice, x: int) -> bool:
+    """Whether ↑x is a prime filter (x <= a∨b implies x <= a or x <= b),
+    decided as ⋁(L∖↑x) ∉ ↑x.
+
+    L∖↑x is a downset, and a downset of a finite lattice is closed under ∨
+    iff it contains its own join, so one fold over the join table replaces
+    the test of every pair outside ↑x.  No distributivity is assumed.  The
+    bottom is never join-prime (↑bottom is all of L).
+    """
+    up = lat.poset.above[x]
+    return not up >> lat.join_of(((1 << lat.n) - 1) & ~up) & 1
+
+
+def first_not_below(lat: Lattice, los: Sequence[int], his: Sequence[int]):
+    """The lexicographically first (x, y) with los[x] not<= his[y], or None.
+
+    The his values are gathered into one mask, so each x costs one mask
+    test against ↑los[x]; only the first failing x is scanned for its y.
+    """
+    above = lat.poset.above
+    hmask = mask_of(his)
+    for x, lo in enumerate(los):
+        up = above[lo]
+        if hmask & ~up:
+            return x, next(y for y, hi in enumerate(his) if not up >> hi & 1)
+    return None
 
 
 def _first_bad_triple(lat: Lattice):

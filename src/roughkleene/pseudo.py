@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .demorgan import DeMorgan
-from .posets import JoinIrreducibles, Lattice, has_two_levels, is_distributive
+from .posets import (
+    JoinIrreducibles,
+    Lattice,
+    first_not_below,
+    has_two_levels,
+    is_distributive,
+    is_join_prime,
+)
 
 
 class PseudoError(Exception):
@@ -51,17 +58,16 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
     Non-distributive lattices are accepted when both maps exist, but the
     result is flagged and the regularity machinery refuses it.
     """
-    n = lat.n
+    bottom, top = lat.bottom, lat.top
     star, plus = [], []
-    for x in range(n):
-        zeros = [z for z in range(n) if lat.meet[x][z] == lat.bottom]
-        cand = lat.join_all(zeros)
-        if lat.meet[x][cand] != lat.bottom:
+    for x in range(lat.n):
+        meet_x, join_x = lat.meet[x], lat.join[x]
+        cand = lat.join_all([z for z, v in enumerate(meet_x) if v == bottom])
+        if meet_x[cand] != bottom:
             raise NoPseudocomplement(x)
         star.append(cand)
-        ones = [z for z in range(n) if lat.join[x][z] == lat.top]
-        cand = lat.meet_all(ones)
-        if lat.join[x][cand] != lat.top:
+        cand = lat.meet_all([z for z, v in enumerate(join_x) if v == top])
+        if join_x[cand] != top:
             raise NoPseudocomplement(x, dual=True)
         plus.append(cand)
     dp = DoubleP(lat, star, plus, is_distributive(lat)[0])
@@ -71,22 +77,26 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
 
 def _check_p_laws(dp: DoubleP):
     lat, star, plus = dp.lattice, dp.star, dp.plus
-    p = lat.poset
+    below, meet, join = lat.poset.below, lat.meet, lat.join
     for a in range(lat.n):
-        if star[star[star[a]]] != star[a]:
+        sa = star[a]
+        if star[star[sa]] != sa:
             raise PseudoError(f"a* != a*** at {a}")
-        if not p.leq(a, star[star[a]]):
+        if not below[star[sa]] >> a & 1:
             raise PseudoError(f"a <= a** fails at {a}")
         if plus[plus[plus[a]]] != plus[a]:
             raise PseudoError(f"a+ != a+++ at {a}")
-        if not p.leq(plus[plus[a]], a):
+        if not below[a] >> plus[plus[a]] & 1:
             raise PseudoError(f"a++ <= a fails at {a}")
+        below_sa, meet_sa, join_sa = below[sa], meet[sa], join[sa]
+        meet_a, join_a = meet[a], join[a]
         for b in range(lat.n):
-            if p.leq(a, b) and not p.leq(star[b], star[a]):
+            sb = star[b]
+            if below[b] >> a & 1 and not below_sa >> sb & 1:
                 raise PseudoError(f"star not antitone at ({a},{b})")
-            if star[lat.join[a][b]] != lat.meet[star[a]][star[b]]:
+            if star[join_a[b]] != meet_sa[sb]:
                 raise PseudoError(f"(a v b)* != a* ^ b* at ({a},{b})")
-            if not p.leq(lat.join[star[a]][star[b]], star[lat.meet[a][b]]):
+            if not below[star[meet_a[b]]] >> join_sa[sb] & 1:
                 raise PseudoError(f"(a ^ b)* >= a* v b* fails at ({a},{b})")
 
 
@@ -107,37 +117,31 @@ def check_M_D_N(dp: DoubleP, neg=None) -> MDNReport:
     x* <= neg(x) <= x+ is also enforced.
     """
     lat, star, plus = dp.lattice, dp.star, dp.plus
-    n_elems = lat.n
-    m_witness = next(
-        (
-            (x, y)
-            for x in range(n_elems)
-            for y in range(x + 1, n_elems)
-            if star[x] == star[y] and plus[x] == plus[y]
-        ),
-        None,
-    )
-    d_witness = next(
-        (
-            (x, y)
-            for x in range(n_elems)
-            for y in range(n_elems)
-            if not lat.leq(lat.meet[x][plus[x]], lat.join[y][star[y]])
-        ),
-        None,
+    below = lat.poset.below
+    # (M): the lexicographically first x < y sharing (x*, x+) is the repeated
+    # key with the smallest first index x, paired with its second index
+    first = {}
+    m_witness = None
+    for y, key in enumerate(zip(star, plus)):
+        x = first.setdefault(key, y)
+        if x != y and (m_witness is None or x < m_witness[0]):
+            m_witness = (x, y)
+    d_witness = first_not_below(
+        lat, [lat.meet[x][plus[x]] for x in range(lat.n)],
+        [lat.join[y][star[y]] for y in range(lat.n)],
     )
     if dp.distributive and (m_witness is None) != (d_witness is None):
         raise CriteriaDisagree({"M": m_witness is None, "D": d_witness is None})
     n_ok, n_witness = None, None
     if neg is not None:
         n_ok = True
-        for x in range(n_elems):
-            if not lat.leq(star[x], neg[x]):
+        for x in range(lat.n):
+            if not below[neg[x]] >> star[x] & 1:
                 n_ok, n_witness = False, (x,)
                 break
         if n_ok:
-            for x in range(n_elems):
-                if not lat.leq(neg[x], plus[x]):
+            for x in range(lat.n):
+                if not below[plus[x]] >> neg[x] & 1:
                     raise PseudoError(f"normal but neg({x}) <= {x}+ fails")
     return MDNReport(m_witness is None, m_witness, d_witness is None, d_witness, n_ok, n_witness)
 
@@ -238,7 +242,12 @@ class PrimeFilterFamily:
     """All prime filters of a finite lattice, as up-set masks.
 
     Every filter of a finite lattice is principal, so the scan runs over
-    the principal filters and tests primality directly.
+    the principal filters [x), x != bottom.  [x) is prime iff its
+    complement L∖[x), a downset, is closed under ∨, and a downset of a
+    finite lattice is closed under ∨ iff it contains its own join.  So each
+    test is ⋁(L∖[x)) ∉ [x): one fold over the join table per x, not a scan
+    of every pair outside [x).  The lemma needs no distributivity, so this
+    stays a criterion independent of the join-irreducibles.
     """
 
     generators: tuple       # x with [x) prime, ascending
@@ -248,28 +257,11 @@ class PrimeFilterFamily:
 
 
 def prime_filters(lat: Lattice) -> PrimeFilterFamily:
+    """The prime filters of lat; see PrimeFilterFamily for the test."""
     p = lat.poset
-    n = lat.n
-    gens = []
-    for x in range(n):
-        if x == lat.bottom and n > 1:
-            continue  # [bottom) is all of L, not proper
-        if n == 1:
-            continue  # the one-element lattice has no proper filters
-        up = p.above[x]
-        prime = True
-        for a in range(n):
-            if up >> a & 1:
-                continue
-            row = lat.join[a]
-            for b in range(a, n):
-                if not up >> b & 1 and up >> row[b] & 1:
-                    prime = False
-                    break
-            if not prime:
-                break
-        if prime:
-            gens.append(x)
+    # [bottom) is all of L, not proper; is_join_prime rejects it, which also
+    # leaves the one-element lattice without proper filters
+    gens = [x for x in range(lat.n) if is_join_prime(lat, x)]
     filters = tuple(p.above[x] for x in gens)
     # [x) is a maximal proper filter iff x is an atom
     maximal = tuple(p.lower_covers(x) == [lat.bottom] for x in gens)

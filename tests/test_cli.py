@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from conftest import fixture_path
 
 from roughkleene.cli import main
@@ -115,6 +116,35 @@ class TestRepresent:
         code, out, _ = run_cli(capsys, "represent", path)
         assert code == 0
         assert json.loads(out)["report"]["universeSize"] == 20
+
+
+MALFORMED_DOCUMENTS = {
+    "ragged-leq": json.dumps({"labels": ["a", "b"], "leq": [[1], [0, 1]]}).encode(),
+    "non-list-leq-row": json.dumps({"labels": ["a", "b"], "leq": [1, [0, 1]]}).encode(),
+    "non-string-g-value": json.dumps({"labels": ["a"], "covers": [], "g": {"a": ["b"]}}).encode(),
+    "not-utf8": b'\xff\xfe{"labels": []}',
+}
+
+
+class TestMalformedDocuments:
+    """Malformed documents are input errors (exit 2), never a traceback."""
+
+    @pytest.mark.parametrize("command", ["check", "represent"])
+    @pytest.mark.parametrize("name", sorted(MALFORMED_DOCUMENTS))
+    def test_algebra_commands(self, capsys, tmp_path, command, name):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(MALFORMED_DOCUMENTS[name])
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert "input error" in err
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_non_utf8_file(self, capsys, tmp_path, command):
+        path = tmp_path / "not-utf8.json"
+        path.write_bytes(MALFORMED_DOCUMENTS["not-utf8"])
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert "input error" in err
 
 
 class TestVerify:
