@@ -27,8 +27,14 @@ class ToleranceError(Exception):
 
 
 class BoundsExceeded(ToleranceError):
+    """The universe is too large for the 2^U powerset sweep.
+
+    Library callers can lift the cap with build_rs(force=True); the message
+    names no option, since the command line has none for it.
+    """
+
     def __init__(self, n, cap):
-        super().__init__(f"universe of {n} exceeds the enumeration cap {cap}; pass force=True")
+        super().__init__(f"universe of {n} exceeds the enumeration cap {cap}")
 
 
 class FormulaMismatch(ToleranceError):
@@ -598,12 +604,17 @@ def powerset_image_report(tol: Tolerance):
 def skeleton_isomorphism_report(rs: RoughSetAlgebra):
     """The star skeleton mirrors the upper image under reversed inclusion via
     B -> rough pair of B-complement; dually for the plus skeleton and the
-    lower image."""
+    lower image.
+
+    The images are the projections of the rough pairs, which are the
+    (lower X, upper X) of every X; powerset_image_report sweeps the powerset
+    for them independently."""
     if rs.covering is None:
         raise ToleranceError("skeleton analysis needs an irredundant covering")
     tol = rs.tolerance
     full = (1 << tol.n) - 1
-    los, ups = powerset_images(tol)
+    los = sorted({lo for lo, _ in rs.pairs})
+    ups = sorted({up for _, up in rs.pairs})
     star_image = sorted({rs.star[i] for i in range(rs.n)})
     plus_image = sorted({rs.plus[i] for i in range(rs.n)})
     for image, target, name in ((ups, star_image, "star"), (los, plus_image, "plus")):

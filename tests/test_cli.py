@@ -175,6 +175,17 @@ class TestVerify:
         assert report["nonLatticeWitness"] is not None
 
 
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_oversized_universe_names_no_option(self, capsys, tmp_path, command):
+        doc = {"labels": [str(i) for i in range(40)], "blocks": [[i, i + 1] for i in range(39)]}
+        path = tmp_path / "path40.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert "universe of 40 exceeds the enumeration cap 16" in err
+        assert "force=True" not in err
+
+
 class TestEnumerate:
     def test_small_sweep_passes(self, capsys, tmp_path):
         wdir = tmp_path / "witness"

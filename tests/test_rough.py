@@ -35,6 +35,7 @@ from roughkleene.rough import (
     isolated_blocks,
     join_closure_pairs,
     powerset_image_report,
+    powerset_images,
     rs_g_map,
     rs_join_irreducibles,
     skeleton_isomorphism_report,
@@ -277,6 +278,20 @@ class TestGaloisAndImages:
         rs = build_rs(TOL)
         sizes = skeleton_isomorphism_report(rs)
         assert sizes == {"star": 8, "plus": 8}
+
+    def test_pair_projections_are_the_images(self):
+        # skeleton_isomorphism_report reads the images off the rough pairs.
+        count = 0
+        for n in range(1, 6):
+            for cov in irredundant_coverings(n):
+                tol = tolerance_from_covering(cov)
+                pairs = join_closure_pairs(tol)
+                assert powerset_images(tol) == (
+                    sorted({lo for lo, _ in pairs}),
+                    sorted({up for _, up in pairs}),
+                )
+                count += 1
+        assert count == 522
 
 
 def _all_tolerances(n):

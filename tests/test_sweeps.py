@@ -52,6 +52,11 @@ class TestSweeps:
         b = pooled.to_dict(include_runtime=False)
         assert a == b
 
+    def test_pooled_enumeration_matches_serial(self):
+        serial = run_enumeration(4, 6, workers=1)
+        pooled = run_enumeration(4, 6, workers=2)
+        assert pooled.to_dict(include_runtime=False) == serial.to_dict(include_runtime=False)
+
     def test_report_merge_keeps_earliest_witness(self):
         a, b = EnumerationReport(), EnumerationReport()
         a.outcome("p").record(5, False, {"w": "later"})
