@@ -13,7 +13,9 @@ from .posets import (
     Lattice,
     Poset,
     bits,
+    check_table_size,
     first_not_below,
+    inclusion_below,
     is_distributive,
     join_irreducibles,
     mask_of,
@@ -92,9 +94,22 @@ def validate_demorgan(lat: Lattice, neg) -> DeMorgan:
         if diff:
             raise NotAntitone(x, (diff & -diff).bit_length() - 1)
     # De Morgan laws follow from the above; keep the explicit check anyway.
-    for x in range(n):
-        join_x, meet_x = lat.join[x], lat.meet[x]
-        meet_nx, join_nx = lat.meet[neg[x]], lat.join[neg[x]]
+    # Both laws and both tables are symmetric in x and y, so they are tested
+    # on the pairs y >= x: a failing pair (x, y) with y < x is the failing
+    # pair (y, x) of an earlier row.  The first failing row is then scanned
+    # in full for the first failure of a row-major scan.
+    meet, join = lat.meet, lat.join
+    failing = {
+        x
+        for x, nx in enumerate(neg)
+        for meet_nx, join_nx in [(meet[nx], join[nx])]
+        for v, w, ny in zip(join[x][x:], meet[x][x:], neg[x:])
+        if neg[v] != meet_nx[ny] or neg[w] != join_nx[ny]
+    }
+    if failing:
+        x = min(failing)
+        join_x, meet_x = join[x], meet[x]
+        meet_nx, join_nx = meet[neg[x]], join[neg[x]]
         for y in range(n):
             if neg[join_x[y]] != meet_nx[neg[y]]:
                 raise DeMorganError(f"neg(x v y) != neg(x) ^ neg(y) at ({x},{y})")
@@ -186,10 +201,11 @@ def build_kleene_from_jposet(jposet: Poset, g: dict, require_kleene: bool = True
     """
     _check_g_on_poset(jposet, g, require_kleene)
     downsets = jposet.downsets()
+    check_table_size(len(downsets))
     downsets.sort(key=lambda d: (d.bit_count(), d))
     index = {d: i for i, d in enumerate(downsets)}
     labels = [_downset_label(jposet, d) for d in downsets]
-    below = [mask_of(index[d] for d in downsets if d & ~e == 0) for e in downsets]
+    below = inclusion_below(downsets, jposet.n)
     lat = Lattice.from_poset(Poset(labels, below))
     ji = join_irreducibles(lat)
     principal = {index[jposet.below[x]]: x for x in range(jposet.n)}

@@ -8,6 +8,8 @@ operation is deterministic, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, starmap
+from operator import and_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 
@@ -41,6 +43,49 @@ class NotALattice(PosetError):
 
 class DownsetCapExceeded(PosetError):
     """A poset too large for downset enumeration: a bound, not a defect."""
+
+
+# The most elements an order or a P×P meet/join table is built for: 3^7,
+# the rough-set algebra of seven 2-point blocks.  On a 2-vCPU VM, `verify`
+# on that partition takes about 7 s and 100 MB; `represent` on a 12-point
+# antichain (4096 elements) took 51 s and 550 MB, and the cost grows as P².
+MAX_TABLE_ELEMENTS = 2187
+
+
+class TableCapExceeded(DownsetCapExceeded):
+    """Too many elements for the order and the P×P tables: a bound."""
+
+    def __init__(self, n):
+        super().__init__(f"{n} elements exceed the table cap {MAX_TABLE_ELEMENTS}")
+
+
+def check_table_size(n: int):
+    """Raise TableCapExceeded before an order or table on n elements is built."""
+    if n > MAX_TABLE_ELEMENTS:
+        raise TableCapExceeded(n)
+
+
+def inclusion_below(masks: Sequence[int], width: int) -> list:
+    """below[i] = the mask of the k with masks[k] ⊆ masks[i], over width points.
+
+    Bit-sliced: holders[u] is the mask of the k whose set holds point u, and
+    masks[k] ⊆ masks[i] fails exactly when masks[k] holds a point outside
+    masks[i].  So each element costs one OR per point it lacks, O(n·width)
+    big-int operations in all instead of n² subset tests.
+    """
+    check_table_size(len(masks))
+    holders = [0] * width
+    for k, m in enumerate(masks):
+        for u in bits(m):
+            holders[u] |= 1 << k
+    full, points = (1 << len(masks)) - 1, (1 << width) - 1
+    out = []
+    for m in masks:
+        outside = 0
+        for u in bits(points & ~m):
+            outside |= holders[u]
+        out.append(full & ~outside)
+    return out
 
 
 class SpatialityFailure(PosetError):
@@ -215,7 +260,12 @@ class Poset:
 
 
 class Lattice:
-    """A finite lattice: poset plus exhaustively verified meet/join tables."""
+    """A finite lattice: poset plus exhaustively verified meet/join tables.
+
+    meet and join are tuples of rows.  Both tables are symmetric (meet[i][j]
+    == meet[j][i]), since x∧y and x∨y do not depend on the order of x and y,
+    and from_poset computes each unordered pair once.
+    """
 
     __slots__ = ("poset", "meet", "join", "bottom", "top")
 
@@ -231,33 +281,44 @@ class Lattice:
         """Compute meet/join tables, or raise NotALattice at the first bad pair.
 
         The glb of i,j exists iff the common lower bounds form a principal
-        downset; likewise for lub with upsets.
+        downset; likewise for lub with upsets.  Each unordered pair i <= j
+        is looked up once, row by row, and row i copies its cells j < i
+        from the rows above it.  A bad pair is bad in both orders and never
+        on the diagonal, so the first bad cell of a row-major scan of the
+        full tables has i < j and is also the first bad cell here.
         """
         n = p.n
         if n == 0:
             raise NotALattice((None, None), "meet")
-        below_id = {p.below[i]: i for i in range(n)}
-        above_id = {p.above[i]: i for i in range(n)}
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
+        check_table_size(n)
+        below, above = p.below, p.above
+        # the cells (i, j), i <= j, in row-major order
+        cells = []
+        for masks in (below, above):
+            ids = {m: i for i, m in enumerate(masks)}
+            pairs = combinations_with_replacement(masks, 2)
+            cells.append(list(map(ids.get, starmap(and_, pairs))))
+        meet_cells, join_cells = cells
+        if None in meet_cells or None in join_cells:
+            c = next(c for c, cell in enumerate(zip(meet_cells, join_cells)) if None in cell)
+            kind = "meet" if meet_cells[c] is None else "join"
+            i = 0
+            while c >= n - i:
+                c -= n - i
+                i += 1
+            raise NotALattice((i, i + c), kind)
+        meet, join = [], []
+        start = 0
         for i in range(n):
-            bi, ai = p.below[i], p.above[i]
-            for j in range(n):
-                lo = bi & p.below[j]
-                m = below_id.get(lo)
-                if m is None:
-                    raise NotALattice((min(i, j), max(i, j)), "meet")
-                meet[i][j] = m
-                up = ai & p.above[j]
-                jn = above_id.get(up)
-                if jn is None:
-                    raise NotALattice((min(i, j), max(i, j)), "join")
-                join[i][j] = jn
-        meet = tuple(tuple(r) for r in meet)
-        join = tuple(tuple(r) for r in join)
-        bottom = next(i for i in range(n) if p.below[i] == 1 << i and p.above[i] == (1 << n) - 1)
-        top = next(i for i in range(n) if p.above[i] == 1 << i and p.below[i] == (1 << n) - 1)
-        return cls(p, meet, join, bottom, top)
+            end = start + n - i
+            column = itemgetter(i)
+            meet.append((*map(column, meet), *meet_cells[start:end]))
+            join.append((*map(column, join), *join_cells[start:end]))
+            start = end
+        full = (1 << n) - 1
+        bottom = next(i for i in range(n) if below[i] == 1 << i and above[i] == full)
+        top = next(i for i in range(n) if above[i] == 1 << i and below[i] == full)
+        return cls(p, tuple(meet), tuple(join), bottom, top)
 
     @property
     def n(self) -> int:
@@ -280,6 +341,15 @@ class Lattice:
         out = self.bottom
         for i in ids:
             out = self.join[out][i]
+        return out
+
+    def meet_of(self, mask: int) -> int:
+        """The meet of the elements in a mask; the dual of join_of."""
+        above, meet = self.poset.above, self.meet
+        out = self.top
+        while mask:
+            out = meet[out][(mask & -mask).bit_length() - 1]
+            mask &= ~above[out]
         return out
 
     def join_of(self, mask: int) -> int:

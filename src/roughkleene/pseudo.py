@@ -14,10 +14,12 @@ from .demorgan import DeMorgan
 from .posets import (
     JoinIrreducibles,
     Lattice,
+    bits,
     first_not_below,
     has_two_levels,
     is_distributive,
     is_join_prime,
+    mask_of,
 )
 
 
@@ -53,21 +55,39 @@ class DoubleP:
 
 
 def compute_pseudocomplements(lat: Lattice) -> DoubleP:
-    """Brute-force star and plus for every element, then check laws (i)-(v).
+    """Star and plus for every element, then check laws (i)-(v).
+
+    star(x) is the join of {z : x ∧ z = 0}, when that join is itself in the
+    set.  Each z != 0 lies above an atom, and x ∧ z != 0 iff some atom lies
+    below both, so the set is L minus the upsets of the atoms below x: a
+    mask, folded with Lattice.join_of, with no scan of the meet table.
+    Dually, {z : x ∨ z = 1} is L minus the downsets of the coatoms above x,
+    folded with Lattice.meet_of.
 
     Non-distributive lattices are accepted when both maps exist, but the
     result is flagged and the regularity machinery refuses it.
     """
     bottom, top = lat.bottom, lat.top
+    below, above = lat.poset.below, lat.poset.above
+    full = (1 << lat.n) - 1
+    atoms = [a for a in range(lat.n) if below[a] == 1 << a | 1 << bottom and a != bottom]
+    coatoms = [c for c in range(lat.n) if above[c] == 1 << c | 1 << top and c != top]
     star, plus = [], []
     for x in range(lat.n):
-        meet_x, join_x = lat.meet[x], lat.join[x]
-        cand = lat.join_all([z for z, v in enumerate(meet_x) if v == bottom])
-        if meet_x[cand] != bottom:
+        meets = 0
+        for a in atoms:
+            if below[x] >> a & 1:
+                meets |= above[a]
+        cand = lat.join_of(full & ~meets)
+        if lat.meet[x][cand] != bottom:
             raise NoPseudocomplement(x)
         star.append(cand)
-        cand = lat.meet_all([z for z, v in enumerate(join_x) if v == top])
-        if join_x[cand] != top:
+        joins = 0
+        for c in coatoms:
+            if above[x] >> c & 1:
+                joins |= below[c]
+        cand = lat.meet_of(full & ~joins)
+        if lat.join[x][cand] != top:
             raise NoPseudocomplement(x, dual=True)
         plus.append(cand)
     dp = DoubleP(lat, star, plus, is_distributive(lat)[0])
@@ -76,8 +96,37 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
 
 
 def _check_p_laws(dp: DoubleP):
+    """Raise PseudoError at the first failing law, in the order of a scan of
+    a, then b, over all pairs.
+
+    The two pair laws are symmetric in a and b, so they are tested on the
+    pairs b >= a only: a failing pair (a, b) with b < a is the failing pair
+    (b, a) of an earlier row.  Antitonicity at a is one mask test: ↑a must
+    lie inside the b with star[b] <= star[a].  So the first failure of the
+    full scan lies in the first row that fails these tests, and only that
+    row is scanned for it.
+    """
     lat, star, plus = dp.lattice, dp.star, dp.plus
-    below, meet, join = lat.poset.below, lat.meet, lat.join
+    below, above, meet, join = lat.poset.below, lat.poset.above, lat.meet, lat.join
+    # star_le[s] is the mask of the b with star[b] <= s, for each value s of
+    # star, gathered from the preimages of the values below s
+    preimage = [0] * lat.n
+    for b, sb in enumerate(star):
+        preimage[sb] |= 1 << b
+    image = mask_of(star)
+    star_le = dict.fromkeys(star, 0)
+    for s in star_le:
+        for e in bits(below[s] & image):
+            star_le[s] |= preimage[e]
+    # the rows a with a pair b >= a that fails (a v b)* = a* ^ b* or
+    # (a ^ b)* >= a* v b*, in one pass over the pairs
+    failing = {
+        a
+        for a, sa in enumerate(star)
+        for meet_sa, join_sa in [(meet[sa], join[sa])]
+        for v, w, sb in zip(join[a][a:], meet[a][a:], star[a:])
+        if star[v] != meet_sa[sb] or not below[star[w]] >> join_sa[sb] & 1
+    }
     for a in range(lat.n):
         sa = star[a]
         if star[star[sa]] != sa:
@@ -88,6 +137,8 @@ def _check_p_laws(dp: DoubleP):
             raise PseudoError(f"a+ != a+++ at {a}")
         if not below[a] >> plus[plus[a]] & 1:
             raise PseudoError(f"a++ <= a fails at {a}")
+        if above[a] & ~star_le[sa] == 0 and a not in failing:
+            continue
         below_sa, meet_sa, join_sa = below[sa], meet[sa], join[sa]
         meet_a, join_a = meet[a], join[a]
         for b in range(lat.n):

@@ -208,10 +208,20 @@ def build_phi(dm: DeMorgan, ji: JoinIrreducibles, sim: SimilaritySpace,
 def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
                phi: dict, rs: RoughSetAlgebra):
     """Extend phi to the whole lattice by joins and verify, pair by pair,
-    that every operation is preserved."""
+    that every operation is preserved.
+
+    The meet and join tests of (x, y) and (y, x) compare the same cells,
+    since both lattices' tables are symmetric, so they run on the pairs
+    y >= x.  The order test of row x is one mask test: the image of ↑x must
+    be ↑iso(x), as iso is a bijection.  Every ordered pair is still
+    verified, and the checks count each one.  The first failure of a scan of
+    x, then y, lies in the first row to fail these tests, and only that row
+    is scanned for it.
+    """
     lat, target = dm.lattice, rs.lattice
     n = lat.n
     below, rs_below = lat.poset.below, target.poset.below
+    above, rs_above = lat.poset.above, target.poset.above
     iso = tuple(
         target.join_all(phi[j] for j in bits(below[x] & ji.member_mask))
         for x in range(n)
@@ -221,6 +231,14 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
     if iso[lat.bottom] != rs.lattice.bottom or iso[lat.top] != rs.lattice.top:
         raise IsoCheckFailed("bounds", {})
     checks = {"meet": 0, "join": 0, "neg": 0, "star": 0, "plus": 0, "order": 0}
+    # the rows x with a pair y >= x whose meet or join is not preserved
+    failing = {
+        x
+        for x, ix in enumerate(iso)
+        for meet_ix, join_ix in [(target.meet[ix], target.join[ix])]
+        for v, w, iy in zip(lat.meet[x][x:], lat.join[x][x:], iso[x:])
+        if iso[v] != meet_ix[iy] or iso[w] != join_ix[iy]
+    }
     for x in range(n):
         if rs.neg[iso[x]] != iso[dm.neg[x]]:
             raise IsoCheckFailed("neg", {"x": x})
@@ -232,16 +250,17 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
         checks["star"] += 1
         checks["plus"] += 1
         ix = iso[x]
-        meet_x, join_x = lat.meet[x], lat.join[x]
-        meet_ix, join_ix = target.meet[ix], target.join[ix]
-        for y in range(n):
-            iy = iso[y]
-            if iso[meet_x[y]] != meet_ix[iy]:
-                raise IsoCheckFailed("meet", {"pair": (x, y)})
-            if iso[join_x[y]] != join_ix[iy]:
-                raise IsoCheckFailed("join", {"pair": (x, y)})
-            if (below[y] >> x & 1) != (rs_below[iy] >> ix & 1):
-                raise IsoCheckFailed("order", {"pair": (x, y)})
+        if x in failing or mask_of(iso[y] for y in bits(above[x])) != rs_above[ix]:
+            meet_x, join_x = lat.meet[x], lat.join[x]
+            meet_ix, join_ix = target.meet[ix], target.join[ix]
+            for y in range(n):
+                iy = iso[y]
+                if iso[meet_x[y]] != meet_ix[iy]:
+                    raise IsoCheckFailed("meet", {"pair": (x, y)})
+                if iso[join_x[y]] != join_ix[iy]:
+                    raise IsoCheckFailed("join", {"pair": (x, y)})
+                if (below[y] >> x & 1) != (rs_below[iy] >> ix & 1):
+                    raise IsoCheckFailed("order", {"pair": (x, y)})
         checks["meet"] += n
         checks["join"] += n
         checks["order"] += n

@@ -15,10 +15,13 @@ irredundant covering).  Their agreement is an acceptance-level oracle.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import and_, eq, invert, or_, xor
 
 from .demorgan import validate_demorgan, compute_g
-from .posets import Lattice, NotALattice, Poset, bits, mask_of
+from .posets import Lattice, NotALattice, Poset, bits, inclusion_below, mask_of
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report
 
 
@@ -307,11 +310,45 @@ class RoughSetAlgebra:
         return fmt_pair(self.pairs[i], self.tolerance.labels)
 
 
+def _approximation_table(tol: Tolerance):
+    """lower(X) and upper(X) for every subset X of U, as two arrays indexed
+    by the mask X, with the checks of approximations run for every X.
+
+    The table grows point by point: the X whose highest point is y extend
+    X' = X∖{y}, which come before them.  upper(X) is upper(X') ∪ R(y), since
+    R is symmetric.  lower(X) follows its definition: it is lower(X') plus
+    the x ∈ R(y) with R(x) ⊆ X, because an x outside R(y) has y ∉ R(x), and
+    then R(x) ⊆ X iff R(x) ⊆ X'.  So each new half of the table is one pass
+    over the half before it, with no loop over U per subset.
+    """
+    nbr = tol.nbr
+    los, ups = array("Q", [0]), array("Q", [0])
+    for y in range(tol.n):
+        ups.extend(array("Q", map(or_, ups, repeat(nbr[y]))))
+        # only an x whose R(x) lies within the points 0..y can have R(x) ⊆ X
+        ext = array("Q", los)
+        for x in bits(nbr[y]):
+            need = nbr[x] & ~(1 << y)
+            if need >> y == 0:
+                ext = array("Q", [lo | 1 << x if X & need == need else lo for X, lo in enumerate(ext)])
+        los.extend(ext)
+    full = (1 << tol.n) - 1
+    # duality: full ^ lower(X) = upper(full ^ X), where full ^ X runs through
+    # the masks backwards as X runs forwards; sandwich: lower(X) ⊆ X ⊆ upper(X)
+    if (not all(map(eq, map(xor, los, repeat(full)), reversed(ups)))
+            or any(map(and_, los, map(invert, count())))
+            or any(map(and_, count(), map(invert, ups)))):
+        for X in range(full + 1):
+            if los[X] ^ full != ups[X ^ full]:
+                raise FormulaMismatch("approximation duality", {"X": X})
+            if los[X] & ~X or X & ~ups[X]:
+                raise FormulaMismatch("reflexive sandwich", {"X": X})
+    return los, ups
+
+
 def _powerset_pairs(tol: Tolerance):
-    seen = set()
-    for X in range(1 << tol.n):
-        seen.add(approximations(tol, X))
-    return sorted(seen)
+    los, ups = _approximation_table(tol)
+    return sorted(set(zip(los, ups)))
 
 
 def formula_join_irreducibles(tol: Tolerance, cov: Covering):
@@ -377,17 +414,19 @@ def join_closure_pairs(tol: Tolerance):
     return sorted(seen)
 
 
+def rough_order(pairs, n_points: int) -> list:
+    """The coordinatewise order of rough pairs on n_points points, as down-masks.
+
+    A pair (lo, up) is read as the one set lo ∪ (up shifted past the
+    points), so the order is inclusion of those sets (inclusion_below).
+    """
+    return inclusion_below([lo | up << n_points for lo, up in pairs], 2 * n_points)
+
+
 def _assemble(tol: Tolerance, pairs):
-    n = len(pairs)
+    below = rough_order(pairs, tol.n)
     index = {pr: i for i, pr in enumerate(pairs)}
     labels = [fmt_pair(pr, tol.labels) for pr in pairs]
-    below = []
-    for lo, up in pairs:
-        m = 0
-        for i, (lo2, up2) in enumerate(pairs):
-            if lo2 & ~lo == 0 and up2 & ~up == 0:
-                m |= 1 << i
-        below.append(m)
     try:
         lattice = Lattice.from_poset(Poset(labels, below))
     except NotALattice as exc:
@@ -397,8 +436,19 @@ def _assemble(tol: Tolerance, pairs):
     # pairs, so each closure is computed once per distinct key
     interior = _Memo(lambda s: tol.upper(tol.lower(s)))
     closure = _Memo(lambda s: tol.lower(tol.upper(s)))
-    for i, (a, b) in enumerate(pairs):
-        meet_i, join_i = lattice.meet[i], lattice.join[i]
+    # both formulas and both tables are symmetric in the two pairs, so they
+    # are tested on the pairs j >= i: a failing pair (i, j) with j < i is the
+    # failing pair (j, i) of an earlier row.  The first failing row is then
+    # scanned in full for the first failure of a row-major scan.
+    failing = {
+        i
+        for i, (a, b) in enumerate(pairs)
+        for m, jn, (c, d) in zip(lattice.meet[i][i:], lattice.join[i][i:], pairs[i:])
+        if pairs[m] != (a & c, interior[b & d]) or pairs[jn] != (closure[a | c], b | d)
+    }
+    if failing:
+        i = min(failing)
+        (a, b), meet_i, join_i = pairs[i], lattice.meet[i], lattice.join[i]
         for j, (c, d) in enumerate(pairs):
             want = (a & c, interior[b & d])
             if pairs[meet_i[j]] != want:
@@ -556,12 +606,8 @@ def isolated_blocks(rs: RoughSetAlgebra):
 
 def powerset_images(tol: Tolerance):
     """The sorted images of lower and upper over the whole powerset."""
-    los, ups = set(), set()
-    for X in range(1 << tol.n):
-        lo, up = approximations(tol, X)
-        los.add(lo)
-        ups.add(up)
-    return sorted(los), sorted(ups)
+    los, ups = _approximation_table(tol)
+    return sorted(set(los)), sorted(set(ups))
 
 
 def powerset_image_report(tol: Tolerance):

@@ -23,16 +23,18 @@ from .generators import (
     tolerance_from_encoding,
 )
 from .isomorph import lattice_key
-from .posets import Lattice, Poset, bits, is_distributive, join_irreducibles
+from .posets import Lattice, NotALattice, Poset, bits, is_distributive, join_irreducibles
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report, heyting_implications, is_regular, skeletons
 from .rough import (
     Covering,
+    _powerset_pairs,
     build_rs,
     galois_holds,
     induced_irredundant_covering,
     isolated_blocks,
     join_closure_pairs,
     powerset_image_report,
+    rough_order,
     rs_g_map,
     rs_join_irreducibles,
     skeleton_isomorphism_report,
@@ -209,30 +211,18 @@ def _eval_covering(seq, cov: Covering, report: EnumerationReport):
 
 
 def _rs_order_lattice_witness(tol):
-    """Pairs of the rough order plus a non-lattice witness, if any, cheaply."""
-    seen = set()
-    for x in range(1 << tol.n):
-        seen.add((tol.lower(x), tol.upper(x)))
-    pairs = sorted(seen)
-    below = []
-    for lo, up in pairs:
-        m = 0
-        for i, (lo2, up2) in enumerate(pairs):
-            if lo2 & ~lo == 0 and up2 & ~up == 0:
-                m |= 1 << i
-        below.append(m)
-    bidx = {b: i for i, b in enumerate(below)}
-    above = [0] * len(pairs)
-    for j, b in enumerate(below):
-        for i in bits(b):
-            above[i] |= 1 << j
-    aidx = {a: i for i, a in enumerate(above)}
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            if below[i] & below[j] not in bidx or above[i] & above[j] not in aidx:
-                return pairs, None, (pairs[i], pairs[j])
+    """Pairs of the rough order plus a non-lattice witness, if any.
+
+    The witness is the first bad pair Lattice.from_poset finds, mapped back
+    to rough pairs; the sweep, the order and the tables are build_rs's own.
+    """
+    pairs = _powerset_pairs(tol)
     lab = [str(k) for k in range(len(pairs))]
-    lat = Lattice.from_poset(Poset(lab, below))
+    try:
+        lat = Lattice.from_poset(Poset(lab, rough_order(pairs, tol.n)))
+    except NotALattice as exc:
+        i, j = exc.pair
+        return pairs, None, (pairs[i], pairs[j])
     return pairs, lat, None
 
 

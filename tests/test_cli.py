@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from conftest import fixture_path
@@ -108,6 +109,14 @@ class TestRepresent:
         assert code == 2
         assert "capped at 20" in err
 
+    def test_twenty_point_antichain_hits_the_table_cap(self, capsys, tmp_path):
+        # 2^20 downsets: the cap is checked before any order or table is built
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "represent", _antichain_jposet(tmp_path, 20))
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert "1048576 elements exceed the table cap 2187" in err
+
     def test_powerset_method_keeps_the_universe_cap(self, capsys, tmp_path):
         path = _complete_two_level_jposet(tmp_path, 5)
         code, _, err = run_cli(capsys, "represent", path, "--method", "powerset")
@@ -184,6 +193,16 @@ class TestVerify:
         assert code == 2
         assert "universe of 40 exceeds the enumeration cap 16" in err
         assert "force=True" not in err
+
+    @pytest.mark.parametrize("command", ["verify", "render"])
+    def test_table_cap_names_no_option(self, capsys, tmp_path, command):
+        # eight pairs on 16 points: within the universe cap, but 3^8 rough pairs
+        doc = {"labels": [str(i) for i in range(16)], "blocks": [[i, i + 1] for i in range(0, 16, 2)]}
+        path = tmp_path / "partition8.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.strip() == "6561 elements exceed the table cap 2187"
 
 
 class TestEnumerate:
