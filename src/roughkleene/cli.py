@@ -15,7 +15,7 @@ import sys
 from . import jsonio
 from .demorgan import DeMorganError
 from .dot import hasse_dot, rs_dot
-from .posets import DownsetCapExceeded, PosetError
+from .posets import PosetError, TableCapExceeded
 from .represent import NotKleene, NotRegular, RepresentError, represent
 from .reports import check_report, represent_bundle, verify_report
 from .rough import BoundsExceeded, ToleranceError, build_rs
@@ -42,7 +42,7 @@ def cmd_check(args) -> int:
     doc = jsonio.load_document(args.input)
     try:
         lat, dm = jsonio.parse_algebra(doc)
-    except (jsonio.ParseError, DownsetCapExceeded):
+    except (jsonio.ParseError, TableCapExceeded):
         raise
     except (DeMorganError, PosetError) as exc:
         return _fail(f"structure invalid: {exc}", 1)
@@ -54,7 +54,7 @@ def cmd_represent(args) -> int:
     doc = jsonio.load_document(args.input)
     try:
         lat, dm = jsonio.parse_algebra(doc)
-    except (jsonio.ParseError, DownsetCapExceeded):
+    except (jsonio.ParseError, TableCapExceeded):
         raise
     except (DeMorganError, PosetError) as exc:
         return _fail(f"structure invalid: {exc}", 1)
@@ -151,7 +151,7 @@ def cmd_render(args) -> int:
     else:
         try:
             lat, dm = jsonio.parse_algebra(doc)
-        except (jsonio.ParseError, DownsetCapExceeded):
+        except (jsonio.ParseError, TableCapExceeded):
             raise
         except (DeMorganError, PosetError) as exc:
             return _fail(f"structure invalid: {exc}", 1)
@@ -209,7 +209,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except jsonio.ParseError as exc:
         return _fail(f"input error: {exc}", 2)
-    except (BoundsExceeded, DownsetCapExceeded) as exc:
+    except (BoundsExceeded, TableCapExceeded) as exc:
         return _fail(str(exc), 2)
     except (ToleranceError, PosetError, DeMorganError) as exc:
         return _fail(f"verification failed: {exc}", 1)

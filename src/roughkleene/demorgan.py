@@ -13,7 +13,6 @@ from .posets import (
     Lattice,
     Poset,
     bits,
-    check_table_size,
     first_not_below,
     inclusion_below,
     is_distributive,
@@ -197,11 +196,12 @@ def build_kleene_from_jposet(jposet: Poset, g: dict, require_kleene: bool = True
 
     Element labels: "0" for the empty downset, the generator's label for a
     principal downset, otherwise the labels of the downset's maximal
-    elements joined by "|".
+    elements joined by "|".  The downset walk raises TableCapExceeded once
+    there are more downsets than the table cap, before any order or table
+    is built.
     """
     _check_g_on_poset(jposet, g, require_kleene)
     downsets = jposet.downsets()
-    check_table_size(len(downsets))
     downsets.sort(key=lambda d: (d.bit_count(), d))
     index = {d: i for i, d in enumerate(downsets)}
     labels = [_downset_label(jposet, d) for d in downsets]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .isomorph import canonical_key
-from .posets import Lattice, Poset, mask_of
+from .posets import Lattice, Poset, downsets, inclusion_below, mask_of
 from .rough import Covering, Tolerance, is_irredundant
 
 
@@ -84,23 +84,6 @@ def irredundant_coverings(n):
             yield cov
 
 
-def _downsets_of(below):
-    n = len(below)
-    out = []
-    for s in range(1 << n):
-        ok = True
-        m = s
-        while m:
-            low = m & -m
-            if below[low.bit_length() - 1] & ~s:
-                ok = False
-                break
-            m ^= low
-        if ok:
-            out.append(s)
-    return out
-
-
 def _is_meet_semilattice(below):
     index = set(below)
     n = len(below)
@@ -122,7 +105,7 @@ def _grow_semilattices(max_size):
         nxt = {}
         for below in level.values():
             k = len(below)
-            for d in _downsets_of(below):
+            for d in downsets(below):
                 if not d & 1:
                     continue  # must lie above the bottom (element 0)
                 cand = below + (d | 1 << k,)
@@ -154,18 +137,19 @@ def all_lattices(max_size):
 def _grow_posets_bounded(max_points, max_downsets):
     """All posets, up to iso, whose downset count stays within max_downsets."""
     empty = ()
-    yield empty
+    if max_downsets >= 1:
+        yield empty
     level = {(): empty}
     for size in range(1, max_points + 1):
         nxt = {}
         for below in level.values():
             k = len(below)
-            ds = _downsets_of(below)
+            ds = downsets(below)
             if len(ds) + 1 > max_downsets:
                 continue
             for d in ds:
                 cand = below + (d | 1 << k,)
-                if len(_downsets_of(cand)) > max_downsets:
+                if len(downsets(cand)) > max_downsets:
                     continue
                 key = canonical_key(k + 1, cand)
                 if key not in nxt:
@@ -178,15 +162,10 @@ def all_distributive_lattices(max_size):
     """Every distributive lattice with at most max_size elements, up to iso,
     realized as the downset lattice of a small poset."""
     for below in _grow_posets_bounded(max_size - 1, max_size):
-        n = len(below)
-        ds = _downsets_of(below)
-        if len(ds) > max_size:
-            continue
+        ds = downsets(below)
         ds.sort(key=lambda d: (d.bit_count(), d))
-        index = {d: i for i, d in enumerate(ds)}
         lab = [f"d{i}" for i in range(len(ds))]
-        lat_below = [mask_of(index[d] for d in ds if d & ~e == 0) for e in ds]
-        yield Lattice.from_poset(Poset(lab, lat_below))
+        yield Lattice.from_poset(Poset(lab, inclusion_below(ds, len(below))))
 
 
 def product_of_chains(sizes):

@@ -8,7 +8,7 @@ operation is deterministic, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, starmap
+from itertools import combinations_with_replacement, compress, count, starmap
 from operator import and_, itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -41,19 +41,18 @@ class NotALattice(PosetError):
         super().__init__(f"no unique {kind} for elements {pair}")
 
 
-class DownsetCapExceeded(PosetError):
-    """A poset too large for downset enumeration: a bound, not a defect."""
-
-
-# The most elements an order or a P×P meet/join table is built for: 3^7,
-# the rough-set algebra of seven 2-point blocks.  On a 2-vCPU VM, `verify`
-# on that partition takes about 7 s and 100 MB; `represent` on a 12-point
-# antichain (4096 elements) took 51 s and 550 MB, and the cost grows as P².
+# The most elements an order, a P×P meet/join table or a downset list is
+# built for: 3^7, the rough-set algebra of seven 2-point blocks.  On a
+# 2-vCPU VM, `verify` on that partition takes about 7 s and 100 MB;
+# `represent` on a 12-point antichain (4096 elements) took 51 s and 550 MB,
+# and the cost grows as P².
 MAX_TABLE_ELEMENTS = 2187
 
 
-class TableCapExceeded(DownsetCapExceeded):
-    """Too many elements for the order and the P×P tables: a bound."""
+class TableCapExceeded(PosetError):
+    """Too many elements for the order, the P×P tables or the downset list:
+    a bound, not a defect.  n is the element count, or "more than N" when
+    the downset walk stops as soon as it passes the cap."""
 
     def __init__(self, n):
         super().__init__(f"{n} elements exceed the table cap {MAX_TABLE_ELEMENTS}")
@@ -85,6 +84,29 @@ def inclusion_below(masks: Sequence[int], width: int) -> list:
         for u in bits(points & ~m):
             outside |= holders[u]
         out.append(full & ~outside)
+    return out
+
+
+def downsets(below: Sequence[int]) -> list:
+    """All down-closed subsets of the order below[i] = ↓i, as bitmasks, ascending.
+
+    The elements are added in a linear extension (a strictly smaller
+    element has a smaller ↓), so each new element is maximal among those
+    added so far.  A downset of the larger set either omits it, or holds it
+    and everything strictly below it; so each step keeps the list and adds
+    i to every downset that already holds ↓i∖{i}.  Each step is one pass
+    over the list, with no recursion, and the walk raises TableCapExceeded
+    as soon as the list passes MAX_TABLE_ELEMENTS, so it never does 2^n
+    work.
+    """
+    out = [0]
+    for i in sorted(range(len(below)), key=lambda i: below[i].bit_count()):
+        bit = 1 << i
+        strict = below[i] & ~bit
+        out += [d | bit for d in out if strict & ~d == 0]
+        if len(out) > MAX_TABLE_ELEMENTS:
+            raise TableCapExceeded(f"more than {MAX_TABLE_ELEMENTS}")
+    out.sort()
     return out
 
 
@@ -131,26 +153,31 @@ class OrderReport:
 
 
 def validate_order(rows: Sequence[Sequence[int]]) -> OrderReport:
-    """Check that a 0/1 matrix (rows[i][j] == 1 iff i <= j) is a partial order."""
-    n = len(rows)
-    refl = next(((i,) for i in range(n) if not rows[i][i]), None)
+    """Check that a 0/1 matrix (rows[i][j] == 1 iff i <= j) is a partial order.
+
+    Each row and each column is read once into a mask (up[i] = ↑i, down[i]
+    = ↓i), so each axiom costs O(n) mask tests per element instead of a
+    scan of all pairs or triples.  The witnesses are those of a row-major
+    scan: transitivity fails at i exactly when some j in ↑i has ↑j ⊄ ↑i,
+    and j and then k are the lowest such.
+    """
+    up = [mask_of(compress(count(), row)) for row in rows]
+    down = [mask_of(compress(count(), column)) for column in zip(*rows)]
+    refl = next(((i,) for i, m in enumerate(up) if not m >> i & 1), None)
     anti = next(
         (
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rows[i][j] and rows[j][i]
+            (i, i + 1 + next(bits(m >> i + 1)))
+            for i, m in enumerate(map(and_, up, down))
+            if m >> i + 1
         ),
         None,
     )
     trans = next(
         (
-            (i, j, k)
-            for i in range(n)
-            for j in range(n)
-            if rows[i][j]
-            for k in range(n)
-            if rows[j][k] and not rows[i][k]
+            (i, j, next(bits(up[j] & ~m)))
+            for i, m in enumerate(up)
+            for j in bits(m)
+            if up[j] & ~m
         ),
         None,
     )
@@ -186,9 +213,7 @@ class Poset:
         report = validate_order(rows)
         if not report.valid:
             raise PosetError(f"not a partial order: {report.violations()}")
-        n = len(rows)
-        below = [mask_of(i for i in range(n) if rows[i][j]) for j in range(n)]
-        return cls(labels, below)
+        return cls(labels, [mask_of(compress(count(), column)) for column in zip(*rows)])
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple]) -> "Poset":
@@ -238,22 +263,8 @@ class Poset:
         return Poset(self.labels, self.above)
 
     def downsets(self) -> list:
-        """All down-closed subsets as bitmasks, ascending. Only for small posets."""
-        if self.n > 20:
-            raise DownsetCapExceeded(f"downset enumeration capped at 20 elements, got {self.n}")
-        out = []
-        for s in range(1 << self.n):
-            m = s
-            ok = True
-            while m:
-                low = m & -m
-                if self.below[low.bit_length() - 1] & ~s:
-                    ok = False
-                    break
-                m ^= low
-            if ok:
-                out.append(s)
-        return out
+        """All down-closed subsets as bitmasks, ascending (posets.downsets)."""
+        return downsets(self.below)
 
     def label_set(self, mask: int) -> list:
         return [self.labels[i] for i in bits(mask)]

@@ -9,8 +9,9 @@ into a lattice-with-operations when the order admits one.
 Two independent constructions of the pair set are provided: the powerset
 sweep (the defining one, 2^|U| subsets, capped by universe size) and the
 downset route, which joins each downset of the block-derived
-join-irreducibles and so costs time linear in the number of pairs (needs an
-irredundant covering).  Their agreement is an acceptance-level oracle.
+join-irreducibles (needs an irredundant covering).  Its downsets come from
+posets.downsets, so it costs time linear in the number of pairs and stops
+once they pass the table cap.  Their agreement is an acceptance-level oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from itertools import count, repeat
 from operator import and_, eq, invert, or_, xor
 
 from .demorgan import validate_demorgan, compute_g
-from .posets import Lattice, NotALattice, Poset, bits, inclusion_below, mask_of
+from .posets import Lattice, NotALattice, Poset, bits, downsets, inclusion_below
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report
 
 
@@ -379,38 +380,33 @@ def join_closure_pairs(tol: Tolerance):
 
     For a tolerance induced by an irredundant covering the rough pairs form
     a finite distributive lattice, so each pair is the join of exactly one
-    downset of its join-irreducibles J (Birkhoff).  The downsets are walked
-    in a linear extension of J, adding an element only when everything below
-    it is already chosen; each leaf yields the join
+    downset of its join-irreducibles J (Birkhoff).  The downsets of J under
+    the rough order come from posets.downsets, which refuses more than
+    MAX_TABLE_ELEMENTS of them; each one's join is
     (lower(upper(union of lowers)), union of uppers).  Two downsets with the
     same join would contradict the theorem and raise FormulaMismatch.
     """
     cov = induced_irredundant_covering(tol)
     if cov is None:
         raise ToleranceError("join closure needs a tolerance induced by an irredundant covering")
-    # coordinatewise p < q implies a smaller bit count, so this is a linear extension
-    ji = sorted(formula_join_irreducibles(tol, cov),
-                key=lambda pr: (pr[0].bit_count() + pr[1].bit_count(), pr))
-    below = [
-        mask_of(k for k, (c, d) in enumerate(ji[:i]) if c & ~a == 0 and d & ~b == 0)
-        for i, (a, b) in enumerate(ji)
-    ]
+    ji = formula_join_irreducibles(tol, cov)
     closure = _Memo(lambda s: tol.lower(tol.upper(s)))
     seen = set()
-
-    def walk(i, chosen, lo, up):
-        if i == len(ji):
-            pair = (closure[lo], up)
-            if pair in seen:
-                raise FormulaMismatch("two downsets share a join", {"pair": pair})
-            seen.add(pair)
-            return
-        walk(i + 1, chosen, lo, up)
-        if below[i] & ~chosen == 0:
-            a, b = ji[i]
-            walk(i + 1, chosen | 1 << i, lo | a, up | b)
-
-    walk(0, 0, 0, 0)
+    # ji is sorted, and a coordinatewise smaller pair sorts first, so the
+    # highest element of a downset d is maximal in it: d without it is a
+    # smaller downset, listed earlier, whose unions are already known
+    unions = {0: (0, 0)}
+    for d in downsets(rough_order(ji, tol.n)):
+        if d:
+            top = d.bit_length() - 1
+            lo, up = unions[d ^ 1 << top]
+            a, b = ji[top]
+            unions[d] = (lo | a, up | b)
+        lo, up = unions[d]
+        pair = (closure[lo], up)
+        if pair in seen:
+            raise FormulaMismatch("two downsets share a join", {"pair": pair})
+        seen.add(pair)
     return sorted(seen)
 
 

@@ -52,13 +52,56 @@ class TestCheck:
     def test_oversized_jposet_is_a_bound_violation(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "check", _antichain_jposet(tmp_path, 21))
         assert code == 2
-        assert "capped at 20" in err
+        assert "more than 2187 elements exceed the table cap 2187" in err
+
+    def test_long_chain_jposet_is_admitted(self, capsys, tmp_path):
+        # 101 downsets: the cap counts downsets, not points
+        code, out, _ = run_cli(capsys, "check", _chain_jposet(tmp_path, 100))
+        assert code == 0
+        assert json.loads(out)["regular"] is False
+
+    @pytest.mark.parametrize("form", ["leq", "covers"])
+    def test_oversized_order_document_is_refused_before_it_is_read(self, capsys, tmp_path,
+                                                                   monkeypatch, form):
+        def never(*args):
+            raise AssertionError("an oversized order was read")
+
+        monkeypatch.setattr("roughkleene.posets.validate_order", never)
+        monkeypatch.setattr("roughkleene.posets.Poset.from_covers", never)
+        n = 2188
+        labels = [f"p{i}" for i in range(n)]
+        if form == "leq":
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = 1
+            doc = {"labels": labels, "leq": rows}
+        else:
+            doc = {"labels": labels, "covers": []}
+        path = tmp_path / f"{form}{n}.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert err == "2188 elements exceed the table cap 2187\n"
 
 
 def _antichain_jposet(tmp_path, n):
     labels = [f"p{i}" for i in range(n)]
     path = tmp_path / f"antichain{n}.json"
     path.write_text(json.dumps({"labels": labels, "covers": [], "g": {x: x for x in labels}}))
+    return str(path)
+
+
+def _chain_jposet(tmp_path, n):
+    """An n-point chain with the order-reversing involution i <-> n-1-i."""
+    labels = [f"p{i}" for i in range(n)]
+    covers = [[i, i + 1] for i in range(n - 1)]
+    path = tmp_path / f"chain{n}.json"
+    path.write_text(json.dumps({
+        "labels": labels, "covers": covers,
+        "g": {labels[i]: labels[n - 1 - i] for i in range(n)},
+    }))
     return str(path)
 
 
@@ -107,15 +150,20 @@ class TestRepresent:
     def test_oversized_jposet_is_a_bound_violation(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "represent", _antichain_jposet(tmp_path, 21))
         assert code == 2
-        assert "capped at 20" in err
+        assert "more than 2187 elements exceed the table cap 2187" in err
 
     def test_twenty_point_antichain_hits_the_table_cap(self, capsys, tmp_path):
-        # 2^20 downsets: the cap is checked before any order or table is built
+        # 2^20 downsets: the walk stops as soon as it passes the cap
         start = time.perf_counter()
         code, _, err = run_cli(capsys, "represent", _antichain_jposet(tmp_path, 20))
-        assert time.perf_counter() - start < 5
+        assert time.perf_counter() - start < 1
         assert code == 2
-        assert "1048576 elements exceed the table cap 2187" in err
+        assert "more than 2187 elements exceed the table cap 2187" in err
+
+    def test_long_chain_jposet_is_not_regular(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "represent", _chain_jposet(tmp_path, 100))
+        assert code == 1
+        assert "not regular" in err
 
     def test_powerset_method_keeps_the_universe_cap(self, capsys, tmp_path):
         path = _complete_two_level_jposet(tmp_path, 5)

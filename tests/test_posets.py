@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from conftest import boolean_lattice, chain, diamond_m3, pentagon_n5, two_level_fixture
 
@@ -6,6 +8,7 @@ from roughkleene.isomorph import find_isomorphism
 from roughkleene.posets import (
     Lattice,
     NotALattice,
+    OrderReport,
     Poset,
     PosetError,
     bits,
@@ -15,6 +18,47 @@ from roughkleene.posets import (
     mask_of,
     validate_order,
 )
+
+
+def reference_validate_order(rows):
+    """The O(n^3) scan validate_order replaced: row-major, first witness."""
+    n = len(rows)
+    refl = next(((i,) for i in range(n) if not rows[i][i]), None)
+    anti = next(
+        ((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j] and rows[j][i]),
+        None,
+    )
+    trans = next(
+        (
+            (i, j, k)
+            for i in range(n)
+            for j in range(n)
+            if rows[i][j]
+            for k in range(n)
+            if rows[j][k] and not rows[i][k]
+        ),
+        None,
+    )
+    return OrderReport(refl, anti, trans)
+
+
+def _near_order(rng):
+    """A 0/1 matrix on 0-6 points: a random order with a few cells flipped,
+    or noise, so that every axiom both holds and fails often."""
+    n = rng.randint(0, 6)
+    if rng.random() < 0.3:
+        p = rng.random()
+        return [[int(rng.random() < p) for _ in range(n)] for _ in range(n)]
+    perm = rng.sample(range(n), n)
+    rows = [[int(i == j or (perm[i] < perm[j] and rng.random() < 0.4)) for j in range(n)]
+            for i in range(n)]
+    for _ in range(n):  # transitive closure
+        rows = [[int(any(rows[i][k] and rows[k][j] for k in range(n))) for j in range(n)]
+                for i in range(n)]
+    for _ in range(rng.randint(0, 2) if n else 0):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] ^= 1
+    return rows
 
 
 class TestValidateOrder:
@@ -34,6 +78,15 @@ class TestValidateOrder:
     def test_antisymmetry(self):
         rows = [[1, 1], [1, 1]]
         assert validate_order(rows).antisymmetry == (0, 1)
+
+    def test_matches_the_triple_loop(self):
+        rng = random.Random(3)
+        reports = [(validate_order(rows), reference_validate_order(rows))
+                   for rows in (_near_order(rng) for _ in range(3000))]
+        assert all(a == b for a, b in reports)
+        # every axiom is seen both holding and failing
+        for field in ("reflexivity", "antisymmetry", "transitivity"):
+            assert {getattr(a, field) is None for a, _ in reports} == {True, False}
 
 
 class TestPoset:

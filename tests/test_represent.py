@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (
     boolean_complement,
     boolean_lattice,
@@ -14,7 +16,8 @@ from conftest import (
 
 from roughkleene.demorgan import build_kleene_from_jposet, validate_demorgan
 from roughkleene.generators import random_two_level_structure
-from roughkleene.posets import join_irreducibles, mask_of
+from roughkleene.isomorph import lattice_key
+from roughkleene.posets import Poset, bits, join_irreducibles, mask_of
 from roughkleene.pseudo import compute_pseudocomplements
 from roughkleene.represent import (
     NotKleene,
@@ -23,7 +26,7 @@ from roughkleene.represent import (
     represent,
     roundtrip_check,
 )
-from roughkleene.rough import Covering, tolerance_from_covering
+from roughkleene.rough import Covering, rs_g_map, tolerance_from_covering
 
 
 def _similarity(dm):
@@ -163,3 +166,28 @@ class TestRoundTrip:
         rep = roundtrip_check(tol)
         assert rep["sizesAgree"] and rep["verified"]
         assert rep["rsSize"] == 6
+
+
+def _jposet_of(rs):
+    """The join-irreducible poset of a rough algebra with its gmap, numbered
+    in ascending lattice id."""
+    members = rs.ji.members
+    pos = {j: k for k, j in enumerate(members)}
+    below = rs.lattice.poset.below
+    jbelow = [mask_of(pos[i] for i in bits(below[j] & rs.ji.member_mask)) for j in members]
+    g = rs_g_map(rs)
+    return Poset([f"j{k}" for k in range(len(members))], jbelow), {pos[j]: pos[g[j]] for j in members}
+
+
+class TestJposetRoundTrip:
+    """jposet -> algebra -> rough algebra -> its jposet -> algebra again."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(0, 10**6))
+    def test_rebuilt_jposet_gives_the_same_lattice(self, seed):
+        jposet, g = random_two_level_structure(random.Random(seed))
+        dm = build_kleene_from_jposet(jposet, g)
+        rs = represent(dm).rs
+        again = build_kleene_from_jposet(*_jposet_of(rs))
+        assert again.lattice.n == dm.lattice.n
+        assert lattice_key(again.lattice) == lattice_key(dm.lattice)
