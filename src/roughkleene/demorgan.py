@@ -14,7 +14,7 @@ from .posets import (
     Poset,
     bits,
     first_not_below,
-    inclusion_below,
+    inclusion_lattice,
     is_distributive,
     join_irreducibles,
     mask_of,
@@ -198,15 +198,15 @@ def build_kleene_from_jposet(jposet: Poset, g: dict, require_kleene: bool = True
     principal downset, otherwise the labels of the downset's maximal
     elements joined by "|".  The downset walk raises TableCapExceeded once
     there are more downsets than the table cap, before any order or table
-    is built.
+    is built.  Downsets are ordered by inclusion, so the order and the
+    tables come from inclusion_lattice.
     """
     _check_g_on_poset(jposet, g, require_kleene)
     downsets = jposet.downsets()
     downsets.sort(key=lambda d: (d.bit_count(), d))
     index = {d: i for i, d in enumerate(downsets)}
     labels = [_downset_label(jposet, d) for d in downsets]
-    below = inclusion_below(downsets, jposet.n)
-    lat = Lattice.from_poset(Poset(labels, below))
+    lat = inclusion_lattice(labels, downsets, jposet.n)[0]
     ji = join_irreducibles(lat)
     principal = {index[jposet.below[x]]: x for x in range(jposet.n)}
     if sorted(principal) != list(ji.members):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, compress, count, starmap
-from operator import and_, itemgetter
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -64,27 +64,105 @@ def check_table_size(n: int):
         raise TableCapExceeded(n)
 
 
+class _Inclusion:
+    """The inclusion order of distinct sets of points, read bit-sliced.
+
+    holders[u] is the mask of the k whose set holds point u.  within(s) is
+    the mask of the k with sets[k] ⊆ s: sets[k] ⊆ s fails exactly when
+    sets[k] holds a point outside s, so it costs one OR per point outside s.
+    containing(t) is the mask of the k with t ⊆ sets[k], one AND per point
+    of t.  Both loops are inline, with no bits() generator, since they run
+    once per element and once per distinct meet/join key.
+    """
+
+    __slots__ = ("holders", "full", "points")
+
+    def __init__(self, sets: Sequence[int], width: int):
+        check_table_size(len(sets))
+        holders = [0] * width
+        for k, m in enumerate(sets):
+            for u in bits(m):
+                holders[u] |= 1 << k
+        self.holders = holders
+        self.full, self.points = (1 << len(sets)) - 1, (1 << width) - 1
+
+    def within(self, s: int) -> int:
+        holders, outside, rest = self.holders, 0, self.points & ~s
+        while rest:
+            low = rest & -rest
+            outside |= holders[low.bit_length() - 1]
+            rest ^= low
+        return self.full & ~outside
+
+    def containing(self, t: int) -> int:
+        holders, inside = self.holders, self.full
+        while t:
+            low = t & -t
+            inside &= holders[low.bit_length() - 1]
+            t ^= low
+        return inside
+
+
 def inclusion_below(masks: Sequence[int], width: int) -> list:
     """below[i] = the mask of the k with masks[k] ⊆ masks[i], over width points.
 
-    Bit-sliced: holders[u] is the mask of the k whose set holds point u, and
-    masks[k] ⊆ masks[i] fails exactly when masks[k] holds a point outside
-    masks[i].  So each element costs one OR per point it lacks, O(n·width)
-    big-int operations in all instead of n² subset tests.
+    Bit-sliced (_Inclusion): each element costs one OR per point it lacks,
+    O(n·width) big-int operations in all instead of n² subset tests.
     """
-    check_table_size(len(masks))
-    holders = [0] * width
-    for k, m in enumerate(masks):
-        for u in bits(m):
-            holders[u] |= 1 << k
-    full, points = (1 << len(masks)) - 1, (1 << width) - 1
-    out = []
-    for m in masks:
-        outside = 0
-        for u in bits(points & ~m):
-            outside |= holders[u]
-        out.append(full & ~outside)
-    return out
+    return list(map(_Inclusion(masks, width).within, masks))
+
+
+class Memo(dict):
+    """A dict that fills itself: a missing key is stored as fn(key)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def inclusion_lattice(labels: Sequence[str], sets: Sequence[int], width: int):
+    """The inclusion order of distinct sets over width points, with its
+    meet/join tables: (Lattice, meet_of, join_of), or NotALattice at the
+    first bad pair.
+
+    In an inclusion order the common lower bounds of i and j are the k with
+    sets[k] ⊆ sets[i] & sets[j], and the common upper bounds the k with
+    sets[k] ⊇ sets[i] | sets[j].  So the glb of i and j depends only on the
+    key sets[i] & sets[j] and the lub only on sets[i] | sets[j].  meet_of
+    maps each meet key to the glb's id, or None when the glb does not
+    exist; join_of does the same for join keys.  Each distinct key is
+    looked up once (within, containing), and each cell of the tables is a
+    dict lookup of its key.  Both memos are seeded with the sets themselves
+    (the key of a diagonal cell), whose glb and lub are the set's own id.
+    The key streams are never built as lists, so memory stays that of the
+    tables.  The cells, the first bad pair and its kind are those of
+    Lattice.from_poset on the same order, and every key in meet_of and
+    join_of is the key of some cell.
+    """
+    n = len(sets)
+    if n == 0:
+        raise NotALattice((None, None), "meet")
+    order = _Inclusion(sets, width)
+    below = list(map(order.within, sets))
+    above = list(map(order.containing, sets))
+    poset = _poset_with_above(labels, below, above)
+    meet_ids = {m: i for i, m in enumerate(below)}
+    join_ids = {m: i for i, m in enumerate(above)}
+    meet_of = Memo(lambda s: meet_ids.get(order.within(s)))
+    join_of = Memo(lambda t: join_ids.get(order.containing(t)))
+    meet_of.update(zip(sets, count()))
+    join_of.update(zip(sets, count()))
+    if len(meet_of) != n:
+        raise ValueError("the sets of an inclusion order must be pairwise distinct")
+    pairs = combinations_with_replacement(sets, 2)
+    meet_cells = list(map(meet_of.__getitem__, starmap(and_, pairs)))
+    pairs = combinations_with_replacement(sets, 2)
+    join_cells = list(map(join_of.__getitem__, starmap(or_, pairs)))
+    return Lattice(poset, *_tables(n, meet_cells, join_cells, below, above)), meet_of, join_of
 
 
 def downsets(below: Sequence[int]) -> list:
@@ -188,11 +266,20 @@ class Poset:
     """A finite poset: n elements 0..n-1, labels, and the full order relation.
 
     below[i] is the bitmask of {j | j <= i}; above[i] the bitmask of {j | i <= j}.
+    above is built from below one set bit at a time.
     """
 
     __slots__ = ("n", "labels", "below", "above")
 
     def __init__(self, labels: Sequence[str], below: Sequence[int]):
+        self._set_order(labels, below)
+        above = [0] * self.n
+        for j in range(self.n):
+            for i in bits(self.below[j]):
+                above[i] |= 1 << j
+        self.above = tuple(above)
+
+    def _set_order(self, labels: Sequence[str], below: Sequence[int]):
         n = len(below)
         labels = tuple(labels)
         if len(labels) != n:
@@ -202,18 +289,17 @@ class Poset:
         self.n = n
         self.labels = labels
         self.below = tuple(below)
-        above = [0] * n
-        for j in range(n):
-            for i in bits(self.below[j]):
-                above[i] |= 1 << j
-        self.above = tuple(above)
 
     @classmethod
     def from_leq(cls, labels: Sequence[str], rows: Sequence[Sequence[int]]) -> "Poset":
         report = validate_order(rows)
         if not report.valid:
             raise PosetError(f"not a partial order: {report.violations()}")
-        return cls(labels, [mask_of(compress(count(), column)) for column in zip(*rows)])
+        return _poset_with_above(
+            labels,
+            [mask_of(compress(count(), column)) for column in zip(*rows)],
+            [mask_of(compress(count(), row)) for row in rows],
+        )
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple]) -> "Poset":
@@ -270,12 +356,60 @@ class Poset:
         return [self.labels[i] for i in bits(mask)]
 
 
+def _poset_with_above(labels: Sequence[str], below: Sequence[int], above: Sequence[int]) -> Poset:
+    """A Poset that takes above as given instead of transposing below.
+
+    Only for builders that read both from one relation, so that above is
+    the transpose of below: inclusion_lattice (within and containing of the
+    same sets) and Poset.from_leq (the columns and rows of one matrix).
+    """
+    p = Poset.__new__(Poset)
+    p._set_order(labels, below)
+    p.above = tuple(above)
+    return p
+
+
+def _tables(n: int, meet_cells: list, join_cells: list, below, above):
+    """(meet, join, bottom, top) from the cells (i, j), i <= j, of both
+    tables in row-major order, or NotALattice at the first cell that is
+    None (meet before join).
+
+    Row i copies its cells j < i from column i of the rows above it.  A bad
+    pair is bad in both orders and never on the diagonal, so the first bad
+    cell of a row-major scan of the full tables has i < j and is also the
+    first bad cell here.
+    """
+    if None in meet_cells or None in join_cells:
+        c = next(c for c, cell in enumerate(zip(meet_cells, join_cells)) if None in cell)
+        kind = "meet" if meet_cells[c] is None else "join"
+        i = 0
+        while c >= n - i:
+            c -= n - i
+            i += 1
+        raise NotALattice((i, i + c), kind)
+    meet, join = [], []
+    start = 0
+    for i in range(n):
+        end = start + n - i
+        column = itemgetter(i)
+        meet.append((*map(column, meet), *meet_cells[start:end]))
+        join.append((*map(column, join), *join_cells[start:end]))
+        start = end
+    full = (1 << n) - 1
+    bottom = next(i for i in range(n) if below[i] == 1 << i and above[i] == full)
+    top = next(i for i in range(n) if above[i] == 1 << i and below[i] == full)
+    return tuple(meet), tuple(join), bottom, top
+
+
 class Lattice:
     """A finite lattice: poset plus exhaustively verified meet/join tables.
 
     meet and join are tuples of rows.  Both tables are symmetric (meet[i][j]
     == meet[j][i]), since x∧y and x∨y do not depend on the order of x and y,
-    and from_poset computes each unordered pair once.
+    and each unordered pair is computed once.  There are two builders with
+    the same cells and the same first bad pair: from_poset for any poset,
+    and inclusion_lattice for an order given as inclusion of sets, which
+    looks up each distinct intersection and union once.
     """
 
     __slots__ = ("poset", "meet", "join", "bottom", "top")
@@ -291,12 +425,9 @@ class Lattice:
     def from_poset(cls, p: Poset) -> "Lattice":
         """Compute meet/join tables, or raise NotALattice at the first bad pair.
 
-        The glb of i,j exists iff the common lower bounds form a principal
-        downset; likewise for lub with upsets.  Each unordered pair i <= j
-        is looked up once, row by row, and row i copies its cells j < i
-        from the rows above it.  A bad pair is bad in both orders and never
-        on the diagonal, so the first bad cell of a row-major scan of the
-        full tables has i < j and is also the first bad cell here.
+        The glb of i,j exists iff the common lower bounds ↓i ∩ ↓j form a
+        principal downset; likewise for lub with upsets.  Each unordered
+        pair i <= j is looked up once, in one C-level pass per table.
         """
         n = p.n
         if n == 0:
@@ -309,27 +440,7 @@ class Lattice:
             ids = {m: i for i, m in enumerate(masks)}
             pairs = combinations_with_replacement(masks, 2)
             cells.append(list(map(ids.get, starmap(and_, pairs))))
-        meet_cells, join_cells = cells
-        if None in meet_cells or None in join_cells:
-            c = next(c for c, cell in enumerate(zip(meet_cells, join_cells)) if None in cell)
-            kind = "meet" if meet_cells[c] is None else "join"
-            i = 0
-            while c >= n - i:
-                c -= n - i
-                i += 1
-            raise NotALattice((i, i + c), kind)
-        meet, join = [], []
-        start = 0
-        for i in range(n):
-            end = start + n - i
-            column = itemgetter(i)
-            meet.append((*map(column, meet), *meet_cells[start:end]))
-            join.append((*map(column, join), *join_cells[start:end]))
-            start = end
-        full = (1 << n) - 1
-        bottom = next(i for i in range(n) if below[i] == 1 << i and above[i] == full)
-        top = next(i for i in range(n) if above[i] == 1 << i and below[i] == full)
-        return cls(p, tuple(meet), tuple(join), bottom, top)
+        return cls(p, *_tables(n, *cells, below, above))
 
     @property
     def n(self) -> int:

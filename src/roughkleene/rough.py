@@ -12,6 +12,17 @@ downset route, which joins each downset of the block-derived
 join-irreducibles (needs an irredundant covering).  Its downsets come from
 posets.downsets, so it costs time linear in the number of pairs and stops
 once they pass the table cap.  Their agreement is an acceptance-level oracle.
+
+A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
+so the coordinatewise order is inclusion of codes.  In an inclusion order
+the meet of two elements depends only on the intersection of their codes,
+and the join only on the union; the closed forms of meet and join read the
+same keys.  So the tables (posets.inclusion_lattice) and the check of both
+closed forms (_check_formulas) cost one lookup and one test per distinct
+key, which are far fewer than the P² pairs.  The check covers every cell
+through its key; that the table rows hold the keyed glb and lub of each
+pair rests on the row assembly posets._tables, which Lattice.from_poset
+shares and which the reference tests check against a per-pair scan.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from itertools import count, repeat
 from operator import and_, eq, invert, or_, xor
 
 from .demorgan import validate_demorgan, compute_g
-from .posets import Lattice, NotALattice, Poset, bits, downsets, inclusion_below
+from .posets import Memo, NotALattice, bits, downsets, inclusion_below, inclusion_lattice
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report
 
 
@@ -105,6 +116,14 @@ class Tolerance:
             if self.nbr[x] & X:
                 out |= 1 << x
         return out
+
+    def interior(self, X: int) -> int:
+        """upper(lower(X)): the upper half of the rough pair of lower(X)."""
+        return self.upper(self.lower(X))
+
+    def closure(self, X: int) -> int:
+        """lower(upper(X)): the lower half of the rough pair of upper(X)."""
+        return self.lower(self.upper(X))
 
     def pairs(self):
         """Non-reflexive related pairs (i, j) with i < j, sorted."""
@@ -363,18 +382,6 @@ def formula_join_irreducibles(tol: Tolerance, cov: Covering):
     return sorted(out)
 
 
-class _Memo(dict):
-    """A dict that fills itself: a missing key is stored as fn(key)."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def join_closure_pairs(tol: Tolerance):
     """All joins of the block-derived join-irreducibles, one per downset.
 
@@ -390,7 +397,7 @@ def join_closure_pairs(tol: Tolerance):
     if cov is None:
         raise ToleranceError("join closure needs a tolerance induced by an irredundant covering")
     ji = formula_join_irreducibles(tol, cov)
-    closure = _Memo(lambda s: tol.lower(tol.upper(s)))
+    closure = Memo(tol.closure)
     seen = set()
     # ji is sorted, and a coordinatewise smaller pair sorts first, so the
     # highest element of a downset d is maximal in it: d without it is a
@@ -410,48 +417,84 @@ def join_closure_pairs(tol: Tolerance):
     return sorted(seen)
 
 
+def _codes(pairs, n_points: int) -> list:
+    """Each rough pair (lo, up) as the one set lo ∪ (up shifted past the
+    points), so that the coordinatewise order is inclusion of codes."""
+    return [lo | up << n_points for lo, up in pairs]
+
+
 def rough_order(pairs, n_points: int) -> list:
-    """The coordinatewise order of rough pairs on n_points points, as down-masks.
-
-    A pair (lo, up) is read as the one set lo ∪ (up shifted past the
-    points), so the order is inclusion of those sets (inclusion_below).
-    """
-    return inclusion_below([lo | up << n_points for lo, up in pairs], 2 * n_points)
+    """The coordinatewise order of rough pairs on n_points points, as down-masks
+    (inclusion_below of their codes)."""
+    return inclusion_below(_codes(pairs, n_points), 2 * n_points)
 
 
-def _assemble(tol: Tolerance, pairs):
-    below = rough_order(pairs, tol.n)
-    index = {pr: i for i, pr in enumerate(pairs)}
-    labels = [fmt_pair(pr, tol.labels) for pr in pairs]
+def rough_lattice(labels, pairs, n_points: int):
+    """inclusion_lattice of the codes of the rough pairs: (Lattice, meet_of,
+    join_of), keyed by the intersection and the union of two codes.  A
+    NotALattice names the rough pairs of its first bad pair."""
     try:
-        lattice = Lattice.from_poset(Poset(labels, below))
+        return inclusion_lattice(labels, _codes(pairs, n_points), 2 * n_points)
     except NotALattice as exc:
         i, j = exc.pair
         raise NotALattice((pairs[i], pairs[j]), exc.kind) from None
-    # the keys b & d and a | c take far fewer values than there are P^2
-    # pairs, so each closure is computed once per distinct key
-    interior = _Memo(lambda s: tol.upper(tol.lower(s)))
-    closure = _Memo(lambda s: tol.lower(tol.upper(s)))
-    # both formulas and both tables are symmetric in the two pairs, so they
-    # are tested on the pairs j >= i: a failing pair (i, j) with j < i is the
-    # failing pair (j, i) of an earlier row.  The first failing row is then
-    # scanned in full for the first failure of a row-major scan.
-    failing = {
-        i
-        for i, (a, b) in enumerate(pairs)
-        for m, jn, (c, d) in zip(lattice.meet[i][i:], lattice.join[i][i:], pairs[i:])
-        if pairs[m] != (a & c, interior[b & d]) or pairs[jn] != (closure[a | c], b | d)
-    }
-    if failing:
-        i = min(failing)
-        (a, b), meet_i, join_i = pairs[i], lattice.meet[i], lattice.join[i]
-        for j, (c, d) in enumerate(pairs):
-            want = (a & c, interior[b & d])
-            if pairs[meet_i[j]] != want:
-                raise FormulaMismatch("meet", {"pair": (pairs[i], pairs[j]), "formula": want})
-            want = (closure[a | c], b | d)
-            if pairs[join_i[j]] != want:
-                raise FormulaMismatch("join", {"pair": (pairs[i], pairs[j]), "formula": want})
+
+
+def _check_formulas(tol: Tolerance, pairs, meet_of, join_of):
+    """Raise FormulaMismatch unless every keyed meet and join is its closed
+    form: (a, b) ∧ (c, d) = (a ∩ c, upper(lower(b ∩ d))) and
+    (a, b) ∨ (c, d) = (lower(upper(a ∪ c)), b ∪ d).
+
+    Both forms read only the key of the pair: the intersection s of the two
+    codes gives a ∩ c = s & low and b ∩ d = s >> U, and the union t gives
+    a ∪ c and b ∪ d the same way.  The glb and lub depend on those keys
+    alone too, so one test per entry of meet_of and join_of covers every
+    pair through its key.  The emitted lattice.meet and lattice.join rows
+    are not read here: they are assembled from the same keyed cells by
+    posets._tables, the row assembly Lattice.from_poset shares, which the
+    reference tests check against a per-pair scan.  Only when some key
+    fails are the pairs scanned, row by row and each row in full, for the
+    first pair whose key failed, meet before join: the pair and formula of
+    a row-major scan of the full tables.
+    """
+    U, low = tol.n, (1 << tol.n) - 1
+    interior, closure = Memo(tol.interior), Memo(tol.closure)
+
+    def meet_formula(s):
+        return (s & low, interior[s >> U])
+
+    def join_formula(t):
+        return (closure[t & low], t >> U)
+
+    bad_meets = {s for s, m in meet_of.items() if pairs[m] != meet_formula(s)}
+    bad_joins = {t for t, m in join_of.items() if pairs[m] != join_formula(t)}
+    if bad_meets or bad_joins:
+        codes = _codes(pairs, U)
+        for i, ci in enumerate(codes):
+            for j, cj in enumerate(codes):
+                if ci & cj in bad_meets:
+                    raise FormulaMismatch(
+                        "meet", {"pair": (pairs[i], pairs[j]), "formula": meet_formula(ci & cj)}
+                    )
+                if ci | cj in bad_joins:
+                    raise FormulaMismatch(
+                        "join", {"pair": (pairs[i], pairs[j]), "formula": join_formula(ci | cj)}
+                    )
+
+
+def _assemble(tol: Tolerance, pairs):
+    """The rough-set algebra on the sorted pair set, with every check run.
+
+    The order and both tables come from rough_lattice, which raises
+    NotALattice when the order has no meet or join for some pair.  The
+    keyed meet and join of every pair are checked against their closed
+    forms (_check_formulas), neg, star and plus against the pair set, and, for a tolerance induced
+    by an irredundant covering, the Kleene and regularity battery.
+    """
+    labels = [fmt_pair(pr, tol.labels) for pr in pairs]
+    lattice, meet_of, join_of = rough_lattice(labels, pairs, tol.n)
+    _check_formulas(tol, pairs, meet_of, join_of)
+    index = {pr: i for i, pr in enumerate(pairs)}
     full = (1 << tol.n) - 1
     neg, star, plus = [], [], []
     for lo, up in pairs:
@@ -618,8 +661,8 @@ def powerset_image_report(tol: Tolerance):
     lo_atoms = sorted({tol.lower(b) for b in cov.blocks})
     up_atoms = sorted(cov.blocks)
     for image, atoms, closure in (
-        (los, lo_atoms, lambda s: tol.lower(tol.upper(s))),
-        (ups, up_atoms, lambda s: tol.upper(tol.lower(s))),
+        (los, lo_atoms, tol.closure),
+        (ups, up_atoms, tol.interior),
     ):
         members = set(image)
         for a in atoms:

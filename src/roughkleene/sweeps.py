@@ -34,7 +34,7 @@ from .rough import (
     isolated_blocks,
     join_closure_pairs,
     powerset_image_report,
-    rough_order,
+    rough_lattice,
     rs_g_map,
     rs_join_irreducibles,
     skeleton_isomorphism_report,
@@ -213,16 +213,15 @@ def _eval_covering(seq, cov: Covering, report: EnumerationReport):
 def _rs_order_lattice_witness(tol):
     """Pairs of the rough order plus a non-lattice witness, if any.
 
-    The witness is the first bad pair Lattice.from_poset finds, mapped back
-    to rough pairs; the sweep, the order and the tables are build_rs's own.
+    The witness is the first bad pair rough_lattice finds, as rough pairs;
+    the sweep, the order and the tables are build_rs's own.
     """
     pairs = _powerset_pairs(tol)
     lab = [str(k) for k in range(len(pairs))]
     try:
-        lat = Lattice.from_poset(Poset(lab, rough_order(pairs, tol.n)))
+        lat = rough_lattice(lab, pairs, tol.n)[0]
     except NotALattice as exc:
-        i, j = exc.pair
-        return pairs, None, (pairs[i], pairs[j])
+        return pairs, None, exc.pair
     return pairs, lat, None
 
 

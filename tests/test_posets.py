@@ -90,6 +90,13 @@ class TestValidateOrder:
 
 
 class TestPoset:
+    def test_from_leq_takes_its_rows_as_above(self):
+        for lat in all_lattices(6):
+            p = lat.poset
+            rows = [[int(p.leq(i, j)) for j in range(p.n)] for i in range(p.n)]
+            q = Poset.from_leq(p.labels, rows)
+            assert (q.below, q.above) == (p.below, Poset(p.labels, p.below).above)
+
     def test_from_covers_closure(self):
         p = Poset.from_covers(["0", "a", "1"], [(0, 1), (1, 2)])
         assert p.leq(0, 2)

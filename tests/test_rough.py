@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from conftest import (
     full_tolerance,
     identity_tolerance,
@@ -18,7 +20,7 @@ from roughkleene.generators import (
 )
 from roughkleene.isomorph import isomorphisms, lattice_key
 from roughkleene import rough
-from roughkleene.posets import Lattice, NotALattice, bits, mask_of
+from roughkleene.posets import NotALattice, bits, mask_of
 from roughkleene.rough import (
     BoundsExceeded,
     Covering,
@@ -300,7 +302,45 @@ def _all_tolerances(n):
     return all_tolerances(n)
 
 
+@st.composite
+def irredundant_covering_6_to_9(draw):
+    """Random blocks of 1-3 points on 6-9 points, the uncovered points as
+    singleton blocks, then every block the others already cover dropped in
+    turn: no block left can go, so the covering is irredundant."""
+    n = draw(st.integers(6, 9))
+    full = (1 << n) - 1
+    block = st.sets(st.integers(0, n - 1), min_size=1, max_size=3).map(mask_of)
+    blocks = draw(st.lists(block, min_size=1, max_size=9))
+    covered = 0
+    for b in blocks:
+        covered |= b
+    kept = sorted({*blocks, *(1 << x for x in bits(full & ~covered))})
+    for b in list(kept):
+        rest = 0
+        for c in kept:
+            if c != b:
+                rest |= c
+        if rest == full:
+            kept.remove(b)
+    return Covering([str(i) for i in range(n)], kept)
+
+
 class TestDualRoute:
+    @settings(derandomize=True, deadline=None, max_examples=150,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cov=irredundant_covering_6_to_9())
+    def test_routes_build_the_same_algebra(self, cov):
+        assert is_irredundant(cov).irredundant
+        tol = tolerance_from_covering(cov)
+        by_sweep, by_downsets = build_rs(tol), build_rs_spatial(tol)
+        for rs in (by_sweep, by_downsets):
+            assert rs.covering is not None
+        assert by_sweep.pairs == by_downsets.pairs
+        assert by_sweep.lattice.meet == by_downsets.lattice.meet
+        assert by_sweep.lattice.join == by_downsets.lattice.join
+        for op in ("neg", "star", "plus"):
+            assert getattr(by_sweep, op) == getattr(by_downsets, op)
+
     def test_join_closure_equals_powerset_on_small_irredundant(self):
         count = 0
         for n in range(1, 5):
@@ -352,18 +392,18 @@ class TestDualRoute:
 class TestFormulaCheck:
     @pytest.mark.parametrize("kind", ["meet", "join"])
     def test_corrupted_table_is_caught(self, monkeypatch, kind):
-        real = Lattice.from_poset
+        real = rough.inclusion_lattice
 
-        def corrupted(p):
-            lat = real(p)
-            tables = {"meet": [list(r) for r in lat.meet], "join": [list(r) for r in lat.join]}
-            # bottom v bottom and top ^ top both land on the wrong end
+        def corrupted(labels, sets, width):
+            lat, meet_of, join_of = real(labels, sets, width)
+            # bottom v bottom and top ^ top both land on the wrong end: the
+            # key of a diagonal cell is the element's own code
             corner = lat.bottom if kind == "join" else lat.top
-            tables[kind][corner][corner] = lat.top if kind == "join" else lat.bottom
-            frozen = {k: tuple(map(tuple, v)) for k, v in tables.items()}
-            return Lattice(lat.poset, frozen["meet"], frozen["join"], lat.bottom, lat.top)
+            keyed = join_of if kind == "join" else meet_of
+            keyed[sets[corner]] = lat.top if kind == "join" else lat.bottom
+            return lat, meet_of, join_of
 
-        monkeypatch.setattr(Lattice, "from_poset", staticmethod(corrupted))
+        monkeypatch.setattr(rough, "inclusion_lattice", corrupted)
         with pytest.raises(FormulaMismatch, match=f"^{kind}:") as info:
             build_rs(TOL)
         full = (1 << TOL.n) - 1

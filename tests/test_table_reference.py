@@ -4,10 +4,15 @@ Each reference function below is the plain loop the library used to run:
 every ordered pair in ascending order, stopping at the first failure.  The
 library now computes each unordered pair once, builds the coordinatewise
 order bit-sliced and the 2^U sweep by recurrence, and must return the same
-tables, verdicts and first witnesses.
+tables, verdicts and first witnesses.  Orders given as inclusion of sets
+have their tables built by inclusion_lattice, one lookup per distinct
+intersection or union, and are compared with inclusion_below, Poset and
+Lattice.from_poset; the rough formula check runs once per such key and is
+compared with the per-pair scan it replaced.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from conftest import two_level_fixture
@@ -19,7 +24,17 @@ from roughkleene.generators import (
     all_tolerances,
     random_two_level_structure,
 )
-from roughkleene.posets import Lattice, NotALattice, Poset, join_irreducibles, mask_of
+from roughkleene.generators import _grow_posets_bounded
+from roughkleene.posets import (
+    Lattice,
+    NotALattice,
+    Poset,
+    downsets,
+    inclusion_below,
+    inclusion_lattice,
+    join_irreducibles,
+    mask_of,
+)
 from roughkleene.pseudo import DoubleP, PseudoError, _check_p_laws, compute_pseudocomplements
 from roughkleene.represent import (
     IsoCheckFailed,
@@ -30,11 +45,15 @@ from roughkleene.represent import (
 )
 from roughkleene.rough import (
     Covering,
+    FormulaMismatch,
     Tolerance,
+    _assemble,
+    _codes,
     _powerset_pairs,
     approximations,
     build_rs,
     powerset_images,
+    rough_lattice,
     rough_order,
     tolerance_from_covering,
 )
@@ -145,8 +164,8 @@ def iso_outcome(dm, dp, ji, phi, rs):
         return exc.operation, exc.witness
 
 
-def small_tolerances():
-    for n in range(1, 6):
+def small_tolerances(max_points=5):
+    for n in range(1, max_points + 1):
         for _, tol in all_tolerances(n):
             yield tol
 
@@ -163,6 +182,93 @@ def partition(k):
     return tolerance_from_covering(
         Covering([str(i) for i in range(2 * k)], [3 << 2 * i for i in range(k)])
     )
+
+
+def path(b):
+    """Blocks {0,1,2}, {2,3,4}, ...: b blocks on 2b+1 points."""
+    return tolerance_from_covering(
+        Covering([str(i) for i in range(2 * b + 1)], [7 << 2 * i for i in range(b)])
+    )
+
+
+def via_poset(labels, sets, width):
+    """The route inclusion_lattice replaced: the order, its transpose in
+    Poset, then Lattice.from_poset."""
+    p = Poset(labels, inclusion_below(sets, width))
+    try:
+        lat = Lattice.from_poset(p)
+    except NotALattice as exc:
+        return exc.kind, exc.pair
+    return "ok", p.below, p.above, lat.meet, lat.join, lat.bottom, lat.top
+
+
+def keyed(labels, sets, width):
+    """inclusion_lattice's outcome in via_poset's shape, after checking that
+    its keyed glb and lub are the cells of exactly the pairs with that key."""
+    try:
+        lat, meet_of, join_of = inclusion_lattice(labels, sets, width)
+    except NotALattice as exc:
+        return exc.kind, exc.pair
+    meet_keys, join_keys = {}, {}
+    for i, a in enumerate(sets):
+        for j, b in enumerate(sets):
+            assert meet_keys.setdefault(a & b, lat.meet[i][j]) == lat.meet[i][j]
+            assert join_keys.setdefault(a | b, lat.join[i][j]) == lat.join[i][j]
+    assert (meet_of, join_of) == (meet_keys, join_keys)
+    p = lat.poset
+    return "ok", p.below, p.above, lat.meet, lat.join, lat.bottom, lat.top
+
+
+def rough_outcomes(tol, pairs=None):
+    """(keyed, via_poset) on the codes of a tolerance's rough pairs."""
+    if pairs is None:
+        pairs = _powerset_pairs(tol)
+    labels = [str(k) for k in range(len(pairs))]
+    codes = _codes(pairs, tol.n)
+    return keyed(labels, codes, 2 * tol.n), via_poset(labels, codes, 2 * tol.n)
+
+
+def ref_formula_scan(tol, pairs, lattice):
+    """The per-pair check _assemble ran before it was keyed: every pair
+    j >= i of each row, then the first failing row in full, meet before
+    join."""
+    interior, closure = tol.interior, tol.closure
+    failing = {
+        i
+        for i, (a, b) in enumerate(pairs)
+        for m, jn, (c, d) in zip(lattice.meet[i][i:], lattice.join[i][i:], pairs[i:])
+        if pairs[m] != (a & c, interior(b & d)) or pairs[jn] != (closure(a | c), b | d)
+    }
+    if failing:
+        i = min(failing)
+        (a, b), meet_i, join_i = pairs[i], lattice.meet[i], lattice.join[i]
+        for j, (c, d) in enumerate(pairs):
+            want = (a & c, interior(b & d))
+            if pairs[meet_i[j]] != want:
+                raise FormulaMismatch("meet", {"pair": (pairs[i], pairs[j]), "formula": want})
+            want = (closure(a | c), b | d)
+            if pairs[join_i[j]] != want:
+                raise FormulaMismatch("join", {"pair": (pairs[i], pairs[j]), "formula": want})
+
+
+class OneKeyBent(Tolerance):
+    """A tolerance whose interior, closure or both are wrong at one key."""
+
+    __slots__ = ("which", "key")
+
+    def interior(self, X):
+        value = super().interior(X)
+        return value ^ 1 if self.which != "closure" and X == self.key else value
+
+    def closure(self, X):
+        value = super().closure(X)
+        return value ^ 1 if self.which != "interior" and X == self.key else value
+
+
+def mismatch(fn, *args):
+    with pytest.raises(FormulaMismatch) as info:
+        fn(*args)
+    return str(info.value), info.value.details
 
 
 class TestTables:
@@ -200,6 +306,100 @@ class TestTables:
         for lat in lattice():
             assert lat.meet == tuple(zip(*lat.meet))
             assert lat.join == tuple(zip(*lat.join))
+
+
+class TestInclusionLattice:
+    def test_rough_orders_up_to_five_points(self):
+        """Every tolerance order on up to 5 points, 60 of them no lattice:
+        the same NotALattice pair and kind."""
+        kinds = {"ok": 0, "meet": 0, "join": 0}
+        for tol in small_tolerances():
+            got, want = rough_outcomes(tol)
+            assert got == want
+            kinds[got[0]] += 1
+        assert kinds["meet"] + kinds["join"] == 60
+
+    def test_seeded_tolerances(self):
+        for tol in seeded_tolerances():
+            got, want = rough_outcomes(tol)
+            assert got == want
+
+    @pytest.mark.parametrize("tol", [
+        *(pytest.param(partition(k), id=f"partition-{k}") for k in range(1, 7)),
+        *(pytest.param(path(b), id=f"path-{b}") for b in range(1, 8)),
+    ])
+    def test_partitions_and_paths(self, tol):
+        got, want = rough_outcomes(tol)
+        assert got[0] == "ok"
+        assert got == want
+
+    def test_distributive_lattices_up_to_ten(self):
+        """Every lattice of all_distributive_lattices(10), whose order is
+        inclusion of downsets, against from_poset on the same downsets."""
+        count = 0
+        for below, lat in zip(_grow_posets_bounded(9, 10), all_distributive_lattices(10)):
+            ds = downsets(below)
+            ds.sort(key=lambda d: (d.bit_count(), d))
+            labels = [f"d{i}" for i in range(len(ds))]
+            got, want = keyed(labels, ds, len(below)), via_poset(labels, ds, len(below))
+            assert got == want
+            p = lat.poset
+            assert (p.labels, p.below, p.above, lat.meet, lat.join, lat.bottom, lat.top) == (
+                tuple(labels), *want[1:]
+            )
+            count += 1
+        assert count == sum(1 for _ in all_distributive_lattices(10))
+
+    def test_memory_stays_that_of_the_tables(self):
+        """The key streams are never lists: on the k=6 partition (P=729) the
+        traced peak is at most 1.25 times that of Poset + from_poset."""
+        tol = partition(6)
+        pairs = _powerset_pairs(tol)
+        labels = [str(k) for k in range(len(pairs))]
+        codes = _codes(pairs, tol.n)
+        below = inclusion_below(codes, 2 * tol.n)
+
+        def peak(build):
+            tracemalloc.start()
+            try:
+                built = build()
+                return tracemalloc.get_traced_memory()[1], built
+            finally:
+                tracemalloc.stop()
+
+        keyed_peak, _ = peak(lambda: inclusion_lattice(labels, codes, 2 * tol.n))
+        table_peak, _ = peak(lambda: Lattice.from_poset(Poset(labels, below)))
+        assert keyed_peak <= 1.25 * table_peak
+
+
+class TestFormulaKeys:
+    def test_one_bent_key(self):
+        """interior, closure or both wrong at one key, for every key of
+        every tolerance order on up to 4 points that is a lattice: the same
+        FormulaMismatch text and details as the per-pair scan.  Bending
+        both at once makes some cell fail both forms, where meet comes
+        first."""
+        kinds = set()
+        for tol in [*small_tolerances(4), partition(3), path(2)]:
+            pairs = _powerset_pairs(tol)
+            try:
+                lattice = rough_lattice([str(k) for k in range(len(pairs))], pairs, tol.n)[0]
+            except NotALattice:
+                continue
+            ref_formula_scan(tol, pairs, lattice)
+            keys = {
+                "interior": {b & d for _, b in pairs for _, d in pairs},
+                "closure": {a | c for a, _ in pairs for c, _ in pairs},
+            }
+            keys["both"] = keys["interior"] | keys["closure"]
+            for which, values in keys.items():
+                for key in sorted(values):
+                    bent = OneKeyBent(tol.labels, tol.nbr)
+                    bent.which, bent.key = which, key
+                    got = mismatch(_assemble, bent, pairs)
+                    assert got == mismatch(ref_formula_scan, bent, pairs, lattice)
+                    kinds.add(got[0].split(":")[0])
+        assert kinds == {"meet", "join"}
 
 
 def reversed_ids(lat):
