@@ -341,10 +341,6 @@ class Poset:
         out.sort()
         return out
 
-    def lower_covers(self, j: int) -> list:
-        strict = self.below[j] ^ (1 << j)
-        return [i for i in bits(strict) if self.above[i] & strict == 1 << i]
-
     def dual(self) -> "Poset":
         return Poset(self.labels, self.above)
 
@@ -503,23 +499,26 @@ class JoinIrreducibles:
 
 
 def join_irreducibles(lat: Lattice) -> JoinIrreducibles:
-    """Elements != bottom with exactly one lower cover; also checks spatiality."""
-    p = lat.poset
-    members = []
-    lower = {}
-    atoms = []
-    for j in range(p.n):
-        if j == lat.bottom:
-            continue
-        lc = p.lower_covers(j)
-        if len(lc) == 1:
+    """Elements != bottom with exactly one lower cover; also checks spatiality.
+
+    j has one lower cover c iff c = ⋁(↓j∖{j}) is not j: if j covers c alone,
+    all of ↓j∖{j} lies below c; if j covers c and d, c < c v d <= j forces
+    c v d = j.  The bottom's join is the empty one, itself.  So each element
+    costs one fold over the join table (Lattice.join_of), and so does its
+    spatiality test, x = ⋁(↓x ∩ J).
+    """
+    below = lat.poset.below
+    members, lower, atoms = [], {}, []
+    for j in range(lat.n):
+        c = lat.join_of(below[j] ^ (1 << j))
+        if c != j:
             members.append(j)
-            lower[j] = lc[0]
-            if lc[0] == lat.bottom:
+            lower[j] = c
+            if c == lat.bottom:
                 atoms.append(j)
     jmask = mask_of(members)
-    for x in range(p.n):
-        if lat.join_all(bits(p.below[x] & jmask)) != x:
+    for x in range(lat.n):
+        if lat.join_of(below[x] & jmask) != x:
             raise SpatialityFailure(x)
     return JoinIrreducibles(tuple(members), lower, tuple(atoms), jmask)
 

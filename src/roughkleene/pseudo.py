@@ -99,12 +99,15 @@ def _check_p_laws(dp: DoubleP):
     """Raise PseudoError at the first failing law, in the order of a scan of
     a, then b, over all pairs.
 
-    The two pair laws are symmetric in a and b, so they are tested on the
-    pairs b >= a only: a failing pair (a, b) with b < a is the failing pair
-    (b, a) of an earlier row.  Antitonicity at a is one mask test: ↑a must
-    lie inside the b with star[b] <= star[a].  So the first failure of the
-    full scan lies in the first row that fails these tests, and only that
-    row is scanned for it.
+    Both pair laws follow, with no distributivity, from two premises tested
+    per element: star is antitone and a <= a**.  For z = a* ^ b*, a <= a** <=
+    z* and b <= z*, so a v b <= z* and z <= z** <= (a v b)*; antitonicity
+    gives (a v b)* <= z and a* v b* <= (a ^ b)*.  So the pairs are scanned
+    only when a premise fails, and then on the pairs b >= a only, as both
+    laws are symmetric.  Antitonicity at a is one mask test: ↑a must lie
+    inside the b with star[b] <= star[a].  The first failure of the full
+    scan lies in the first row that fails these tests, and only that row is
+    scanned for it.
     """
     lat, star, plus = dp.lattice, dp.star, dp.plus
     below, above, meet, join = lat.poset.below, lat.poset.above, lat.meet, lat.join
@@ -118,15 +121,19 @@ def _check_p_laws(dp: DoubleP):
     for s in star_le:
         for e in bits(below[s] & image):
             star_le[s] |= preimage[e]
-    # the rows a with a pair b >= a that fails (a v b)* = a* ^ b* or
-    # (a ^ b)* >= a* v b*, in one pass over the pairs
-    failing = {
-        a
-        for a, sa in enumerate(star)
-        for meet_sa, join_sa in [(meet[sa], join[sa])]
-        for v, w, sb in zip(join[a][a:], meet[a][a:], star[a:])
-        if star[v] != meet_sa[sb] or not below[star[w]] >> join_sa[sb] & 1
-    }
+    antitone = [above[a] & ~star_le[sa] == 0 for a, sa in enumerate(star)]
+    if all(antitone) and all(below[star[sa]] >> a & 1 for a, sa in enumerate(star)):
+        failing = set()
+    else:
+        # the rows a with a pair b >= a that fails (a v b)* = a* ^ b* or
+        # (a ^ b)* >= a* v b*, in one pass over the pairs
+        failing = {
+            a
+            for a, sa in enumerate(star)
+            for meet_sa, join_sa in [(meet[sa], join[sa])]
+            for v, w, sb in zip(join[a][a:], meet[a][a:], star[a:])
+            if star[v] != meet_sa[sb] or not below[star[w]] >> join_sa[sb] & 1
+        }
     for a in range(lat.n):
         sa = star[a]
         if star[star[sa]] != sa:
@@ -137,7 +144,7 @@ def _check_p_laws(dp: DoubleP):
             raise PseudoError(f"a+ != a+++ at {a}")
         if not below[a] >> plus[plus[a]] & 1:
             raise PseudoError(f"a++ <= a fails at {a}")
-        if above[a] & ~star_le[sa] == 0 and a not in failing:
+        if antitone[a] and a not in failing:
             continue
         below_sa, meet_sa, join_sa = below[sa], meet[sa], join[sa]
         meet_a, join_a = meet[a], join[a]
@@ -308,14 +315,14 @@ class PrimeFilterFamily:
 
 
 def prime_filters(lat: Lattice) -> PrimeFilterFamily:
-    """The prime filters of lat; see PrimeFilterFamily for the test."""
+    """The prime filters of lat; see PrimeFilterFamily for the test.  [x) is
+    a maximal proper filter iff x is an atom, that is ↓x = {x, bottom}."""
     p = lat.poset
     # [bottom) is all of L, not proper; is_join_prime rejects it, which also
     # leaves the one-element lattice without proper filters
     gens = [x for x in range(lat.n) if is_join_prime(lat, x)]
     filters = tuple(p.above[x] for x in gens)
-    # [x) is a maximal proper filter iff x is an atom
-    maximal = tuple(p.lower_covers(x) == [lat.bottom] for x in gens)
+    maximal = tuple(p.below[x] == 1 << x | 1 << lat.bottom for x in gens)
     # longest chain: filters ordered by inclusion mirror generators ordered by >=
     depth = {}
     chain = 0
@@ -329,11 +336,14 @@ def prime_filters(lat: Lattice) -> PrimeFilterFamily:
 class RegularityReport:
     m: bool
     d: bool
+    m_witness: tuple | None
+    d_witness: tuple | None
     prime_chain_max: int
     two_levels: bool
     two_levels_witness: tuple | None
     regular: bool
     n: bool | None = None
+    n_witness: tuple | None = None
     k: bool | None = None
     k_witness: tuple | None = None
 
@@ -369,11 +379,14 @@ def is_regular(dp: DoubleP, ji: JoinIrreducibles, neg=None) -> RegularityReport:
     return RegularityReport(
         m=mdn.m,
         d=mdn.d,
+        m_witness=mdn.m_witness,
+        d_witness=mdn.d_witness,
         prime_chain_max=family.chain_max,
         two_levels=two,
         two_levels_witness=witness,
         regular=mdn.m,
         n=mdn.n,
+        n_witness=mdn.n_witness,
     )
 
 

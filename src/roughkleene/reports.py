@@ -13,11 +13,10 @@ from .posets import (
     Lattice,
     NotALattice,
     bits,
-    has_two_levels,
     is_distributive,
     join_irreducibles,
 )
-from .pseudo import NoPseudocomplement, check_M_D_N, compute_pseudocomplements, prime_filters
+from .pseudo import NoPseudocomplement, compute_pseudocomplements, is_regular
 from .represent import RepresentationResult
 from .rough import (
     Covering,
@@ -40,7 +39,11 @@ def _names(lat, ids):
 
 
 def check_report(lat: Lattice, dm: DeMorgan | None) -> dict:
-    """Diagnostics for a lattice, optionally carrying a negation."""
+    """Diagnostics for a lattice, optionally carrying a negation.
+
+    The regularity verdicts come from pseudo.is_regular, so check also
+    enforces that its criteria agree.
+    """
     dist, triple = is_distributive(lat)
     report = {
         "size": lat.n,
@@ -64,24 +67,13 @@ def check_report(lat: Lattice, dm: DeMorgan | None) -> dict:
     except NoPseudocomplement as exc:  # unreachable for distributive input
         report["witnesses"]["pseudocomplement"] = str(exc)
         return report
-    mdn = check_M_D_N(dp, dm.neg if dm is not None else None)
-    ji = join_irreducibles(lat)
-    two, two_witness = has_two_levels(ji, lat)
-    family = prime_filters(lat)
-    report["M"] = mdn.m
-    report["D"] = mdn.d
-    report["N"] = mdn.n
-    report["primeChainMax"] = family.chain_max
-    report["twoLevels"] = two
-    report["regular"] = mdn.m
-    if mdn.m_witness:
-        report["witnesses"]["M"] = _names(lat, mdn.m_witness)
-    if mdn.d_witness:
-        report["witnesses"]["D"] = _names(lat, mdn.d_witness)
-    if mdn.n_witness:
-        report["witnesses"]["N"] = _names(lat, mdn.n_witness)
-    if two_witness:
-        report["witnesses"]["twoLevels"] = _names(lat, two_witness)
+    reg = is_regular(dp, join_irreducibles(lat), dm.neg if dm is not None else None)
+    report.update(M=reg.m, D=reg.d, N=reg.n, primeChainMax=reg.prime_chain_max,
+                  twoLevels=reg.two_levels, regular=reg.regular)
+    for key, witness in (("M", reg.m_witness), ("D", reg.d_witness), ("N", reg.n_witness),
+                         ("twoLevels", reg.two_levels_witness)):
+        if witness:
+            report["witnesses"][key] = _names(lat, witness)
     if dm is not None:
         kleene, k_witness = is_kleene(dm)
         report["K"] = kleene

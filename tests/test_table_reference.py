@@ -22,6 +22,7 @@ from roughkleene.generators import (
     all_distributive_lattices,
     all_lattices,
     all_tolerances,
+    irredundant_coverings,
     random_two_level_structure,
 )
 from roughkleene.generators import _grow_posets_bounded
@@ -429,6 +430,56 @@ class TestPLaws:
         assert failed > 100
 
 
+    @pytest.mark.parametrize("lattices", [
+        pytest.param(lambda: all_lattices(8), id="all-lattices-8"),
+        pytest.param(lambda: [build_rs(partition(4)).lattice], id="partition-4"),
+    ])
+    def test_pair_scan_is_skipped_when_the_premises_hold(self, lattices):
+        """With star antitone and a <= a** on every element the pair laws
+        follow, so a valid DoubleP passes even when no row of the meet or
+        join table can be read.  The lattices without pseudocomplements are
+        skipped; the non-distributive ones with both maps are kept."""
+        checked = 0
+        for lat in lattices():
+            try:
+                dp = compute_pseudocomplements(lat)
+            except PseudoError:
+                continue
+            assert ref_p_laws(dp) is None
+            guarded = Lattice(lat.poset, Unreadable(), Unreadable(), lat.bottom, lat.top)
+            _check_p_laws(DoubleP(guarded, dp.star, dp.plus, dp.distributive))
+            checked += 1
+        assert checked > 0
+
+    def test_one_star_value_bent(self):
+        """star[u] set to every other value v, on every distributive lattice
+        up to 8 elements in both id orders: the message of the full scan."""
+        messages = set()
+        for lat in [*all_distributive_lattices(8), *map(reversed_ids, all_distributive_lattices(8))]:
+            dp = compute_pseudocomplements(lat)
+            for u in range(lat.n):
+                for v in range(lat.n):
+                    if v == dp.star[u]:
+                        continue
+                    star = list(dp.star)
+                    star[u] = v
+                    bent = DoubleP(lat, star, dp.plus, dp.distributive)
+                    message = p_laws(bent)
+                    assert message == ref_p_laws(bent)
+                    messages.add(message and message.split(" at ")[0])
+        assert messages == {
+            None, "a* != a***", "a <= a** fails", "star not antitone",
+            "(a v b)* != a* ^ b*", "(a ^ b)* >= a* v b* fails",
+        }
+
+
+class Unreadable:
+    """A table whose rows raise when read."""
+
+    def __getitem__(self, row):
+        raise AssertionError(f"table row {row} was read")
+
+
 class TestPowerset:
     def test_against_per_subset_approximations(self):
         for tol in [*small_tolerances(), *seeded_tolerances()]:
@@ -485,3 +536,18 @@ class TestExtendIso:
                 assert got == want
                 outcomes.add(got[0] if isinstance(got[0], str) else "ok")
         assert {"neg", "star", "meet", "join", "ok"} <= outcomes
+
+    def test_round_trip_of_the_irredundant_coverings(self):
+        """The 522 irredundant coverings on up to 5 points: represent each
+        rough algebra again; the extension agrees with the reference."""
+        count = 0
+        for n in range(1, 6):
+            for cov in irredundant_coverings(n):
+                dm = build_rs(tolerance_from_covering(cov)).demorgan
+                result = represent(dm)
+                dp, ji = compute_pseudocomplements(dm.lattice), join_irreducibles(dm.lattice)
+                got = iso_outcome(dm, dp, ji, result.phi, result.rs)
+                assert got == ref_extend_iso(dm, dp, ji, result.phi, result.rs)
+                assert got[1] == result.report["checks"]
+                count += 1
+        assert count == 522
