@@ -61,7 +61,7 @@ def cmd_represent(args) -> int:
     if dm is None:
         raise jsonio.ParseError("representation needs a negation: provide 'neg' or 'g'")
     try:
-        result = represent(dm, rs_method=args.method)
+        result = represent(dm)
     except (NotRegular, NotKleene) as exc:
         return _fail(str(exc), 1)
     except RepresentError as exc:
@@ -176,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--out", help="write the JSON bundle here instead of stdout")
     p.add_argument("--dot", metavar="DIR", help="also write source.dot and roughsets.dot")
-    p.add_argument("--method", choices=["auto", "powerset", "spatial"], default="auto")
     p.set_defaults(fn=cmd_represent)
 
     p = sub.add_parser("verify", help="run the rough-set battery on a tolerance or covering")

@@ -116,7 +116,11 @@ def is_kleene(dm: DeMorgan):
 
 def compute_g(dm: DeMorgan, ji: JoinIrreducibles) -> dict:
     """gmap(j) = the least element not below neg(j), for each join-irreducible j:
-    the meet (Lattice.meet_of) of the mask outside ↓neg(j)."""
+    the meet (Lattice.meet_of) of the mask outside ↓neg(j), checked for J1
+    and J2.  Each caller enforces J3 (j comparable with gmap(j)) its own way:
+    build_similarity's split into atoms and upper join-irreducibles, rs_g_map's
+    block closed form, and the sweep that J3 holds exactly when is_kleene does.
+    """
     lat, neg = dm.lattice, dm.neg
     p = lat.poset
     full = (1 << lat.n) - 1
@@ -126,16 +130,7 @@ def compute_g(dm: DeMorgan, ji: JoinIrreducibles) -> dict:
         if val not in ji:
             raise GNotJoinIrreducible(j, val)
         g[j] = val
-    for j in ji.members:
-        if g[g[j]] != j:
-            raise GViolatesJ1J2J3("J2", j)
-        for k in ji.members:
-            if p.leq(j, k) and not p.leq(g[k], g[j]):
-                raise GViolatesJ1J2J3("J1", (j, k))
-    if is_kleene(dm)[0]:
-        for j in ji.members:
-            if not (p.leq(g[j], j) or p.leq(j, g[j])):
-                raise GViolatesJ1J2J3("J3", j)
+    _check_j1_j2(p, ji.members, g)
     return g
 
 
@@ -152,17 +147,15 @@ def neg_from_g(lat: Lattice, ji: JoinIrreducibles, g: dict):
     return neg
 
 
-def _check_g_on_poset(jposet: Poset, g: dict, require_comparable: bool):
-    for x in range(jposet.n):
+def _check_j1_j2(poset: Poset, members, g: dict):
+    """Raise at the first x of members, in order, where g(g(x)) != x (J2)
+    or some y of members with x <= y has g(y) not <= g(x) (J1)."""
+    for x in members:
         if g.get(g.get(x, -1), -1) != x:
             raise GViolatesJ1J2J3("J2", x)
-        for y in range(jposet.n):
-            if jposet.leq(x, y) and not jposet.leq(g[y], g[x]):
+        for y in members:
+            if poset.leq(x, y) and not poset.leq(g[y], g[x]):
                 raise GViolatesJ1J2J3("J1", (x, y))
-    if require_comparable:
-        for x in range(jposet.n):
-            if not (jposet.leq(x, g[x]) or jposet.leq(g[x], x)):
-                raise GViolatesJ1J2J3("J3", x)
 
 
 def _downset_label(jposet: Poset, d: int) -> str:
@@ -172,10 +165,11 @@ def _downset_label(jposet: Poset, d: int) -> str:
     return "|".join(jposet.labels[i] for i in maxima)
 
 
-def build_kleene_from_jposet(jposet: Poset, g: dict, require_kleene: bool = True) -> DeMorgan:
+def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     """Materialize the distributive lattice of downsets of a poset of
     join-irreducibles, carrying an antitone involution g of that poset, and
-    install the negation it determines.
+    install the negation it determines.  g must also satisfy J3: each x is
+    comparable with g(x), which makes the result a Kleene algebra.
 
     Element labels: "0" for the empty downset, the generator's label for a
     principal downset, otherwise the labels of the downset's maximal
@@ -184,7 +178,10 @@ def build_kleene_from_jposet(jposet: Poset, g: dict, require_kleene: bool = True
     is built.  Downsets are ordered by inclusion, so the order and the
     tables come from inclusion_lattice.
     """
-    _check_g_on_poset(jposet, g, require_kleene)
+    _check_j1_j2(jposet, range(jposet.n), g)
+    for x in range(jposet.n):
+        if not (jposet.leq(x, g[x]) or jposet.leq(g[x], x)):
+            raise GViolatesJ1J2J3("J3", x)
     downsets = jposet.downsets()
     downsets.sort(key=lambda d: (d.bit_count(), d))
     index = {d: i for i, d in enumerate(downsets)}

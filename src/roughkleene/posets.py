@@ -466,7 +466,10 @@ class Lattice:
         above, meet = self.poset.above, self.meet
         out = self.top
         while mask:
-            out = meet[out][(mask & -mask).bit_length() - 1]
+            i = (mask & -mask).bit_length() - 1
+            out = meet[out][i]
+            if not above[out] >> i & 1:
+                raise PosetError(f"meet table step is not below element {self.labels[i]}")
             mask &= ~above[out]
         return out
 
@@ -475,12 +478,17 @@ class Lattice:
 
         Elements below the running join are dropped unvisited, so the join
         grows strictly at each step and the fold takes at most as many
-        steps as the longest chain of the lattice.
+        steps as the longest chain of the lattice.  A table step that does
+        not land above the element it folds in would never drop it, so it
+        raises PosetError instead.
         """
         below, join = self.poset.below, self.join
         out = self.bottom
         while mask:
-            out = join[out][(mask & -mask).bit_length() - 1]
+            i = (mask & -mask).bit_length() - 1
+            out = join[out][i]
+            if not below[out] >> i & 1:
+                raise PosetError(f"join table step is not above element {self.labels[i]}")
             mask &= ~below[out]
         return out
 

@@ -19,17 +19,14 @@ from .posets import (
 from .pseudo import NoPseudocomplement, compute_pseudocomplements, is_regular
 from .represent import RepresentationResult
 from .rough import (
+    RS_CHECKS,
     Covering,
     blocks_of,
     build_rs,
     induced_irredundant_covering,
     is_irredundant,
     isolated_blocks,
-    join_closure_pairs,
-    powerset_image_report,
-    rs_g_map,
-    rs_join_irreducibles,
-    skeleton_isomorphism_report,
+    run_check,
     tolerance_from_covering,
 )
 
@@ -107,56 +104,41 @@ def verify_report(obj) -> dict:
         report = {"input": "tolerance", "universeSize": tol.n}
     labels = tol.labels
     report["blocks"] = [_set_names(labels, b) for b in blocks_of(tol)]
-    induced = induced_irredundant_covering(tol)
+    try:
+        rs, bad = build_rs(tol), None
+    except NotALattice as exc:
+        rs, bad = None, exc
+    induced = induced_irredundant_covering(tol) if rs is None else rs.covering
     report["inducedByIrredundantCovering"] = induced is not None
     if induced is not None:
         report["irredundantCovering"] = [_set_names(labels, b) for b in induced.blocks]
-    failures = []
-    try:
-        rs = build_rs(tol)
-        report["rsIsLattice"] = True
-        report["rsSize"] = rs.n
-        report["nonLatticeWitness"] = None
-    except NotALattice as exc:
-        a, b = exc.pair
-        report["rsIsLattice"] = False
-        report["rsSize"] = None
-        report["nonLatticeWitness"] = {
-            "kind": exc.kind,
-            "pair": [
-                [_set_names(labels, a[0]), _set_names(labels, a[1])],
-                [_set_names(labels, b[0]), _set_names(labels, b[1])],
-            ],
-        }
-        rs = None
-    checks = {}
+    report["rsIsLattice"] = rs is not None
+    report["rsSize"] = None if rs is None else rs.n
+    report["nonLatticeWitness"] = None if bad is None else {
+        "kind": bad.kind,
+        "pair": [[_set_names(labels, half) for half in pair] for pair in bad.pair],
+    }
+    checks, failures = {}, []
+
+    def run(name, check, *args):
+        ok, error = run_check(check, *args)
+        checks[name] = ok
+        if not ok:
+            failures.append({"check": name, "error": error or "check returned false"})
+
     if rs is not None and induced is not None:
-        for name, fn in (
-            ("kleeneRegularBattery", lambda: True),  # build_rs already enforced it
-            ("joinIrreducibleFormulas", lambda: rs_join_irreducibles(rs) is not None),
-            ("gmapClosedForm", lambda: rs_g_map(rs) is not None),
-            ("skeletonIsomorphisms", lambda: skeleton_isomorphism_report(rs) is not None),
-            ("imageLatticesAtomisticBoolean", lambda: powerset_image_report(tol) is not None),
-            ("dualRouteEqual", lambda: join_closure_pairs(tol) == list(rs.pairs)),
-        ):
-            try:
-                ok = bool(fn())
-            except Exception as exc:  # noqa: BLE001 - diagnostics must not abort
-                ok = False
-                failures.append({"check": name, "error": f"{type(exc).__name__}: {exc}"})
-            else:
-                if not ok:
-                    failures.append({"check": name, "error": "check returned false"})
-            checks[name] = ok
-        try:
-            checks["isolatedBlocks"] = True
+        checks["kleeneRegularBattery"] = True  # build_rs already enforced it
+        for name, check in RS_CHECKS:
+            run(name, check, rs)
+
+        def isolated():
             report["isolatedBlocks"] = [
                 {"block": _set_names(labels, item.block), "isolated": item.isolated}
                 for item in isolated_blocks(rs)
             ]
-        except Exception as exc:  # noqa: BLE001
-            checks["isolatedBlocks"] = False
-            failures.append({"check": "isolatedBlocks", "error": str(exc)})
+            return True
+
+        run("isolatedBlocks", isolated)
     report["checks"] = checks
     report["failures"] = failures
     return report

@@ -288,23 +288,16 @@ class RepresentationResult:
     report: dict
 
 
-def represent(dm: DeMorgan, rs_method: str = "auto") -> RepresentationResult:
+def represent(dm: DeMorgan) -> RepresentationResult:
     """Full pipeline: similarity, universe, tolerance, rough algebra, verified
-    isomorphism.  rs_method picks how the rough algebra is assembled:
-    "powerset" (raises BoundsExceeded beyond build_rs's universe cap),
-    "spatial", or "auto" (powerset for universes of up to 12)."""
+    isomorphism.  The rough algebra comes from the powerset sweep (build_rs)
+    for universes of up to 12 points and from the downset route
+    (build_rs_spatial) above."""
     dp = compute_pseudocomplements(dm.lattice)
     ji = join_irreducibles(dm.lattice)
     sim = build_similarity(dm, dp, ji)
     universe, cov, tol = build_tolerance_universe(dm, ji, sim)
-    if rs_method == "auto":
-        rs_method = "powerset" if tol.n <= 12 else "spatial"
-    if rs_method == "powerset":
-        rs = build_rs(tol)
-    elif rs_method == "spatial":
-        rs = build_rs_spatial(tol)
-    else:
-        raise ValueError(f"unknown rs_method {rs_method!r}")
+    rs = build_rs(tol) if tol.n <= 12 else build_rs_spatial(tol)
     phi = build_phi(dm, ji, sim, universe, tol, rs)
     iso, checks = extend_iso(dm, dp, ji, phi, rs)
     report = {

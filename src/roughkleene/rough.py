@@ -41,11 +41,15 @@ class ToleranceError(Exception):
     pass
 
 
-class BoundsExceeded(ToleranceError):
-    """The universe is too large for the 2^U powerset sweep.
+# The most points the 2^U powerset sweep of build_rs accepts.
+POWERSET_CAP = 16
 
-    Library callers can lift the cap with build_rs(force=True); the message
-    names no option, since the command line has none for it.
+
+class BoundsExceeded(ToleranceError):
+    """The universe is too large for the 2^U powerset sweep (POWERSET_CAP).
+
+    The cap is fixed; a tolerance induced by an irredundant covering can
+    take the downset route (build_rs_spatial) instead.
     """
 
     def __init__(self, n, cap):
@@ -382,7 +386,7 @@ def formula_join_irreducibles(tol: Tolerance, cov: Covering):
     return sorted(out)
 
 
-def join_closure_pairs(tol: Tolerance):
+def join_closure_pairs(tol: Tolerance, cov: Covering | None):
     """All joins of the block-derived join-irreducibles, one per downset.
 
     For a tolerance induced by an irredundant covering the rough pairs form
@@ -391,9 +395,9 @@ def join_closure_pairs(tol: Tolerance):
     the rough order come from posets.downsets, which refuses more than
     MAX_TABLE_ELEMENTS of them; each one's join is
     (lower(upper(union of lowers)), union of uppers).  Two downsets with the
-    same join would contradict the theorem and raise FormulaMismatch.
+    same join would contradict the theorem and raise FormulaMismatch.  cov
+    is induced_irredundant_covering(tol); None raises ToleranceError.
     """
-    cov = induced_irredundant_covering(tol)
     if cov is None:
         raise ToleranceError("join closure needs a tolerance induced by an irredundant covering")
     ji = formula_join_irreducibles(tol, cov)
@@ -482,7 +486,7 @@ def _check_formulas(tol: Tolerance, pairs, meet_of, join_of):
                     )
 
 
-def _assemble(tol: Tolerance, pairs):
+def _assemble(tol: Tolerance, pairs, covering: Covering | None):
     """The rough-set algebra on the sorted pair set, with every check run.
 
     The order and both tables come from rough_lattice, which raises
@@ -490,6 +494,8 @@ def _assemble(tol: Tolerance, pairs):
     keyed meet and join of every pair are checked against their closed
     forms (_check_formulas), neg, star and plus against the pair set, and, for a tolerance induced
     by an irredundant covering, the Kleene and regularity battery.
+    covering is induced_irredundant_covering(tol), found once by the
+    caller; the algebra carries it as rs.covering.
     """
     labels = [fmt_pair(pr, tol.labels) for pr in pairs]
     lattice, meet_of, join_of = rough_lattice(labels, pairs, tol.n)
@@ -506,7 +512,6 @@ def _assemble(tol: Tolerance, pairs):
                 raise FormulaMismatch("unary operation leaves the pair set", {"value": source})
             target.append(i)
     neg, star, plus = tuple(neg), tuple(star), tuple(plus)
-    covering = induced_irredundant_covering(tol)
     demorgan = doublep = ji = None
     if covering is not None:
         from .posets import join_irreducibles
@@ -531,16 +536,16 @@ def _assemble(tol: Tolerance, pairs):
     )
 
 
-def build_rs(tol: Tolerance, max_universe: int = 16, force: bool = False) -> RoughSetAlgebra:
+def build_rs(tol: Tolerance) -> RoughSetAlgebra:
     """Assemble the rough-set algebra by sweeping every subset of U.
 
-    Raises NotALattice (with a witness pair) when the coordinatewise order
-    has no meet or join for some pair, which genuinely happens for some
-    tolerances.
+    Raises BoundsExceeded past POWERSET_CAP points, and NotALattice (with a
+    witness pair) when the coordinatewise order has no meet or join for
+    some pair, which genuinely happens for some tolerances.
     """
-    if tol.n > max_universe and not force:
-        raise BoundsExceeded(tol.n, max_universe)
-    return _assemble(tol, _powerset_pairs(tol))
+    if tol.n > POWERSET_CAP:
+        raise BoundsExceeded(tol.n, POWERSET_CAP)
+    return _assemble(tol, _powerset_pairs(tol), induced_irredundant_covering(tol))
 
 
 def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
@@ -550,9 +555,10 @@ def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
     Avoids the 2^|U| sweep: the pair set costs time linear in its size.
     Only valid for tolerances induced by an irredundant covering, whose
     rough pairs form a distributive lattice join-generated by those
-    join-irreducibles.
+    join-irreducibles; any other raises ToleranceError.
     """
-    return _assemble(tol, join_closure_pairs(tol))
+    cov = induced_irredundant_covering(tol)
+    return _assemble(tol, join_closure_pairs(tol, cov), cov)
 
 
 @dataclass(frozen=True)
@@ -649,11 +655,11 @@ def powerset_images(tol: Tolerance):
     return sorted(set(los)), sorted(set(ups))
 
 
-def powerset_image_report(tol: Tolerance):
+def powerset_image_report(tol: Tolerance, cov: Covering | None):
     """For irredundant-covering tolerances: both images are atomistic Boolean
     lattices with the block cores / blocks as atoms and the stated
-    double-approximation complements."""
-    cov = induced_irredundant_covering(tol)
+    double-approximation complements.  cov is
+    induced_irredundant_covering(tol); None raises ToleranceError."""
     if cov is None:
         raise ToleranceError("image analysis needs an irredundant covering")
     los, ups = powerset_images(tol)
@@ -715,3 +721,28 @@ def skeleton_isomorphism_report(rs: RoughSetAlgebra):
                         f"{name} skeleton order", {"pair": (b, c)}
                     )
     return {"star": len(star_image), "plus": len(plus_image)}
+
+
+# The checks that verify and the covering sweep both run on a built algebra
+# whose tolerance an irredundant covering induces, by output name.  Each
+# looks its function up in this module when it runs, so a wrapper or a
+# patch installed here is what both outputs run.
+RS_CHECKS = (
+    ("joinIrreducibleFormulas", lambda rs: rs_join_irreducibles(rs) is not None),
+    ("gmapClosedForm", lambda rs: rs_g_map(rs) is not None),
+    ("skeletonIsomorphisms", lambda rs: skeleton_isomorphism_report(rs) is not None),
+    ("imageLatticesAtomisticBoolean",
+     lambda rs: powerset_image_report(rs.tolerance, rs.covering) is not None),
+    ("dualRouteEqual",
+     lambda rs: join_closure_pairs(rs.tolerance, rs.covering) == list(rs.pairs)),
+)
+
+
+def run_check(check, *args):
+    """Run one check as (ok, error): (True, None) for a true result,
+    (False, None) for a false one, and (False, "Type: message") when it
+    raises, so that one failing check never stops the others."""
+    try:
+        return bool(check(*args)), None
+    except Exception as exc:  # noqa: BLE001 - a failing check is reported, not raised
+        return False, f"{type(exc).__name__}: {exc}"

@@ -23,21 +23,19 @@ from .generators import (
     tolerance_from_encoding,
 )
 from .isomorph import lattice_key
-from .posets import Lattice, NotALattice, Poset, bits, is_distributive, join_irreducibles
+from .jsonio import covering_doc, lattice_doc, tolerance_doc
+from .posets import Lattice, NotALattice, Poset, is_distributive, join_irreducibles
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report, heyting_implications, is_regular, skeletons
 from .rough import (
+    RS_CHECKS,
     Covering,
     _powerset_pairs,
     build_rs,
     galois_holds,
     induced_irredundant_covering,
     isolated_blocks,
-    join_closure_pairs,
-    powerset_image_report,
     rough_lattice,
-    rs_g_map,
-    rs_join_irreducibles,
-    skeleton_isomorphism_report,
+    run_check,
     tolerance_from_covering,
 )
 
@@ -120,25 +118,9 @@ class EnumerationReport:
         return doc
 
 
-def _covering_doc(cov: Covering) -> dict:
-    return {
-        "labels": list(cov.labels),
-        "blocks": [[i for i in bits(b)] for b in cov.blocks],
-    }
-
-
-def _tolerance_doc(tol) -> dict:
-    return {"labels": list(tol.labels), "pairs": [list(p) for p in tol.pairs()]}
-
-
-def _step(report, seq, name, witness_doc, fn):
-    """Run one property check; any exception or falsy result is a failure."""
-    try:
-        ok = fn()
-        ok = True if ok is None else bool(ok)
-        err = None
-    except Exception as exc:  # noqa: BLE001 - property failures must be witnessed, not raised
-        ok, err = False, f"{type(exc).__name__}: {exc}"
+def _step(report, seq, name, witness_doc, fn, *args):
+    """Run one property check (rough.run_check) and record its outcome."""
+    ok, err = run_check(fn, *args)
     report.outcome(name).record(
         seq, ok, None if ok else {"instance": witness_doc, "error": err}
     )
@@ -159,7 +141,7 @@ def _chain_product_key(singles, multis):
 def _eval_covering(seq, cov: Covering, report: EnumerationReport):
     from .rough import is_irredundant
 
-    doc = _covering_doc(cov)
+    doc = covering_doc(cov)
     rep = None
 
     def irr():
@@ -181,12 +163,9 @@ def _eval_covering(seq, cov: Covering, report: EnumerationReport):
     if not _step(report, seq, "rsKleeneRegularBattery", doc, battery):
         return
     rs = holder["rs"]
-    _step(report, seq, "joinIrreducibleFormulas", doc, lambda: rs_join_irreducibles(rs) is not None)
-    _step(report, seq, "gmapClosedForm", doc, lambda: rs_g_map(rs) is not None)
+    for name, check in RS_CHECKS:
+        _step(report, seq, name, doc, check, rs)
     _step(report, seq, "isolatedBlockConditions", doc, lambda: isolated_blocks(rs) is not None)
-    _step(report, seq, "skeletonIsomorphisms", doc, lambda: skeleton_isomorphism_report(rs) is not None)
-    _step(report, seq, "imageLatticesAtomisticBoolean", doc, lambda: powerset_image_report(tol) is not None)
-    _step(report, seq, "dualRouteEqual", doc, lambda: join_closure_pairs(tol) == list(rs.pairs))
     union_count = sum(b.bit_count() for b in cov.blocks)
     if union_count == cov.n:  # pairwise disjoint: a partition
         singles = sum(1 for b in cov.blocks if b.bit_count() == 1)
@@ -227,7 +206,7 @@ def _rs_order_lattice_witness(tol):
 
 def _eval_tolerance(seq, n, enc, deep, want_witness, report: EnumerationReport):
     tol = tolerance_from_encoding(n, enc)
-    doc = _tolerance_doc(tol)
+    doc = tolerance_doc(tol)
     pairs, lat, witness = _rs_order_lattice_witness(tol)
     if witness is not None and want_witness and "nonLatticeTolerance" not in report.findings:
         report.findings["nonLatticeTolerance"] = (
@@ -259,20 +238,10 @@ def _eval_tolerance(seq, n, enc, deep, want_witness, report: EnumerationReport):
     _step(report, seq, "irredundantIffDistributiveRsLattice", doc, irr_iff_dist)
 
 
-def _lattice_doc(lat: Lattice, neg=None) -> dict:
-    doc = {
-        "labels": list(lat.labels),
-        "covers": [list(c) for c in lat.poset.covers()],
-    }
-    if neg is not None:
-        doc["neg"] = list(neg)
-    return doc
-
-
 def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
     from .pseudo import NoPseudocomplement
 
-    doc = _lattice_doc(lat)
+    doc = lattice_doc(lat)
     holder = {}
 
     def pseudo():
@@ -292,7 +261,7 @@ def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
     _step(report, seq, "heytingClosedForms", doc, lambda: heyting_implications(dp) is not None)
     _step(report, seq, "skeletonsBoolean", doc, lambda: skeletons(dp) is not None)
     for neg in antitone_involutions(lat):
-        ndoc = _lattice_doc(lat, neg)
+        ndoc = lattice_doc(lat, neg)
         holder.clear()
 
         def demorgan():

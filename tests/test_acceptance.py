@@ -197,4 +197,4 @@ def test_criterion_7_non_lattice_witness_replays(tmp_path, capsys):
 def test_criterion_8_dual_route_oracle(irredundant_corpus):
     with criterion(8, "powerset and join-closure constructions agree", 60.0):
         for cov, tol, rs in irredundant_corpus:
-            assert join_closure_pairs(tol) == list(rs.pairs)
+            assert join_closure_pairs(tol, cov) == list(rs.pairs)

@@ -165,11 +165,8 @@ class TestRepresent:
         assert code == 1
         assert "not regular" in err
 
-    def test_powerset_method_keeps_the_universe_cap(self, capsys, tmp_path):
+    def test_twenty_point_universe_takes_the_downset_route(self, capsys, tmp_path):
         path = _complete_two_level_jposet(tmp_path, 5)
-        code, _, err = run_cli(capsys, "represent", path, "--method", "powerset")
-        assert code == 2
-        assert "universe of 20 exceeds the enumeration cap 16" in err
         code, out, _ = run_cli(capsys, "represent", path)
         assert code == 0
         assert json.loads(out)["report"]["universeSize"] == 20
@@ -231,6 +228,23 @@ class TestVerify:
         assert report["rsIsLattice"] is False
         assert report["nonLatticeWitness"] is not None
 
+    def test_isolated_blocks_failure_names_its_type(self, capsys, monkeypatch):
+        from roughkleene import reports
+        from roughkleene.rough import FormulaMismatch
+
+        def disagree(rs):
+            raise FormulaMismatch("isolated-block conditions disagree", {"block": 1})
+
+        monkeypatch.setattr(reports, "isolated_blocks", disagree)
+        code, out, _ = run_cli(capsys, "verify", fixture_path("partition_2_3.json"))
+        assert code == 1
+        report = json.loads(out)
+        assert report["checks"]["isolatedBlocks"] is False
+        assert "isolatedBlocks" not in report
+        assert report["failures"] == [{
+            "check": "isolatedBlocks",
+            "error": "FormulaMismatch: isolated-block conditions disagree: {'block': 1}",
+        }]
 
     @pytest.mark.parametrize("command", ["verify", "render"])
     def test_oversized_universe_names_no_option(self, capsys, tmp_path, command):

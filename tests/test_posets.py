@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from conftest import boolean_lattice, chain, diamond_m3, pentagon_n5, two_level_fixture
 
+import roughkleene
 from roughkleene.generators import all_lattices
 from roughkleene.isomorph import find_isomorphism
 from roughkleene.posets import (
@@ -139,6 +144,33 @@ class TestLattice:
             Lattice.from_poset(p)
         assert err.value.pair == (1, 2)
         assert err.value.kind == "join"
+
+    def test_bent_fold_step_raises_instead_of_looping(self):
+        # on the square, a v b bent to a and a ^ b bent to a: each fold step
+        # then misses b, which the old fold never cleared from its mask
+        script = textwrap.dedent("""
+            from roughkleene.posets import Lattice, Poset, PosetError
+            lat = Lattice.from_poset(Poset(["0", "a", "b", "1"], [1, 0b11, 0b101, 0b1111]))
+            bent = [[list(row) for row in table] for table in (lat.meet, lat.join)]
+            for table in bent:
+                table[1][2] = table[2][1] = 1
+            meet, join = (tuple(map(tuple, table)) for table in bent)
+            bent = Lattice(lat.poset, meet, join, lat.bottom, lat.top)
+            for fold in (bent.join_of, bent.meet_of):
+                try:
+                    fold(0b110)
+                except PosetError as exc:
+                    print(exc)
+        """)
+        src = os.path.dirname(os.path.dirname(roughkleene.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=30)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == [
+            "join table step is not above element b",
+            "meet table step is not below element b",
+        ]
 
 
 class TestDistributivity:

@@ -26,7 +26,7 @@ from roughkleene.represent import (
     represent,
     roundtrip_check,
 )
-from roughkleene.rough import Covering, rs_g_map, tolerance_from_covering
+from roughkleene.rough import Covering, build_rs, build_rs_spatial, rs_g_map, tolerance_from_covering
 
 
 def _similarity(dm):
@@ -134,11 +134,11 @@ class TestPipeline:
         assert res.rs.pairs[res.phi[join_irreducibles(dm.lattice).members[0]]] == (1, 1)
 
     def test_spatial_and_powerset_methods_agree(self):
-        dm = two_level_fixture()
-        a = represent(dm, rs_method="powerset")
-        b = represent(dm, rs_method="spatial")
-        assert a.rs.pairs == b.rs.pairs
-        assert a.iso == b.iso
+        tol = represent(two_level_fixture()).tolerance
+        a, b = build_rs(tol), build_rs_spatial(tol)
+        assert a.pairs == b.pairs
+        assert a.lattice.meet == b.lattice.meet
+        assert a.lattice.join == b.lattice.join
 
 
 class TestRandomFixtures:

@@ -273,7 +273,7 @@ class TestGaloisAndImages:
             assert tol.upper(tol.lower(up)) == up
 
     def test_image_report_fixture(self):
-        los, ups = powerset_image_report(TOL)
+        los, ups = powerset_image_report(TOL, two_level_covering())
         assert len(los) == len(ups) == 8  # Boolean on three block atoms
 
     def test_skeleton_isomorphisms_fixture(self):
@@ -287,7 +287,7 @@ class TestGaloisAndImages:
         for n in range(1, 6):
             for cov in irredundant_coverings(n):
                 tol = tolerance_from_covering(cov)
-                pairs = join_closure_pairs(tol)
+                pairs = join_closure_pairs(tol, cov)
                 assert powerset_images(tol) == (
                     sorted({lo for lo, _ in pairs}),
                     sorted({up for _, up in pairs}),
@@ -347,7 +347,7 @@ class TestDualRoute:
             for cov in irredundant_coverings(n):
                 tol = tolerance_from_covering(cov)
                 rs = build_rs(tol)
-                assert join_closure_pairs(tol) == list(rs.pairs)
+                assert join_closure_pairs(tol, cov) == list(rs.pairs)
                 count += 1
         assert count == 60  # 1 + 2 + 8 + 49
 
@@ -365,14 +365,14 @@ class TestDualRoute:
             if not is_irredundant(cov).irredundant:
                 continue
             tol = tolerance_from_covering(cov)
-            assert join_closure_pairs(tol) == _powerset_pairs(tol)
+            assert join_closure_pairs(tol, cov) == _powerset_pairs(tol)
             count += 1
 
     def test_partition_seven_pairs(self):
-        tol = tolerance_from_covering(Covering([str(i) for i in range(14)],
-                                               [3 << (2 * i) for i in range(7)]))
+        cov = Covering([str(i) for i in range(14)], [3 << (2 * i) for i in range(7)])
+        tol = tolerance_from_covering(cov)
         start = time.perf_counter()
-        pairs = join_closure_pairs(tol)
+        pairs = join_closure_pairs(tol, cov)
         elapsed = time.perf_counter() - start
         assert len(pairs) == 3**7
         assert pairs == _powerset_pairs(tol)
@@ -381,12 +381,13 @@ class TestDualRoute:
     def test_repeated_join_is_caught(self, monkeypatch):
         # a join of two join-irreducibles passed off as a third: the downsets
         # with and without it share a join, which the Birkhoff check refuses
-        tol = tolerance_from_covering(Covering(["1", "2", "3", "4"], [3, 12]))
+        cov = Covering(["1", "2", "3", "4"], [3, 12])
+        tol = tolerance_from_covering(cov)
         real = rough.formula_join_irreducibles
         monkeypatch.setattr(rough, "formula_join_irreducibles",
                             lambda t, c: real(t, c) + [(0, 15)])
         with pytest.raises(FormulaMismatch, match="two downsets share a join"):
-            join_closure_pairs(tol)
+            join_closure_pairs(tol, cov)
 
 
 class TestFormulaCheck:

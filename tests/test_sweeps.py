@@ -1,5 +1,9 @@
 import json
 
+from conftest import fixture_path
+
+from roughkleene import jsonio, rough
+from roughkleene.reports import verify_report
 from roughkleene.sweeps import (
     EnumerationReport,
     run_enumeration,
@@ -70,3 +74,19 @@ class TestSweeps:
         doc = report.to_dict()
         assert json.dumps(doc)  # JSON-able
         assert "nonLatticeTolerance" in doc["findings"]
+
+
+def test_verify_and_the_covering_sweep_run_one_check_registry(monkeypatch):
+    """A check broken where the registry looks it up fails in both outputs."""
+    def broken(rs):
+        raise rough.FormulaMismatch("gmap on a block", {"block": 6})
+
+    monkeypatch.setattr(rough, "rs_g_map", broken)
+    error = "FormulaMismatch: gmap on a block: {'block': 6}"
+    cov = jsonio.parse_covering(jsonio.load_document(fixture_path("partition_2_3.json")))
+    report = verify_report(cov)
+    assert report["checks"]["gmapClosedForm"] is False
+    assert report["failures"] == [{"check": "gmapClosedForm", "error": error}]
+    outcome = sweep_coverings(2, workers=1).properties["gmapClosedForm"]
+    assert outcome.checked == outcome.failures == 3  # the irredundant coverings on up to 2 points
+    assert outcome.first_witness[1]["error"] == error

@@ -397,7 +397,7 @@ class TestFormulaKeys:
                 for key in sorted(values):
                     bent = OneKeyBent(tol.labels, tol.nbr)
                     bent.which, bent.key = which, key
-                    got = mismatch(_assemble, bent, pairs)
+                    got = mismatch(_assemble, bent, pairs, None)
                     assert got == mismatch(ref_formula_scan, bent, pairs, lattice)
                     kinds.add(got[0].split(":")[0])
         assert kinds == {"meet", "join"}
