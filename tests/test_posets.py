@@ -146,8 +146,9 @@ class TestLattice:
         assert err.value.kind == "join"
 
     def test_bent_fold_step_raises_instead_of_looping(self):
-        # on the square, a v b bent to a and a ^ b bent to a: each fold step
-        # then misses b, which the old fold never cleared from its mask
+        # on the square, a v b and a ^ b both bent to a: the fold step that
+        # takes in b misses it, and a fold that did not check would keep b
+        # in its mask forever, so the run is bounded by a timeout
         script = textwrap.dedent("""
             from roughkleene.posets import Lattice, Poset, PosetError
             lat = Lattice.from_poset(Poset(["0", "a", "b", "1"], [1, 0b11, 0b101, 0b1111]))
