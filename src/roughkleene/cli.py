@@ -18,7 +18,7 @@ from .dot import hasse_dot, rs_dot
 from .posets import PosetError, TableCapExceeded
 from .represent import NotKleene, NotRegular, RepresentError, represent
 from .reports import check_report, represent_bundle, verify_report
-from .rough import BoundsExceeded, ToleranceError, build_rs
+from .rough import BoundsExceeded, ToleranceError, build_rs, tolerance_from_covering
 from .sweeps import run_enumeration
 
 HARD_UNIVERSE_CAP = 6
@@ -137,17 +137,9 @@ def write_witness_files(report, directory):
 def cmd_render(args) -> int:
     doc = jsonio.load_document(args.input)
     if "pairs" in doc:
-        tol = jsonio.parse_tolerance(doc)
-        try:
-            rs = build_rs(tol)
-        except BoundsExceeded as exc:
-            return _fail(str(exc), 2)
-        text = rs_dot(rs)
+        text = rs_dot(build_rs(jsonio.parse_tolerance(doc)))
     elif "blocks" in doc:
-        from .rough import tolerance_from_covering
-
-        rs = build_rs(tolerance_from_covering(jsonio.parse_covering(doc)))
-        text = rs_dot(rs)
+        text = rs_dot(build_rs(tolerance_from_covering(jsonio.parse_covering(doc))))
     else:
         try:
             lat, dm = jsonio.parse_algebra(doc)

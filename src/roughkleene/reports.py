@@ -19,11 +19,12 @@ from .posets import (
 from .pseudo import NoPseudocomplement, compute_pseudocomplements, is_regular
 from .represent import RepresentationResult
 from .rough import (
+    POWERSET_CAP,
     RS_CHECKS,
+    BoundsExceeded,
     Covering,
     blocks_of,
     build_rs,
-    induced_irredundant_covering,
     is_irredundant,
     isolated_blocks,
     run_check,
@@ -85,7 +86,11 @@ def _set_names(labels, mask):
 
 def verify_report(obj) -> dict:
     """Tolerance/covering diagnostics: blocks, irredundance, and the full
-    rough-algebra battery when it applies."""
+    rough-algebra battery when it applies.
+
+    Universes past POWERSET_CAP raise BoundsExceeded up front, whatever the
+    route of build_rs, because the battery sweeps the powerset as its
+    oracle (imageLatticesAtomisticBoolean, dualRouteEqual)."""
     if isinstance(obj, Covering):
         cov = obj
         tol = tolerance_from_covering(cov)
@@ -102,13 +107,17 @@ def verify_report(obj) -> dict:
     else:
         tol = obj
         report = {"input": "tolerance", "universeSize": tol.n}
+    if tol.n > POWERSET_CAP:
+        raise BoundsExceeded(tol.n, POWERSET_CAP)
     labels = tol.labels
     report["blocks"] = [_set_names(labels, b) for b in blocks_of(tol)]
     try:
         rs, bad = build_rs(tol), None
     except NotALattice as exc:
         rs, bad = None, exc
-    induced = induced_irredundant_covering(tol) if rs is None else rs.covering
+    # only the powerset route, taken when no irredundant covering induces
+    # tol, raises NotALattice
+    induced = None if rs is None else rs.covering
     report["inducedByIrredundantCovering"] = induced is not None
     if induced is not None:
         report["irredundantCovering"] = [_set_names(labels, b) for b in induced.blocks]
@@ -121,9 +130,9 @@ def verify_report(obj) -> dict:
     checks, failures = {}, []
 
     def run(name, check, *args):
-        ok, error = run_check(check, *args)
-        checks[name] = ok
-        if not ok:
+        value, error = run_check(check, *args)
+        checks[name] = bool(value)
+        if not value:
             failures.append({"check": name, "error": error or "check returned false"})
 
     if rs is not None and induced is not None:

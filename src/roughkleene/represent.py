@@ -22,7 +22,6 @@ from .rough import (
     Tolerance,
     approximations,
     build_rs,
-    build_rs_spatial,
     is_irredundant,
     rs_g_map,
     tolerance_from_covering,
@@ -290,14 +289,14 @@ class RepresentationResult:
 
 def represent(dm: DeMorgan) -> RepresentationResult:
     """Full pipeline: similarity, universe, tolerance, rough algebra, verified
-    isomorphism.  The rough algebra comes from the powerset sweep (build_rs)
-    for universes of up to 12 points and from the downset route
-    (build_rs_spatial) above."""
+    isomorphism.  The tolerance is induced by the irredundant covering of
+    the spans, so build_rs takes the downset route, whatever the size of
+    the universe, and only the table cap bounds it."""
     dp = compute_pseudocomplements(dm.lattice)
     ji = join_irreducibles(dm.lattice)
     sim = build_similarity(dm, dp, ji)
     universe, cov, tol = build_tolerance_universe(dm, ji, sim)
-    rs = build_rs(tol) if tol.n <= 12 else build_rs_spatial(tol)
+    rs = build_rs(tol)
     phi = build_phi(dm, ji, sim, universe, tol, rs)
     iso, checks = extend_iso(dm, dp, ji, phi, rs)
     report = {

@@ -6,12 +6,15 @@ whose whole neighborhood sits inside X and the points whose neighborhood
 meets X.  The set of all such pairs, ordered coordinatewise, is assembled
 into a lattice-with-operations when the order admits one.
 
-Two independent constructions of the pair set are provided: the powerset
-sweep (the defining one, 2^|U| subsets, capped by universe size) and the
-downset route, which joins each downset of the block-derived
-join-irreducibles (needs an irredundant covering).  Its downsets come from
-posets.downsets, so it costs time linear in the number of pairs and stops
-once they pass the table cap.  Their agreement is an acceptance-level oracle.
+build_rs is the one builder, and the tolerance picks its route.  When an
+irredundant covering induces it, the rough pairs form a distributive
+lattice, and the downset route joins each downset of the block-derived
+join-irreducibles (Birkhoff).  Its downsets come from posets.downsets, so
+it costs time linear in the number of pairs and stops once they pass the
+table cap.  Any other tolerance takes the powerset sweep, the defining
+construction: 2^|U| subsets, capped at POWERSET_CAP points.  On every
+covering-induced algebra that verify and the sweeps check, the powerset
+sweep is the independent oracle (dualRouteEqual).
 
 A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
 so the coordinatewise order is inclusion of codes.  In an inclusion order
@@ -41,15 +44,17 @@ class ToleranceError(Exception):
     pass
 
 
-# The most points the 2^U powerset sweep of build_rs accepts.
+# The most points the 2^U powerset sweep (_approximation_table) accepts.
 POWERSET_CAP = 16
 
 
 class BoundsExceeded(ToleranceError):
     """The universe is too large for the 2^U powerset sweep (POWERSET_CAP).
 
-    The cap is fixed; a tolerance induced by an irredundant covering can
-    take the downset route (build_rs_spatial) instead.
+    The cap is fixed.  build_rs meets it only on a tolerance that no
+    irredundant covering induces, since the others take the downset route;
+    verify_report refuses past it up front, as its battery sweeps the
+    powerset as an oracle.
     """
 
     def __init__(self, n, cap):
@@ -343,8 +348,11 @@ def _approximation_table(tol: Tolerance):
     R is symmetric.  lower(X) follows its definition: it is lower(X') plus
     the x ∈ R(y) with R(x) ⊆ X, because an x outside R(y) has y ∉ R(x), and
     then R(x) ⊆ X iff R(x) ⊆ X'.  So each new half of the table is one pass
-    over the half before it, with no loop over U per subset.
+    over the half before it, with no loop over U per subset.  Raises
+    BoundsExceeded past POWERSET_CAP points.
     """
+    if tol.n > POWERSET_CAP:
+        raise BoundsExceeded(tol.n, POWERSET_CAP)
     nbr = tol.nbr
     los, ups = array("Q", [0]), array("Q", [0])
     for y in range(tol.n):
@@ -537,25 +545,24 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None):
 
 
 def build_rs(tol: Tolerance) -> RoughSetAlgebra:
-    """Assemble the rough-set algebra by sweeping every subset of U.
+    """Assemble the rough-set algebra of tol.
 
-    Raises BoundsExceeded past POWERSET_CAP points, and NotALattice (with a
-    witness pair) when the coordinatewise order has no meet or join for
-    some pair, which genuinely happens for some tolerances.
+    A tolerance induced by an irredundant covering takes the downset route
+    (join_closure_pairs), bounded only by the table cap; any other takes
+    the powerset sweep, which raises BoundsExceeded past POWERSET_CAP
+    points.  NotALattice (with a witness pair) is raised when the
+    coordinatewise order has no meet or join for some pair, which genuinely
+    happens for some tolerances, all of them on the powerset route.
     """
-    if tol.n > POWERSET_CAP:
-        raise BoundsExceeded(tol.n, POWERSET_CAP)
-    return _assemble(tol, _powerset_pairs(tol), induced_irredundant_covering(tol))
+    cov = induced_irredundant_covering(tol)
+    pairs = _powerset_pairs(tol) if cov is None else join_closure_pairs(tol, cov)
+    return _assemble(tol, pairs, cov)
 
 
 def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
-    """Assemble the same algebra from the downsets of the block-derived
-    join-irreducibles (join_closure_pairs).
-
-    Avoids the 2^|U| sweep: the pair set costs time linear in its size.
-    Only valid for tolerances induced by an irredundant covering, whose
-    rough pairs form a distributive lattice join-generated by those
-    join-irreducibles; any other raises ToleranceError.
+    """The downset route of build_rs alone: any tolerance that no
+    irredundant covering induces raises ToleranceError.  No builder of the
+    package calls it; it stays as the name the benchmark's tracer wraps.
     """
     cov = induced_irredundant_covering(tol)
     return _assemble(tol, join_closure_pairs(tol, cov), cov)
@@ -733,16 +740,15 @@ RS_CHECKS = (
     ("skeletonIsomorphisms", lambda rs: skeleton_isomorphism_report(rs) is not None),
     ("imageLatticesAtomisticBoolean",
      lambda rs: powerset_image_report(rs.tolerance, rs.covering) is not None),
-    ("dualRouteEqual",
-     lambda rs: join_closure_pairs(rs.tolerance, rs.covering) == list(rs.pairs)),
+    ("dualRouteEqual", lambda rs: list(rs.pairs) == _powerset_pairs(rs.tolerance)),
 )
 
 
 def run_check(check, *args):
-    """Run one check as (ok, error): (True, None) for a true result,
-    (False, None) for a false one, and (False, "Type: message") when it
-    raises, so that one failing check never stops the others."""
+    """Run one check as (value, error): its value and None when it returns,
+    whose truth is the verdict, and (None, "Type: message") when it raises,
+    so that one failing check never stops the others."""
     try:
-        return bool(check(*args)), None
+        return check(*args), None
     except Exception as exc:  # noqa: BLE001 - a failing check is reported, not raised
-        return False, f"{type(exc).__name__}: {exc}"
+        return None, f"{type(exc).__name__}: {exc}"

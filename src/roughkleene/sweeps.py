@@ -33,6 +33,7 @@ from .rough import (
     build_rs,
     galois_holds,
     induced_irredundant_covering,
+    is_irredundant,
     isolated_blocks,
     rough_lattice,
     run_check,
@@ -119,12 +120,14 @@ class EnumerationReport:
 
 
 def _step(report, seq, name, witness_doc, fn, *args):
-    """Run one property check (rough.run_check) and record its outcome."""
-    ok, err = run_check(fn, *args)
+    """Run one property check (rough.run_check) and record its outcome;
+    return the check's value when it passed and None otherwise."""
+    value, err = run_check(fn, *args)
+    ok = bool(value)
     report.outcome(name).record(
         seq, ok, None if ok else {"instance": witness_doc, "error": err}
     )
-    return ok
+    return value if ok else None
 
 
 _CHAIN_KEYS = {}
@@ -139,30 +142,13 @@ def _chain_product_key(singles, multis):
 
 
 def _eval_covering(seq, cov: Covering, report: EnumerationReport):
-    from .rough import is_irredundant
-
     doc = covering_doc(cov)
-    rep = None
-
-    def irr():
-        nonlocal rep
-        rep = is_irredundant(cov)
-        return True
-
-    if not _step(report, seq, "irredundanceCriteriaAgree", doc, irr):
+    rep = _step(report, seq, "irredundanceCriteriaAgree", doc, is_irredundant, cov)
+    if rep is None or not rep.irredundant:
         return
-    if not rep.irredundant:
+    rs = _step(report, seq, "rsKleeneRegularBattery", doc, build_rs, tolerance_from_covering(cov))
+    if rs is None:
         return
-    tol = tolerance_from_covering(cov)
-    holder = {}
-
-    def battery():
-        holder["rs"] = build_rs(tol)
-        return True
-
-    if not _step(report, seq, "rsKleeneRegularBattery", doc, battery):
-        return
-    rs = holder["rs"]
     for name, check in RS_CHECKS:
         _step(report, seq, name, doc, check, rs)
     _step(report, seq, "isolatedBlockConditions", doc, lambda: isolated_blocks(rs) is not None)
@@ -190,10 +176,11 @@ def _eval_covering(seq, cov: Covering, report: EnumerationReport):
 
 
 def _rs_order_lattice_witness(tol):
-    """Pairs of the rough order plus a non-lattice witness, if any.
+    """Pairs of the rough order by the powerset sweep, plus a non-lattice
+    witness, if any: the first bad pair rough_lattice finds, as rough pairs.
 
-    The witness is the first bad pair rough_lattice finds, as rough pairs;
-    the sweep, the order and the tables are build_rs's own.
+    build_rs takes the same sweep, order and tables on every tolerance that
+    no irredundant covering induces, and only those can give a witness.
     """
     pairs = _powerset_pairs(tol)
     lab = [str(k) for k in range(len(pairs))]
@@ -262,15 +249,9 @@ def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
     _step(report, seq, "skeletonsBoolean", doc, lambda: skeletons(dp) is not None)
     for neg in antitone_involutions(lat):
         ndoc = lattice_doc(lat, neg)
-        holder.clear()
-
-        def demorgan():
-            holder["dm"] = validate_demorgan(lat, neg)
-            return True
-
-        if not _step(report, seq, "deMorganValidates", ndoc, demorgan):
+        dm = _step(report, seq, "deMorganValidates", ndoc, validate_demorgan, lat, neg)
+        if dm is None:
             continue
-        dm = holder["dm"]
 
         def g_round_trip():
             g = compute_g(dm, ji)

@@ -24,8 +24,9 @@ from roughkleene.posets import has_two_levels, join_irreducibles
 from roughkleene.pseudo import check_M_D_N, compute_pseudocomplements, prime_filters
 from roughkleene.represent import represent
 from roughkleene.rough import (
+    POWERSET_CAP,
+    _powerset_pairs,
     build_rs,
-    join_closure_pairs,
     rs_g_map,
     rs_join_irreducibles,
     skeleton_isomorphism_report,
@@ -109,6 +110,9 @@ def test_criterion_2_representation_end_to_end():
             res = represent(dm)
             assert res.report["verified"], "operation preservation failed"
             assert res.rs.n == dm.lattice.n
+            if res.tolerance.n <= POWERSET_CAP:
+                # represent takes the downset route; the sweep is its oracle
+                assert res.rs.pairs == tuple(_powerset_pairs(res.tolerance))
             built += 1
 
 
@@ -197,4 +201,5 @@ def test_criterion_7_non_lattice_witness_replays(tmp_path, capsys):
 def test_criterion_8_dual_route_oracle(irredundant_corpus):
     with criterion(8, "powerset and join-closure constructions agree", 60.0):
         for cov, tol, rs in irredundant_corpus:
-            assert join_closure_pairs(tol, cov) == list(rs.pairs)
+            # build_rs took the downset route on every covering here
+            assert list(rs.pairs) == _powerset_pairs(tol)

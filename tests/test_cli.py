@@ -258,13 +258,54 @@ class TestVerify:
 
     @pytest.mark.parametrize("command", ["verify", "render"])
     def test_table_cap_names_no_option(self, capsys, tmp_path, command):
-        # eight pairs on 16 points: within the universe cap, but 3^8 rough pairs
+        # eight pairs on 16 points: within the universe cap, but 3^8 rough
+        # pairs, and the downset walk stops as soon as it passes the cap
         doc = {"labels": [str(i) for i in range(16)], "blocks": [[i, i + 1] for i in range(0, 16, 2)]}
         path = tmp_path / "partition8.json"
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, command, str(path))
         assert (code, out) == (2, "")
-        assert err.strip() == "6561 elements exceed the table cap 2187"
+        assert err.strip() == "more than 2187 elements exceed the table cap 2187"
+
+    def test_covering_past_the_universe_cap(self, capsys, tmp_path):
+        # the 8-block path covering {0,1,2},{2,3,4},...,{14,15,16}: render
+        # takes the downset route, verify still sweeps the powerset
+        doc = {"labels": [str(i) for i in range(17)], "blocks": [[i, i + 1, i + 2] for i in range(0, 15, 2)]}
+        path = tmp_path / "path8.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "render", str(path))
+        assert code == 0 and out.startswith("digraph")
+        code, out, err = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (2, "")
+        assert err.strip() == "universe of 17 exceeds the enumeration cap 16"
+
+
+class TestRoutes:
+    def test_covering_routes_never_sweep_the_powerset(self, capsys, tmp_path, monkeypatch):
+        from roughkleene import jsonio, rough
+
+        def refuse(tol):
+            raise AssertionError("the powerset sweep ran")
+
+        monkeypatch.setattr(rough, "_approximation_table", refuse)
+        out = tmp_path / "bundle.json"
+        code, _, _ = run_cli(capsys, "represent", fixture_path("jposet_two_level.json"), "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == open(fixture_path("jposet_two_level_bundle.json"), "rb").read()
+        cov = jsonio.parse_covering(jsonio.load_document(fixture_path("partition_2_3.json")))
+        rs = rough.build_rs(rough.tolerance_from_covering(cov))
+        assert rs.n == 6 and rs.covering is not None
+
+    def test_powerset_sweep_is_the_dual_route_oracle(self, capsys, monkeypatch):
+        from roughkleene import rough
+
+        real = rough._powerset_pairs
+        monkeypatch.setattr(rough, "_powerset_pairs", lambda tol: real(tol)[1:])
+        code, out, _ = run_cli(capsys, "verify", fixture_path("partition_2_3.json"))
+        assert code == 1
+        report = json.loads(out)
+        assert [f["check"] for f in report["failures"]] == ["dualRouteEqual"]
+        assert report["checks"]["dualRouteEqual"] is False
 
 
 class TestEnumerate:

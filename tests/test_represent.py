@@ -26,7 +26,7 @@ from roughkleene.represent import (
     represent,
     roundtrip_check,
 )
-from roughkleene.rough import Covering, build_rs, build_rs_spatial, rs_g_map, tolerance_from_covering
+from roughkleene.rough import Covering, _assemble, _powerset_pairs, rs_g_map, tolerance_from_covering
 
 
 def _similarity(dm):
@@ -134,8 +134,9 @@ class TestPipeline:
         assert res.rs.pairs[res.phi[join_irreducibles(dm.lattice).members[0]]] == (1, 1)
 
     def test_spatial_and_powerset_methods_agree(self):
-        tol = represent(two_level_fixture()).tolerance
-        a, b = build_rs(tol), build_rs_spatial(tol)
+        res = represent(two_level_fixture())
+        tol = res.tolerance
+        a, b = _assemble(tol, _powerset_pairs(tol), res.covering), res.rs
         assert a.pairs == b.pairs
         assert a.lattice.meet == b.lattice.meet
         assert a.lattice.join == b.lattice.join

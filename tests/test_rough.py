@@ -20,13 +20,14 @@ from roughkleene.generators import (
 )
 from roughkleene.isomorph import isomorphisms, lattice_key
 from roughkleene import rough
-from roughkleene.posets import NotALattice, bits, mask_of
+from roughkleene.posets import NotALattice, TableCapExceeded, bits, mask_of
 from roughkleene.rough import (
     BoundsExceeded,
     Covering,
     FormulaMismatch,
     Tolerance,
     approximations,
+    _assemble,
     _powerset_pairs,
     blocks_of,
     build_rs,
@@ -180,13 +181,23 @@ class TestBuildRS:
             build_rs(tol)
 
     def test_bounds(self):
-        with pytest.raises(BoundsExceeded):
+        # the identity is a partition: the downset route stops at the table
+        # cap, as it has 2^17 rough pairs
+        with pytest.raises(TableCapExceeded):
             build_rs(identity_tolerance(17))
+        # no irredundant covering induces a path: the powerset sweep refuses
+        path = Tolerance.from_pairs([str(i) for i in range(17)], [(i, i + 1) for i in range(16)])
+        assert induced_irredundant_covering(path) is None
+        with pytest.raises(BoundsExceeded):
+            build_rs(path)
+        # the cap guards every 2^U sweep, the images too
+        with pytest.raises(BoundsExceeded, match="universe of 17 exceeds the enumeration cap 16"):
+            powerset_images(identity_tolerance(17))
 
     def test_spatial_route_matches_powerset(self):
         for cov in (two_level_covering(), Covering(["1", "2", "3"], [1, 6])):
             tol = tolerance_from_covering(cov)
-            assert build_rs_spatial(tol).pairs == build_rs(tol).pairs
+            assert build_rs_spatial(tol).pairs == tuple(_powerset_pairs(tol))
 
 
 class TestJoinIrreducibleFormulas:
@@ -332,7 +343,7 @@ class TestDualRoute:
     def test_routes_build_the_same_algebra(self, cov):
         assert is_irredundant(cov).irredundant
         tol = tolerance_from_covering(cov)
-        by_sweep, by_downsets = build_rs(tol), build_rs_spatial(tol)
+        by_sweep, by_downsets = _assemble(tol, _powerset_pairs(tol), cov), build_rs(tol)
         for rs in (by_sweep, by_downsets):
             assert rs.covering is not None
         assert by_sweep.pairs == by_downsets.pairs
@@ -346,8 +357,7 @@ class TestDualRoute:
         for n in range(1, 5):
             for cov in irredundant_coverings(n):
                 tol = tolerance_from_covering(cov)
-                rs = build_rs(tol)
-                assert join_closure_pairs(tol, cov) == list(rs.pairs)
+                assert join_closure_pairs(tol, cov) == _powerset_pairs(tol)
                 count += 1
         assert count == 60  # 1 + 2 + 8 + 49
 
