@@ -12,6 +12,7 @@ from .posets import (
     Poset,
     PosetError,
     bits,
+    first_bad_triple,
     has_two_levels,
     is_distributive,
     join_irreducibles,

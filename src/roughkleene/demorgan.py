@@ -13,6 +13,7 @@ from .posets import (
     Lattice,
     Poset,
     bits,
+    first_bad_triple,
     first_not_below,
     inclusion_lattice,
     is_distributive,
@@ -78,9 +79,8 @@ def validate_demorgan(lat: Lattice, neg) -> DeMorgan:
     An antitone involution is a dual order automorphism, which maps joins to
     meets and meets to joins, so the De Morgan laws need no pair scan.
     """
-    dist, witness = is_distributive(lat)
-    if not dist:
-        raise NotDistributive(witness)
+    if not is_distributive(lat):
+        raise NotDistributive(first_bad_triple(lat))
     n = lat.n
     neg = tuple(neg)
     if len(neg) != n or any(not 0 <= v < n for v in neg):
@@ -108,8 +108,8 @@ def is_kleene(dm: DeMorgan):
     """
     lat, neg = dm.lattice, dm.neg
     witness = first_not_below(
-        lat, [lat.meet[x][neg[x]] for x in range(lat.n)],
-        [lat.join[y][neg[y]] for y in range(lat.n)],
+        lat, [lat.meet(x, neg[x]) for x in range(lat.n)],
+        [lat.join(y, neg[y]) for y in range(lat.n)],
     )
     return witness is None, witness
 
@@ -174,9 +174,10 @@ def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     Element labels: "0" for the empty downset, the generator's label for a
     principal downset, otherwise the labels of the downset's maximal
     elements joined by "|".  The downset walk raises TableCapExceeded once
-    there are more downsets than the table cap, before any order or table
-    is built.  Downsets are ordered by inclusion, so the order and the
-    tables come from inclusion_lattice.
+    there are more downsets than the table cap, before any order is built.
+    Downsets are ordered by inclusion, so the lattice is inclusion_lattice
+    of the downsets themselves: the union of two downsets is a downset,
+    and each key is the code of the meet or join it maps to.
     """
     _check_j1_j2(jposet, range(jposet.n), g)
     for x in range(jposet.n):
@@ -186,7 +187,7 @@ def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     downsets.sort(key=lambda d: (d.bit_count(), d))
     index = {d: i for i, d in enumerate(downsets)}
     labels = [_downset_label(jposet, d) for d in downsets]
-    lat = inclusion_lattice(labels, downsets, jposet.n)[0]
+    lat = inclusion_lattice(labels, downsets, jposet.n)
     ji = join_irreducibles(lat)
     principal = {index[jposet.below[x]]: x for x in range(jposet.n)}
     if sorted(principal) != list(ji.members):

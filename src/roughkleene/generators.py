@@ -165,7 +165,7 @@ def all_distributive_lattices(max_size):
         ds = downsets(below)
         ds.sort(key=lambda d: (d.bit_count(), d))
         lab = [f"d{i}" for i in range(len(ds))]
-        yield inclusion_lattice(lab, ds, len(below))[0]
+        yield inclusion_lattice(lab, ds, len(below))
 
 
 def product_of_chains(sizes):

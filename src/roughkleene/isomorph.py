@@ -200,12 +200,5 @@ def find_isomorphism(n_a, rows_a, n_b, rows_b, respecting=()):
     return next(isomorphisms(n_a, rows_a, n_b, rows_b, respecting), None)
 
 
-def lattice_isomorphism(lat_a, lat_b, respecting=()):
-    """Order-isomorphism between two lattices (hence a lattice isomorphism)."""
-    return find_isomorphism(
-        lat_a.n, lat_a.poset.above, lat_b.n, lat_b.poset.above, respecting
-    )
-
-
 def lattice_key(lat):
     return canonical_key(lat.n, lat.poset.above)

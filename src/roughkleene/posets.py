@@ -3,13 +3,21 @@
 Every set of element ids is a bitmask (an int): bit i set means element i is
 in the set.  All structures are immutable after construction and every
 operation is deterministic, so values can be shared freely across threads.
+
+A Lattice is an order given twice as inclusion of sets, its meet codes and
+its join codes: meet is looked up by the intersection of two meet codes and
+join by the union of two join codes, in key maps that _keyed_lattice fills
+while it proves the order a lattice.  No P×P table is stored; a witness
+scan that needs rows builds them after a failure.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, compress, count, starmap
-from operator import and_, itemgetter, or_
+from functools import reduce
+from itertools import combinations_with_replacement, compress, count, islice, starmap
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -41,25 +49,24 @@ class NotALattice(PosetError):
         super().__init__(f"no unique {kind} for elements {pair}")
 
 
-# The most elements an order, a P×P meet/join table or a downset list is
-# built for: 3^7, the rough-set algebra of seven 2-point blocks.  On a
-# 2-vCPU VM, `verify` on that partition takes about 7 s and 100 MB;
-# `represent` on a 12-point antichain (4096 elements) took 51 s and 550 MB,
-# and the cost grows as P².
+# The most elements an order, a lattice or a downset list is built for: 3^7,
+# the rough-set algebra of seven 2-point blocks.  It bounds the P²/2 pairs
+# whose meet and join keys _keyed_lattice streams, whose time grows as P²;
+# on a lattice each key map holds at most P keys.
 MAX_TABLE_ELEMENTS = 2187
 
 
 class TableCapExceeded(PosetError):
-    """Too many elements for the order, the P×P tables or the downset list:
-    a bound, not a defect.  n is the element count, or "more than N" when
-    the downset walk stops as soon as it passes the cap."""
+    """Too many elements for the order, the key streams of its pairs or the
+    downset list: a bound, not a defect.  n is the element count, or "more
+    than N" when the downset walk stops as soon as it passes the cap."""
 
     def __init__(self, n):
         super().__init__(f"{n} elements exceed the table cap {MAX_TABLE_ELEMENTS}")
 
 
 def check_table_size(n: int):
-    """Raise TableCapExceeded before an order or table on n elements is built."""
+    """Raise TableCapExceeded before an order or lattice on n elements is built."""
     if n > MAX_TABLE_ELEMENTS:
         raise TableCapExceeded(n)
 
@@ -69,10 +76,11 @@ class _Inclusion:
 
     holders[u] is the mask of the k whose set holds point u.  within(s) is
     the mask of the k with sets[k] ⊆ s: sets[k] ⊆ s fails exactly when
-    sets[k] holds a point outside s, so it costs one OR per point outside s.
+    sets[k] holds a point outside s, so it costs one OR per point that some
+    set holds and s does not.
     containing(t) is the mask of the k with t ⊆ sets[k], one AND per point
     of t.  Both loops are inline, with no bits() generator, since they run
-    once per element and once per distinct meet/join key.
+    once per element.
     """
 
     __slots__ = ("holders", "full", "points")
@@ -84,7 +92,7 @@ class _Inclusion:
             for u in bits(m):
                 holders[u] |= 1 << k
         self.holders = holders
-        self.full, self.points = (1 << len(sets)) - 1, (1 << width) - 1
+        self.full, self.points = (1 << len(sets)) - 1, reduce(or_, sets, 0)
 
     def within(self, s: int) -> int:
         holders, outside, rest = self.holders, 0, self.points & ~s
@@ -124,45 +132,67 @@ class Memo(dict):
         return value
 
 
-def inclusion_lattice(labels: Sequence[str], sets: Sequence[int], width: int):
-    """The inclusion order of distinct sets over width points, with its
-    meet/join tables: (Lattice, meet_of, join_of), or NotALattice at the
-    first bad pair.
+def inclusion_lattice(labels: Sequence[str], sets: Sequence[int], width: int) -> "Lattice":
+    """The inclusion order of distinct sets over width points as a Lattice
+    whose meet codes and join codes are both the sets, or NotALattice at
+    the first bad pair (_keyed_lattice)."""
+    if len(set(sets)) != len(sets):
+        raise ValueError("the sets of an inclusion order must be pairwise distinct")
+    order = _Inclusion(sets, width)
+    poset = _poset_with_above(labels, list(map(order.within, sets)), list(map(order.containing, sets)))
+    return _keyed_lattice(poset, tuple(sets), tuple(sets))
 
-    In an inclusion order the common lower bounds of i and j are the k with
-    sets[k] ⊆ sets[i] & sets[j], and the common upper bounds the k with
-    sets[k] ⊇ sets[i] | sets[j].  So the glb of i and j depends only on the
-    key sets[i] & sets[j] and the lub only on sets[i] | sets[j].  meet_of
-    maps each meet key to the glb's id, or None when the glb does not
-    exist; join_of does the same for join keys.  Each distinct key is
-    looked up once (within, containing), and each cell of the tables is a
-    dict lookup of its key.  Both memos are seeded with the sets themselves
-    (the key of a diagonal cell), whose glb and lub are the set's own id.
-    The key streams are never built as lists, so memory stays that of the
-    tables.  The cells, the first bad pair and its kind are those of
-    Lattice.from_poset on the same order, and every key in meet_of and
-    join_of is the key of some cell.
+
+def _keyed_lattice(poset: "Poset", meet_codes: tuple, join_codes: tuple) -> "Lattice":
+    """The Lattice of a poset whose order is inclusion of meet_codes and
+    also inclusion of join_codes, or NotALattice at the first bad pair.
+
+    The common lower bounds of i and j are the k with meet_codes[k] ⊆
+    meet_codes[i] & meet_codes[j], and the common upper bounds the k with
+    join_codes[k] ⊇ join_codes[i] | join_codes[j].  So the glb of i and j
+    depends only on the meet key meet_codes[i] & meet_codes[j] and the lub
+    only on the join key join_codes[i] | join_codes[j].
+
+    The pairs are streamed row-major in chunks, sixteen rows' worth first
+    and each next chunk twice the last, into dicts that keep the first pair
+    of each key in the chunk.  Each key goes to the k with ↓k = ↓i ∩ ↓j, or
+    ↑k = ↑i ∩ ↑j, for that pair, or to None; no cell is stored.  The first
+    chunk with a None ends the stream.  Every pair before it has a glb and
+    a lub, so the first bad pair of a row-major scan of every pair, meet
+    before join, is the least first pair of a bad key in that chunk (a bad
+    pair is bad both ways and never diagonal).  So an order that is no
+    lattice stops within one chunk of its first bad pair, and never fills
+    the maps with the keys of every pair.
     """
-    n = len(sets)
+    n = poset.n
     if n == 0:
         raise NotALattice((None, None), "meet")
-    order = _Inclusion(sets, width)
-    below = list(map(order.within, sets))
-    above = list(map(order.containing, sets))
-    poset = _poset_with_above(labels, below, above)
-    meet_ids = {m: i for i, m in enumerate(below)}
-    join_ids = {m: i for i, m in enumerate(above)}
-    meet_of = Memo(lambda s: meet_ids.get(order.within(s)))
-    join_of = Memo(lambda t: join_ids.get(order.containing(t)))
-    meet_of.update(zip(sets, count()))
-    join_of.update(zip(sets, count()))
-    if len(meet_of) != n:
-        raise ValueError("the sets of an inclusion order must be pairwise distinct")
-    pairs = combinations_with_replacement(sets, 2)
-    meet_cells = list(map(meet_of.__getitem__, starmap(and_, pairs)))
-    pairs = combinations_with_replacement(sets, 2)
-    join_cells = list(map(join_of.__getitem__, starmap(or_, pairs)))
-    return Lattice(poset, *_tables(n, meet_cells, join_cells, below, above)), meet_of, join_of
+    check_table_size(n)
+    below, above = poset.below, poset.above
+    pairs = combinations_with_replacement
+    streams = [
+        (starmap(op, pairs(codes, 2)), pairs(range(n), 2), bounds,
+         {m: k for k, m in enumerate(bounds)}, {})
+        for codes, op, bounds in ((meet_codes, and_, below), (join_codes, or_, above))
+    ]
+    chunk, left = 16 * n, n * (n + 1) // 2
+    while left > 0:
+        bad = []
+        for kind, (keys, at, bounds, ids, keyed) in enumerate(streams):
+            first = {}
+            deque(map(first.setdefault, islice(keys, chunk), islice(at, chunk)), 0)
+            found = {key: ids.get(bounds[i] & bounds[j]) for key, (i, j) in first.items()}
+            keyed.update(found)
+            if None in found.values():
+                bad += [(first[key], kind) for key, k in found.items() if k is None]
+        if bad:
+            pair, kind = min(bad)
+            raise NotALattice(pair, ("meet", "join")[kind])
+        left -= chunk
+        chunk *= 2
+    full = (1 << n) - 1
+    return Lattice(poset, meet_codes, join_codes, streams[0][4], streams[1][4],
+                   above.index(full), below.index(full))
 
 
 def downsets(below: Sequence[int]) -> list:
@@ -348,9 +378,6 @@ class Poset:
         """All down-closed subsets as bitmasks, ascending (posets.downsets)."""
         return downsets(self.below)
 
-    def label_set(self, mask: int) -> list:
-        return [self.labels[i] for i in bits(mask)]
-
 
 def _poset_with_above(labels: Sequence[str], below: Sequence[int], above: Sequence[int]) -> Poset:
     """A Poset that takes above as given instead of transposing below.
@@ -365,78 +392,44 @@ def _poset_with_above(labels: Sequence[str], below: Sequence[int], above: Sequen
     return p
 
 
-def _tables(n: int, meet_cells: list, join_cells: list, below, above):
-    """(meet, join, bottom, top) from the cells (i, j), i <= j, of both
-    tables in row-major order, or NotALattice at the first cell that is
-    None (meet before join).
-
-    Row i copies its cells j < i from column i of the rows above it.  A bad
-    pair is bad in both orders and never on the diagonal, so the first bad
-    cell of a row-major scan of the full tables has i < j and is also the
-    first bad cell here.
-    """
-    if None in meet_cells or None in join_cells:
-        c = next(c for c, cell in enumerate(zip(meet_cells, join_cells)) if None in cell)
-        kind = "meet" if meet_cells[c] is None else "join"
-        i = 0
-        while c >= n - i:
-            c -= n - i
-            i += 1
-        raise NotALattice((i, i + c), kind)
-    meet, join = [], []
-    start = 0
-    for i in range(n):
-        end = start + n - i
-        column = itemgetter(i)
-        meet.append((*map(column, meet), *meet_cells[start:end]))
-        join.append((*map(column, join), *join_cells[start:end]))
-        start = end
-    full = (1 << n) - 1
-    bottom = next(i for i in range(n) if below[i] == 1 << i and above[i] == full)
-    top = next(i for i in range(n) if above[i] == 1 << i and below[i] == full)
-    return tuple(meet), tuple(join), bottom, top
-
-
 class Lattice:
-    """A finite lattice: poset plus exhaustively verified meet/join tables.
+    """A finite lattice: poset, two lists of element codes and two key maps.
 
-    meet and join are tuples of rows.  Both tables are symmetric (meet[i][j]
-    == meet[j][i]), since x∧y and x∨y do not depend on the order of x and y,
-    and each unordered pair is computed once.  There are two builders with
-    the same cells and the same first bad pair: from_poset for any poset,
-    and inclusion_lattice for an order given as inclusion of sets, which
-    looks up each distinct intersection and union once.
+    i <= j exactly when meet_codes[i] ⊆ meet_codes[j], and exactly when
+    join_codes[i] ⊆ join_codes[j].  meets maps the intersection of two meet
+    codes (the pair's meet key) to the id of their glb, and joins maps the
+    union of two join codes (the join key) to the id of their lub; each
+    holds the keys of every pair and no other, so meet(i, j) and join(i, j)
+    are one lookup each and no P×P table is stored.  _keyed_lattice builds
+    every Lattice and proves the order a lattice by looking up every pair's
+    keys: inclusion_lattice with the sets as both codes, from_poset with
+    ↓x and L∖↑x.
     """
 
-    __slots__ = ("poset", "meet", "join", "bottom", "top")
+    __slots__ = ("poset", "meet_codes", "join_codes", "meets", "joins", "bottom", "top")
 
-    def __init__(self, poset: Poset, meet, join, bottom: int, top: int):
+    def __init__(self, poset: Poset, meet_codes, join_codes, meets: dict, joins: dict,
+                 bottom: int, top: int):
         self.poset = poset
-        self.meet = meet
-        self.join = join
+        self.meet_codes = meet_codes
+        self.join_codes = join_codes
+        self.meets = meets
+        self.joins = joins
         self.bottom = bottom
         self.top = top
 
     @classmethod
     def from_poset(cls, p: Poset) -> "Lattice":
-        """Compute meet/join tables, or raise NotALattice at the first bad pair.
+        """The lattice of a poset, or NotALattice at the first bad pair:
+        _keyed_lattice with the meet codes ↓x and the join codes L∖↑x.
 
-        The glb of i,j exists iff the common lower bounds ↓i ∩ ↓j form a
-        principal downset; likewise for lub with upsets.  Each unordered
-        pair i <= j is looked up once, in one C-level pass per table.
+        ↓i ∩ ↓j is the downset of the common lower bounds, and L∖↑i ∪ L∖↑j
+        is the complement of the upset of the common upper bounds, so on a
+        lattice these are ↓(i∧j) and L∖↑(i∨j): each map holds at most one
+        key per element, however wide the lattice.
         """
-        n = p.n
-        if n == 0:
-            raise NotALattice((None, None), "meet")
-        check_table_size(n)
-        below, above = p.below, p.above
-        # the cells (i, j), i <= j, in row-major order
-        cells = []
-        for masks in (below, above):
-            ids = {m: i for i, m in enumerate(masks)}
-            pairs = combinations_with_replacement(masks, 2)
-            cells.append(list(map(ids.get, starmap(and_, pairs))))
-        return cls(p, *_tables(n, *cells, below, above))
+        full = (1 << p.n) - 1
+        return _keyed_lattice(p, p.below, tuple(full ^ up for up in p.above))
 
     @property
     def n(self) -> int:
@@ -449,25 +442,33 @@ class Lattice:
     def leq(self, i: int, j: int) -> bool:
         return self.poset.leq(i, j)
 
+    def meet(self, i: int, j: int) -> int:
+        return self.meets[self.meet_codes[i] & self.meet_codes[j]]
+
+    def join(self, i: int, j: int) -> int:
+        return self.joins[self.join_codes[i] | self.join_codes[j]]
+
     def meet_all(self, ids: Iterable[int]) -> int:
+        codes, meets = self.meet_codes, self.meets
         out = self.top
         for i in ids:
-            out = self.meet[out][i]
+            out = meets[codes[out] & codes[i]]
         return out
 
     def join_all(self, ids: Iterable[int]) -> int:
+        codes, joins = self.join_codes, self.joins
         out = self.bottom
         for i in ids:
-            out = self.join[out][i]
+            out = joins[codes[out] | codes[i]]
         return out
 
     def meet_of(self, mask: int) -> int:
         """The meet of the elements in a mask; the dual of join_of."""
-        above, meet = self.poset.above, self.meet
+        above, codes, meets = self.poset.above, self.meet_codes, self.meets
         out = self.top
         while mask:
             i = (mask & -mask).bit_length() - 1
-            out = meet[out][i]
+            out = meets[codes[out] & codes[i]]
             if not above[out] >> i & 1:
                 raise PosetError(f"meet table step is not below element {self.labels[i]}")
             mask &= ~above[out]
@@ -478,15 +479,15 @@ class Lattice:
 
         Elements below the running join are dropped unvisited, so the join
         grows strictly at each step and the fold takes at most as many
-        steps as the longest chain of the lattice.  A table step that does
-        not land above the element it folds in would never drop it, so it
+        steps as the longest chain of the lattice.  A step that does not
+        land above the element it folds in would never drop it, so it
         raises PosetError instead.
         """
-        below, join = self.poset.below, self.join
+        below, codes, joins = self.poset.below, self.join_codes, self.joins
         out = self.bottom
         while mask:
             i = (mask & -mask).bit_length() - 1
-            out = join[out][i]
+            out = joins[codes[out] | codes[i]]
             if not below[out] >> i & 1:
                 raise PosetError(f"join table step is not above element {self.labels[i]}")
             mask &= ~below[out]
@@ -512,8 +513,8 @@ def join_irreducibles(lat: Lattice) -> JoinIrreducibles:
     j has one lower cover c iff c = ⋁(↓j∖{j}) is not j: if j covers c alone,
     all of ↓j∖{j} lies below c; if j covers c and d, c < c v d <= j forces
     c v d = j.  The bottom's join is the empty one, itself.  So each element
-    costs one fold over the join table (Lattice.join_of), and so does its
-    spatiality test, x = ⋁(↓x ∩ J).
+    costs one join fold (Lattice.join_of), and so does its spatiality test,
+    x = ⋁(↓x ∩ J).
     """
     below = lat.poset.below
     members, lower, atoms = [], {}, []
@@ -531,26 +532,24 @@ def join_irreducibles(lat: Lattice) -> JoinIrreducibles:
     return JoinIrreducibles(tuple(members), lower, tuple(atoms), jmask)
 
 
-def is_distributive(lat: Lattice):
+def is_distributive(lat: Lattice) -> bool:
     """Whether x∧(y∨z) == (x∧y)∨(x∧z) for all triples.
 
-    Fast path: a finite lattice is distributive iff every join-irreducible j
-    is join-prime (j <= x∨y implies j <= x or j <= y), that is, iff the
+    A finite lattice is distributive iff every join-irreducible j is
+    join-prime (j <= x∨y implies j <= x or j <= y), that is, iff the
     downset L∖↑j is closed under ∨.  A finite downset D is closed under ∨
     exactly when ⋁D ∈ D (Davey & Priestley, ch. 2), so each test is one
-    fold over the join table (Lattice.join_of), not a scan of all pairs
-    outside ↑j.  On failure the lexicographically first violating triple
-    of the defining law is returned.
+    fold (Lattice.join_of), not a scan of all pairs outside ↑j.  The first
+    violating triple is first_bad_triple's to find, for the callers that
+    report it.
     """
     below = lat.poset.below
     for j in range(lat.n):
         # j has one lower cover iff the elements strictly below j join to
         # less than j; that is never so for the bottom
-        if lat.join_of(below[j] ^ (1 << j)) == j:
-            continue
-        if not is_join_prime(lat, j):
-            return False, _first_bad_triple(lat)
-    return True, None
+        if lat.join_of(below[j] ^ (1 << j)) != j and not is_join_prime(lat, j):
+            return False
+    return True
 
 
 def is_join_prime(lat: Lattice, x: int) -> bool:
@@ -558,9 +557,9 @@ def is_join_prime(lat: Lattice, x: int) -> bool:
     decided as ⋁(L∖↑x) ∉ ↑x.
 
     L∖↑x is a downset, and a downset of a finite lattice is closed under ∨
-    iff it contains its own join, so one fold over the join table replaces
-    the test of every pair outside ↑x.  No distributivity is assumed.  The
-    bottom is never join-prime (↑bottom is all of L).
+    iff it contains its own join, so one join fold replaces the test of
+    every pair outside ↑x.  No distributivity is assumed.  The bottom is
+    never join-prime (↑bottom is all of L).
     """
     up = lat.poset.above[x]
     return not up >> lat.join_of(((1 << lat.n) - 1) & ~up) & 1
@@ -581,14 +580,17 @@ def first_not_below(lat: Lattice, los: Sequence[int], his: Sequence[int]):
     return None
 
 
-def _first_bad_triple(lat: Lattice):
-    n = lat.n
-    meet, join = lat.meet, lat.join
-    for x in range(n):
-        mx = meet[x]
-        for y in range(n):
-            for z in range(n):
-                if mx[join[y][z]] != join[mx[y]][mx[z]]:
+def first_bad_triple(lat: Lattice):
+    """The lexicographically first (x, y, z) with x∧(y∨z) != (x∧y)∨(x∧z),
+    or None: a scan of up to n³ triples, for a lattice that is_distributive
+    has rejected.  Row x of the meet is built for the scan of x alone."""
+    codes, meets, joins = lat.join_codes, lat.meets, lat.joins
+    for x, cx in enumerate(lat.meet_codes):
+        mx = [meets[cx & c] for c in lat.meet_codes]
+        for y, cy in enumerate(codes):
+            cmy = codes[mx[y]]
+            for z, cz in enumerate(codes):
+                if mx[joins[cy | cz]] != joins[cmy | codes[mx[z]]]:
                     return (x, y, z)
     return None
 

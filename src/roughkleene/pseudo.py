@@ -60,7 +60,7 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
     star(x) is the join of {z : x ∧ z = 0}, when that join is itself in the
     set.  Each z != 0 lies above an atom, and x ∧ z != 0 iff some atom lies
     below both, so the set is L minus the upsets of the atoms below x: a
-    mask, folded with Lattice.join_of, with no scan of the meet table.
+    mask, folded with Lattice.join_of, with no scan of the pairs.
     Dually, {z : x ∨ z = 1} is L minus the downsets of the coatoms above x,
     folded with Lattice.meet_of.
 
@@ -79,7 +79,7 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
             if below[x] >> a & 1:
                 meets |= above[a]
         cand = lat.join_of(full & ~meets)
-        if lat.meet[x][cand] != bottom:
+        if lat.meet(x, cand) != bottom:
             raise NoPseudocomplement(x)
         star.append(cand)
         joins = 0
@@ -87,10 +87,10 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
             if above[x] >> c & 1:
                 joins |= below[c]
         cand = lat.meet_of(full & ~joins)
-        if lat.join[x][cand] != top:
+        if lat.join(x, cand) != top:
             raise NoPseudocomplement(x, dual=True)
         plus.append(cand)
-    dp = DoubleP(lat, star, plus, is_distributive(lat)[0])
+    dp = DoubleP(lat, star, plus, is_distributive(lat))
     _check_p_laws(dp)
     return dp
 
@@ -110,7 +110,7 @@ def _check_p_laws(dp: DoubleP):
     scanned for it.
     """
     lat, star, plus = dp.lattice, dp.star, dp.plus
-    below, above, meet, join = lat.poset.below, lat.poset.above, lat.meet, lat.join
+    below, above = lat.poset.below, lat.poset.above
     # star_le[s] is the mask of the b with star[b] <= s, for each value s of
     # star, gathered from the preimages of the values below s
     preimage = [0] * lat.n
@@ -130,9 +130,9 @@ def _check_p_laws(dp: DoubleP):
         failing = {
             a
             for a, sa in enumerate(star)
-            for meet_sa, join_sa in [(meet[sa], join[sa])]
-            for v, w, sb in zip(join[a][a:], meet[a][a:], star[a:])
-            if star[v] != meet_sa[sb] or not below[star[w]] >> join_sa[sb] & 1
+            for b in range(a, lat.n)
+            if star[lat.join(a, b)] != lat.meet(sa, star[b])
+            or not below[star[lat.meet(a, b)]] >> lat.join(sa, star[b]) & 1
         }
     for a in range(lat.n):
         sa = star[a]
@@ -146,15 +146,13 @@ def _check_p_laws(dp: DoubleP):
             raise PseudoError(f"a++ <= a fails at {a}")
         if antitone[a] and a not in failing:
             continue
-        below_sa, meet_sa, join_sa = below[sa], meet[sa], join[sa]
-        meet_a, join_a = meet[a], join[a]
         for b in range(lat.n):
             sb = star[b]
-            if below[b] >> a & 1 and not below_sa >> sb & 1:
+            if below[b] >> a & 1 and not below[sa] >> sb & 1:
                 raise PseudoError(f"star not antitone at ({a},{b})")
-            if star[join_a[b]] != meet_sa[sb]:
+            if star[lat.join(a, b)] != lat.meet(sa, sb):
                 raise PseudoError(f"(a v b)* != a* ^ b* at ({a},{b})")
-            if not below[star[meet_a[b]]] >> join_sa[sb] & 1:
+            if not below[star[lat.meet(a, b)]] >> lat.join(sa, sb) & 1:
                 raise PseudoError(f"(a ^ b)* >= a* v b* fails at ({a},{b})")
 
 
@@ -185,8 +183,8 @@ def check_M_D_N(dp: DoubleP, neg=None) -> MDNReport:
         if x != y and (m_witness is None or x < m_witness[0]):
             m_witness = (x, y)
     d_witness = first_not_below(
-        lat, [lat.meet[x][plus[x]] for x in range(lat.n)],
-        [lat.join[y][star[y]] for y in range(lat.n)],
+        lat, [lat.meet(x, plus[x]) for x in range(lat.n)],
+        [lat.join(y, star[y]) for y in range(lat.n)],
     )
     if dp.distributive and (m_witness is None) != (d_witness is None):
         raise CriteriaDisagree({"M": m_witness is None, "D": d_witness is None})
@@ -219,12 +217,12 @@ def heyting_implications(dp: DoubleP):
     dimp = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(n):
-            x = lat.join_all(z for z in range(n) if lat.leq(lat.meet[a][z], b))
-            if not lat.leq(lat.meet[a][x], b):
+            x = lat.join_all(z for z in range(n) if lat.leq(lat.meet(a, z), b))
+            if not lat.leq(lat.meet(a, x), b):
                 raise PseudoError(f"no relative pseudocomplement at ({a},{b})")
             imp[a][b] = x
-            y = lat.meet_all(z for z in range(n) if lat.leq(b, lat.join[a][z]))
-            if not lat.leq(b, lat.join[a][y]):
+            y = lat.meet_all(z for z in range(n) if lat.leq(b, lat.join(a, z)))
+            if not lat.leq(b, lat.join(a, y)):
                 raise PseudoError(f"no dual relative pseudocomplement at ({a},{b})")
             dimp[a][b] = y
     if check_M_D_N(dp).m:
@@ -233,17 +231,15 @@ def heyting_implications(dp: DoubleP):
         for a in range(n):
             for b in range(n):
                 # (a* v b**)** ^ [(a v a*)+ v a* v b v b*]
-                core = join[star[a]][star[star[b]]]
-                closed = meet[star[star[core]]][
-                    join[join[join[plus[join[a][star[a]]]][star[a]]][b]][star[b]]
-                ]
+                core = join(star[a], star[star[b]])
+                closed = meet(star[star[core]],
+                              join(join(join(plus[join(a, star[a])], star[a]), b), star[b]))
                 if closed != imp[a][b]:
                     raise PseudoError(f"closed form for imp disagrees at ({a},{b})")
                 # (a+ ^ b++)++ v [(a ^ a+)* ^ a+ ^ b ^ b+]
-                dcore = meet[plus[a]][plus[plus[b]]]
-                dclosed = join[plus[plus[dcore]]][
-                    meet[meet[meet[star[meet[a][plus[a]]]][plus[a]]][b]][plus[b]]
-                ]
+                dcore = meet(plus[a], plus[plus[b]])
+                dclosed = join(plus[plus[dcore]],
+                               meet(meet(meet(star[meet(a, plus[a])], plus[a]), b), plus[b]))
                 if dclosed != dimp[a][b]:
                     raise PseudoError(f"closed form for dimp disagrees at ({a},{b})")
     return tuple(tuple(r) for r in imp), tuple(tuple(r) for r in dimp)
@@ -271,26 +267,26 @@ def skeletons(dp: DoubleP):
     for a in s_members:
         if star[star[a]] != a:
             raise PseudoError(f"star image not closed at {a}")
-        if lat.meet[a][star[a]] != lat.bottom:
+        if lat.meet(a, star[a]) != lat.bottom:
             raise PseudoError(f"skeleton complement fails meet at {a}")
-        if star[lat.meet[star[a]][star[star[a]]]] != lat.top:
+        if star[lat.meet(star[a], star[star[a]])] != lat.top:
             raise PseudoError(f"skeleton complement fails join at {a}")
         for b in s_members:
-            if lat.meet[a][b] not in s_members:
+            if lat.meet(a, b) not in s_members:
                 raise PseudoError(f"star skeleton not meet-closed at ({a},{b})")
-            if star[lat.meet[star[a]][star[b]]] not in s_members:
+            if star[lat.meet(star[a], star[b])] not in s_members:
                 raise PseudoError(f"star skeleton join leaves skeleton at ({a},{b})")
     for a in p_members:
         if plus[plus[a]] != a:
             raise PseudoError(f"plus image not closed at {a}")
-        if lat.join[a][plus[a]] != lat.top:
+        if lat.join(a, plus[a]) != lat.top:
             raise PseudoError(f"dual skeleton complement fails join at {a}")
-        if plus[lat.join[plus[a]][plus[plus[a]]]] != lat.bottom:
+        if plus[lat.join(plus[a], plus[plus[a]])] != lat.bottom:
             raise PseudoError(f"dual skeleton complement fails meet at {a}")
         for b in p_members:
-            if lat.join[a][b] not in p_members:
+            if lat.join(a, b) not in p_members:
                 raise PseudoError(f"plus skeleton not join-closed at ({a},{b})")
-            if plus[lat.join[plus[a]][plus[b]]] not in p_members:
+            if plus[lat.join(plus[a], plus[b])] not in p_members:
                 raise PseudoError(f"plus skeleton meet leaves skeleton at ({a},{b})")
     return Skeleton(s_members, False), Skeleton(p_members, True)
 
@@ -303,7 +299,7 @@ class PrimeFilterFamily:
     the principal filters [x), x != bottom.  [x) is prime iff its
     complement L∖[x), a downset, is closed under ∨, and a downset of a
     finite lattice is closed under ∨ iff it contains its own join.  So each
-    test is ⋁(L∖[x)) ∉ [x): one fold over the join table per x, not a scan
+    test is ⋁(L∖[x)) ∉ [x): one join fold per x, not a scan
     of every pair outside [x).  The lemma needs no distributivity, so this
     stays a criterion independent of the join-irreducibles.
     """

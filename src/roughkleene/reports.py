@@ -13,6 +13,7 @@ from .posets import (
     Lattice,
     NotALattice,
     bits,
+    first_bad_triple,
     is_distributive,
     join_irreducibles,
 )
@@ -42,7 +43,7 @@ def check_report(lat: Lattice, dm: DeMorgan | None) -> dict:
     The regularity verdicts come from pseudo.is_regular, so check also
     enforces that its criteria agree.
     """
-    dist, triple = is_distributive(lat)
+    dist = is_distributive(lat)
     report = {
         "size": lat.n,
         "distributive": dist,
@@ -56,9 +57,8 @@ def check_report(lat: Lattice, dm: DeMorgan | None) -> dict:
         "regular": None,
         "witnesses": {},
     }
-    if triple is not None:
-        report["witnesses"]["distributive"] = _names(lat, triple)
     if not dist:
+        report["witnesses"]["distributive"] = _names(lat, first_bad_triple(lat))
         return report
     try:
         dp = compute_pseudocomplements(lat)

@@ -20,9 +20,12 @@ from .rough import (
     Covering,
     RoughSetAlgebra,
     Tolerance,
+    _assemble,
     approximations,
     build_rs,
+    induced_irredundant_covering,
     is_irredundant,
+    join_closure_pairs,
     rs_g_map,
     tolerance_from_covering,
 )
@@ -104,7 +107,7 @@ def build_similarity(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles) -> Similar
             raise RepresentError(f"similarity is not reflexive at {x}")
     spans = {}
     for x in atoms:
-        members = {lat.join[x][y] for y in atoms if (x, y) in simeq}
+        members = {lat.join(x, y) for y in atoms if (x, y) in simeq}
         members.add(g[x])
         spans[x] = frozenset(members)
     for x in atoms:
@@ -154,7 +157,7 @@ def build_tolerance_universe(dm: DeMorgan, ji: JoinIrreducibles, sim: Similarity
             if len(holders) != 2:
                 raise RepresentError(f"join point {z} lies in {len(holders)} spans")
             a, b = holders
-            if lat.join[a][b] != z or (a, b) not in sim.simeq:
+            if lat.join(a, b) != z or (a, b) not in sim.simeq:
                 raise RepresentError(f"join point {z} is not the join of its two atoms")
     for x in ji.members:
         a = x if amask >> x & 1 else sim.gmap[x]
@@ -213,8 +216,8 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
     ↑iso(x), as iso is a bijection.  If every row passes, iso is an order
     isomorphism of lattices, which preserves meet and join (Davey &
     Priestley, Introduction to Lattices and Order, 2.19), so the pairs are
-    scanned only when a row fails, and then on the pairs y >= x, as both
-    lattices' tables are symmetric.  Every ordered pair is still verified,
+    scanned only when a row fails, and then on the pairs y >= x, as meet
+    and join are symmetric.  Every ordered pair is still verified,
     and the checks count each one.  The first failure of a scan of x, then
     y, lies in the first row to fail these tests, and only that row is
     scanned for it.
@@ -242,9 +245,9 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
         failing = {
             x
             for x, ix in enumerate(iso)
-            for meet_ix, join_ix in [(target.meet[ix], target.join[ix])]
-            for v, w, iy in zip(lat.meet[x][x:], lat.join[x][x:], iso[x:])
-            if iso[v] != meet_ix[iy] or iso[w] != join_ix[iy]
+            for y in range(x, n)
+            if iso[lat.meet(x, y)] != target.meet(ix, iso[y])
+            or iso[lat.join(x, y)] != target.join(ix, iso[y])
         }
     for x in range(n):
         if rs.neg[iso[x]] != iso[dm.neg[x]]:
@@ -258,13 +261,11 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
         checks["plus"] += 1
         ix = iso[x]
         if x in failing or not ordered[x]:
-            meet_x, join_x = lat.meet[x], lat.join[x]
-            meet_ix, join_ix = target.meet[ix], target.join[ix]
             for y in range(n):
                 iy = iso[y]
-                if iso[meet_x[y]] != meet_ix[iy]:
+                if iso[lat.meet(x, y)] != target.meet(ix, iy):
                     raise IsoCheckFailed("meet", {"pair": (x, y)})
-                if iso[join_x[y]] != join_ix[iy]:
+                if iso[lat.join(x, y)] != target.join(ix, iy):
                     raise IsoCheckFailed("join", {"pair": (x, y)})
                 if (below[y] >> x & 1) != (rs_below[iy] >> ix & 1):
                     raise IsoCheckFailed("order", {"pair": (x, y)})
@@ -313,10 +314,13 @@ def represent(dm: DeMorgan) -> RepresentationResult:
 def roundtrip_check(tol: Tolerance) -> dict:
     """Build the rough algebra of an irredundant-covering tolerance, run the
     pipeline on it, and confirm the result is again that algebra up to the
-    verified isomorphism."""
-    rs = build_rs(tol)
-    if rs.covering is None:
+    verified isomorphism.  Any other tolerance is refused before its
+    algebra is built; the covering is found once, and the algebra takes
+    build_rs's downset route."""
+    cov = induced_irredundant_covering(tol)
+    if cov is None:
         raise RepresentError("round trip needs an irredundant covering")
+    rs = _assemble(tol, join_closure_pairs(tol, cov), cov)
     result = represent(rs.demorgan)
     return {
         "rsSize": rs.n,

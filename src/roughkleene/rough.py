@@ -20,12 +20,11 @@ A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
 so the coordinatewise order is inclusion of codes.  In an inclusion order
 the meet of two elements depends only on the intersection of their codes,
 and the join only on the union; the closed forms of meet and join read the
-same keys.  So the tables (posets.inclusion_lattice) and the check of both
+same keys.  So the lattice (posets.inclusion_lattice) and the check of both
 closed forms (_check_formulas) cost one lookup and one test per distinct
-key, which are far fewer than the P² pairs.  The check covers every cell
-through its key; that the table rows hold the keyed glb and lub of each
-pair rests on the row assembly posets._tables, which Lattice.from_poset
-shares and which the reference tests check against a per-pair scan.
+key, which are far fewer than the P² pairs.  The lattice answers meet and
+join by those same keys and stores no row, so the check covers every pair
+the algebra is ever asked about.
 """
 
 from __future__ import annotations
@@ -442,9 +441,9 @@ def rough_order(pairs, n_points: int) -> list:
 
 
 def rough_lattice(labels, pairs, n_points: int):
-    """inclusion_lattice of the codes of the rough pairs: (Lattice, meet_of,
-    join_of), keyed by the intersection and the union of two codes.  A
-    NotALattice names the rough pairs of its first bad pair."""
+    """inclusion_lattice of the codes of the rough pairs, keyed by the
+    intersection and the union of two codes.  A NotALattice names the rough
+    pairs of its first bad pair."""
     try:
         return inclusion_lattice(labels, _codes(pairs, n_points), 2 * n_points)
     except NotALattice as exc:
@@ -452,7 +451,7 @@ def rough_lattice(labels, pairs, n_points: int):
         raise NotALattice((pairs[i], pairs[j]), exc.kind) from None
 
 
-def _check_formulas(tol: Tolerance, pairs, meet_of, join_of):
+def _check_formulas(tol: Tolerance, pairs, meets, joins):
     """Raise FormulaMismatch unless every keyed meet and join is its closed
     form: (a, b) ∧ (c, d) = (a ∩ c, upper(lower(b ∩ d))) and
     (a, b) ∨ (c, d) = (lower(upper(a ∪ c)), b ∪ d).
@@ -460,14 +459,12 @@ def _check_formulas(tol: Tolerance, pairs, meet_of, join_of):
     Both forms read only the key of the pair: the intersection s of the two
     codes gives a ∩ c = s & low and b ∩ d = s >> U, and the union t gives
     a ∪ c and b ∪ d the same way.  The glb and lub depend on those keys
-    alone too, so one test per entry of meet_of and join_of covers every
-    pair through its key.  The emitted lattice.meet and lattice.join rows
-    are not read here: they are assembled from the same keyed cells by
-    posets._tables, the row assembly Lattice.from_poset shares, which the
-    reference tests check against a per-pair scan.  Only when some key
-    fails are the pairs scanned, row by row and each row in full, for the
-    first pair whose key failed, meet before join: the pair and formula of
-    a row-major scan of the full tables.
+    alone too, so one test per entry of the lattice's key maps, meets and
+    joins, covers every pair through its key, and Lattice.meet and
+    Lattice.join answer each pair from the same entries.  Only when some
+    key fails are the pairs scanned, row by row and each row in full, for
+    the first pair whose key failed, meet before join: the pair and formula
+    of a row-major scan of every pair.
     """
     U, low = tol.n, (1 << tol.n) - 1
     interior, closure = Memo(tol.interior), Memo(tol.closure)
@@ -478,8 +475,8 @@ def _check_formulas(tol: Tolerance, pairs, meet_of, join_of):
     def join_formula(t):
         return (closure[t & low], t >> U)
 
-    bad_meets = {s for s, m in meet_of.items() if pairs[m] != meet_formula(s)}
-    bad_joins = {t for t, m in join_of.items() if pairs[m] != join_formula(t)}
+    bad_meets = {s for s, m in meets.items() if pairs[m] != meet_formula(s)}
+    bad_joins = {t for t, m in joins.items() if pairs[m] != join_formula(t)}
     if bad_meets or bad_joins:
         codes = _codes(pairs, U)
         for i, ci in enumerate(codes):
@@ -497,8 +494,8 @@ def _check_formulas(tol: Tolerance, pairs, meet_of, join_of):
 def _assemble(tol: Tolerance, pairs, covering: Covering | None):
     """The rough-set algebra on the sorted pair set, with every check run.
 
-    The order and both tables come from rough_lattice, which raises
-    NotALattice when the order has no meet or join for some pair.  The
+    The lattice comes from rough_lattice, which raises NotALattice when the
+    order has no meet or join for some pair.  The
     keyed meet and join of every pair are checked against their closed
     forms (_check_formulas), neg, star and plus against the pair set, and, for a tolerance induced
     by an irredundant covering, the Kleene and regularity battery.
@@ -506,8 +503,8 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None):
     caller; the algebra carries it as rs.covering.
     """
     labels = [fmt_pair(pr, tol.labels) for pr in pairs]
-    lattice, meet_of, join_of = rough_lattice(labels, pairs, tol.n)
-    _check_formulas(tol, pairs, meet_of, join_of)
+    lattice = rough_lattice(labels, pairs, tol.n)
+    _check_formulas(tol, pairs, lattice.meets, lattice.joins)
     index = {pr: i for i, pr in enumerate(pairs)}
     full = (1 << tol.n) - 1
     neg, star, plus = [], [], []

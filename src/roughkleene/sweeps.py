@@ -167,8 +167,8 @@ def _eval_covering(seq, cov: Covering, report: EnumerationReport):
         def comer():
             star, plus, lat = rs.star, rs.plus, rs.lattice
             return all(
-                lat.join[star[x]][star[star[x]]] == lat.top
-                and lat.meet[plus[x]][plus[plus[x]]] == lat.bottom
+                lat.join(star[x], star[star[x]]) == lat.top
+                and lat.meet(plus[x], plus[plus[x]]) == lat.bottom
                 for x in range(rs.n)
             )
 
@@ -179,13 +179,13 @@ def _rs_order_lattice_witness(tol):
     """Pairs of the rough order by the powerset sweep, plus a non-lattice
     witness, if any: the first bad pair rough_lattice finds, as rough pairs.
 
-    build_rs takes the same sweep, order and tables on every tolerance that
+    build_rs takes the same sweep and lattice on every tolerance that
     no irredundant covering induces, and only those can give a witness.
     """
     pairs = _powerset_pairs(tol)
     lab = [str(k) for k in range(len(pairs))]
     try:
-        lat = rough_lattice(lab, pairs, tol.n)[0]
+        lat = rough_lattice(lab, pairs, tol.n)
     except NotALattice as exc:
         return pairs, None, exc.pair
     return pairs, lat, None
@@ -219,7 +219,7 @@ def _eval_tolerance(seq, n, enc, deep, want_witness, report: EnumerationReport):
 
     def irr_iff_dist():
         irred = induced_irredundant_covering(tol) is not None
-        nice = lat is not None and is_distributive(lat)[0]
+        nice = lat is not None and is_distributive(lat)
         return irred == nice
 
     _step(report, seq, "irredundantIffDistributiveRsLattice", doc, irr_iff_dist)

@@ -15,6 +15,15 @@ def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 
 
+def rows(lat: Lattice):
+    """(meet, join): both tables of a lattice as tuples of rows, read pair
+    by pair through Lattice.meet and Lattice.join, for the comparisons
+    with references that index rows."""
+    ids = range(lat.n)
+    return (tuple(tuple(lat.meet(i, j) for j in ids) for i in ids),
+            tuple(tuple(lat.join(i, j) for j in ids) for i in ids))
+
+
 def chain(n: int) -> Lattice:
     labels = [str(i) for i in range(n)]
     below = [(1 << (i + 1)) - 1 for i in range(n)]

@@ -168,8 +168,8 @@ def test_criterion_6_equivalences_products_of_chains():
                 )
                 lat, star, plus = rs.lattice, rs.star, rs.plus
                 for x in range(rs.n):
-                    assert lat.join[star[x]][star[star[x]]] == lat.top
-                    assert lat.meet[plus[x]][plus[plus[x]]] == lat.bottom
+                    assert lat.join(star[x], star[star[x]]) == lat.top
+                    assert lat.meet(plus[x], plus[plus[x]]) == lat.bottom
                 count += 1
         assert count == 75  # Bell numbers 1+2+5+15+52
 

@@ -9,7 +9,7 @@ is kept here as an oracle over the exhaustive corpus.
 """
 
 import pytest
-from conftest import chain, fixture_path
+from conftest import chain, fixture_path, rows
 
 from roughkleene import jsonio
 from roughkleene.demorgan import (
@@ -56,16 +56,17 @@ def ref_prime_generators(lat):
         if x == lat.bottom:
             continue
         outside = [a for a in range(lat.n) if not lat.leq(x, a)]
-        if not any(lat.leq(x, lat.join[a][b]) for a in outside for b in outside):
+        if not any(lat.leq(x, lat.join(a, b)) for a in outside for b in outside):
             gens.append(x)
     return gens
 
 
 def ref_first_bad_triple(lat):
+    meet, join = rows(lat)
     for x in range(lat.n):
         for y in range(lat.n):
             for z in range(lat.n):
-                if lat.meet[x][lat.join[y][z]] != lat.join[lat.meet[x][y]][lat.meet[x][z]]:
+                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
                     return (x, y, z)
     return None
 
@@ -81,7 +82,7 @@ def ref_first_not_below(lat, lo, hi):
 
 def ref_kleene_witness(lat, neg):
     return ref_first_not_below(
-        lat, lambda x: lat.meet[x][neg[x]], lambda y: lat.join[y][neg[y]]
+        lat, lambda x: lat.meet(x, neg[x]), lambda y: lat.join(y, neg[y])
     )
 
 
@@ -94,7 +95,7 @@ def ref_mdn(dp, neg):
         None,
     )
     d = ref_first_not_below(
-        lat, lambda x: lat.meet[x][plus[x]], lambda y: lat.join[y][star[y]]
+        lat, lambda x: lat.meet(x, plus[x]), lambda y: lat.join(y, star[y])
     )
     n = next(((x,) for x in range(lat.n) if not lat.leq(star[x], neg[x])), None)
     sandwich_fails = n is None and any(not lat.leq(neg[x], plus[x]) for x in range(lat.n))
@@ -146,7 +147,7 @@ def cases():
 
 def test_prime_filters_all_lattices_up_to_eight():
     lattices = list(all_lattices(8))
-    assert any(not is_distributive(lat)[0] for lat in lattices)
+    assert any(not is_distributive(lat) for lat in lattices)
     for lat in lattices:
         assert list(prime_filters(lat).generators) == ref_prime_generators(lat)
 
@@ -235,11 +236,12 @@ def test_validate_demorgan_antitone_witness(cases):
 def ref_demorgan_laws(lat, neg):
     """The message of the first pair failing a De Morgan law, or None: the
     scan validate_demorgan ran after its involution and antitone checks."""
+    meet, join = rows(lat)
     for x in range(lat.n):
         for y in range(lat.n):
-            if neg[lat.join[x][y]] != lat.meet[neg[x]][neg[y]]:
+            if neg[join[x][y]] != meet[neg[x]][neg[y]]:
                 return f"neg(x v y) != neg(x) ^ neg(y) at ({x},{y})"
-            if neg[lat.meet[x][y]] != lat.join[neg[x]][neg[y]]:
+            if neg[meet[x][y]] != join[neg[x]][neg[y]]:
                 return f"neg(x ^ y) != neg(x) v neg(y) at ({x},{y})"
     return None
 
@@ -293,7 +295,7 @@ def test_compute_g_against_the_meet_of_the_list():
     GNotJoinIrreducible witness."""
     outcomes = set()
     for lat in all_lattices(7):
-        if not is_distributive(lat)[0]:
+        if not is_distributive(lat):
             continue
         ji = join_irreducibles(lat)
         for neg in involutions(lat.n):
@@ -346,12 +348,12 @@ def test_join_irreducibles_against_the_lower_covers(lattices):
 
 
 def test_spatiality_failure_on_a_bent_join_table(monkeypatch):
-    """0 < a, b < x < t with a v b bent from x to t: x is then no join of
-    join-irreducibles, on both routes."""
+    """0 < a, b < x < t with the join key of a and b bent from x to t: x
+    is then no join of join-irreducibles, on both routes."""
     lat = Lattice.from_poset(Poset(["0", "a", "b", "x", "t"], [1, 0b11, 0b101, 0b1111, 0b11111]))
-    join = [list(row) for row in lat.join]
-    join[1][2] = join[2][1] = 4
-    monkeypatch.setattr(lat, "join", tuple(map(tuple, join)))
+    joins = dict(lat.joins)
+    joins[lat.join_codes[1] | lat.join_codes[2]] = 4
+    monkeypatch.setattr(lat, "joins", joins)
     for route in (join_irreducibles, ref_join_irreducibles):
         with pytest.raises(SpatialityFailure) as err:
             route(lat)
@@ -365,7 +367,8 @@ def _names(lat, ids):
 def ref_check_report(lat, dm):
     """check_report as it read (M), the prime-filter chain and the two-level
     test by hand, without is_regular."""
-    dist, triple = is_distributive(lat)
+    dist = is_distributive(lat)
+    triple = ref_first_bad_triple(lat)
     report = {
         "size": lat.n, "distributive": dist, "deMorgan": dm is not None,
         "M": None, "D": None, "N": None, "K": None,

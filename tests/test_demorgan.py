@@ -124,8 +124,8 @@ class TestBuildFromJPoset:
         # the negation complements: meet with it is bottom, join is top
         lat = dm.lattice
         for x in range(8):
-            assert lat.meet[x][dm.neg[x]] == lat.bottom
-            assert lat.join[x][dm.neg[x]] == lat.top
+            assert lat.meet(x, dm.neg[x]) == lat.bottom
+            assert lat.join(x, dm.neg[x]) == lat.top
 
     def test_two_chain_jposet_gives_kleene_three(self):
         jposet = Poset.from_covers(["a", "j"], [(0, 1)])

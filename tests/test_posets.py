@@ -5,7 +5,7 @@ import sys
 import textwrap
 
 import pytest
-from conftest import boolean_lattice, chain, diamond_m3, pentagon_n5, two_level_fixture
+from conftest import boolean_lattice, chain, diamond_m3, pentagon_n5, rows, two_level_fixture
 
 import roughkleene
 from roughkleene.generators import all_lattices
@@ -17,6 +17,7 @@ from roughkleene.posets import (
     Poset,
     PosetError,
     bits,
+    first_bad_triple,
     has_two_levels,
     is_distributive,
     join_irreducibles,
@@ -123,16 +124,16 @@ class TestPoset:
 class TestLattice:
     def test_three_chain_tables(self):
         lat = chain(3)
-        assert lat.meet[0][2] == 0
-        assert lat.join[0][2] == 2
+        assert lat.meet(0, 2) == 0
+        assert lat.join(0, 2) == 2
         assert (lat.bottom, lat.top) == (0, 2)
 
     def test_square_from_incomparable_pair(self):
         # 0 < a,b < 1 is the four-element Boolean lattice
         p = Poset.from_covers(["0", "a", "b", "1"], [(0, 1), (0, 2), (1, 3), (2, 3)])
         lat = Lattice.from_poset(p)
-        assert lat.meet[1][2] == 0
-        assert lat.join[1][2] == 3
+        assert lat.meet(1, 2) == 0
+        assert lat.join(1, 2) == 3
 
     def test_two_maximal_elements_fail(self):
         # 0 < {a,b} < c,d with no top: c,d have no join
@@ -152,11 +153,11 @@ class TestLattice:
         script = textwrap.dedent("""
             from roughkleene.posets import Lattice, Poset, PosetError
             lat = Lattice.from_poset(Poset(["0", "a", "b", "1"], [1, 0b11, 0b101, 0b1111]))
-            bent = [[list(row) for row in table] for table in (lat.meet, lat.join)]
-            for table in bent:
-                table[1][2] = table[2][1] = 1
-            meet, join = (tuple(map(tuple, table)) for table in bent)
-            bent = Lattice(lat.poset, meet, join, lat.bottom, lat.top)
+            meets, joins = dict(lat.meets), dict(lat.joins)
+            meets[lat.meet_codes[1] & lat.meet_codes[2]] = 1
+            joins[lat.join_codes[1] | lat.join_codes[2]] = 1
+            bent = Lattice(lat.poset, lat.meet_codes, lat.join_codes, meets, joins,
+                           lat.bottom, lat.top)
             for fold in (bent.join_of, bent.meet_of):
                 try:
                     fold(0b110)
@@ -176,34 +177,35 @@ class TestLattice:
 
 class TestDistributivity:
     def test_boolean_cube(self):
-        ok, witness = is_distributive(boolean_lattice(3))
-        assert ok and witness is None
+        assert is_distributive(boolean_lattice(3))
+        assert first_bad_triple(boolean_lattice(3)) is None
 
     def test_diamond_witness_is_the_atom_triple(self):
-        ok, witness = is_distributive(diamond_m3())
-        assert not ok
-        assert witness == (1, 2, 3)
+        assert not is_distributive(diamond_m3())
+        assert first_bad_triple(diamond_m3()) == (1, 2, 3)
 
     def test_pentagon(self):
-        assert not is_distributive(pentagon_n5())[0]
+        assert not is_distributive(pentagon_n5())
 
     def test_agrees_with_triple_scan_and_sublattice_oracle(self):
         # oracle 1: the defining law over all triples
         # oracle 2: no five-element sublattice isomorphic to M3 or N5
         m3, n5 = diamond_m3(), pentagon_n5()
         for lat in all_lattices(8):
-            got = is_distributive(lat)[0]
+            got = is_distributive(lat)
             law = _triple_scan(lat)
             assert got == law, f"triple scan disagrees on {lat.labels}"
+            assert (first_bad_triple(lat) is None) == law
             assert got == (not _has_bad_sublattice(lat, m3, n5))
 
 
 def _triple_scan(lat):
     n = lat.n
+    meet, join = rows(lat)
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                if lat.meet[x][lat.join[y][z]] != lat.join[lat.meet[x][y]][lat.meet[x][z]]:
+                if meet[x][join[y][z]] != join[meet[x][y]][meet[x][z]]:
                     return False
     return True
 
@@ -211,10 +213,11 @@ def _triple_scan(lat):
 def _has_bad_sublattice(lat, m3, n5):
     from itertools import combinations
 
+    meet, join = rows(lat)
     for sub in combinations(range(lat.n), 5):
         subset = set(sub)
         if any(
-            lat.meet[a][b] not in subset or lat.join[a][b] not in subset
+            meet[a][b] not in subset or join[a][b] not in subset
             for a in sub
             for b in sub
         ):

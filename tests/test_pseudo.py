@@ -84,7 +84,7 @@ class TestHeyting:
         imp, _ = heyting_implications(compute_pseudocomplements(lat))
         for a in range(4):
             for b in range(4):
-                assert imp[a][b] == lat.join[comp[a]][b]
+                assert imp[a][b] == lat.join(comp[a], b)
 
     def test_closed_forms_cross_checked_on_corpus(self):
         # heyting_implications raises internally if the closed forms for

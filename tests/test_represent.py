@@ -9,6 +9,7 @@ from conftest import (
     four_chain_kleene,
     identity_tolerance,
     kleene_three,
+    rows,
     square_demorgan,
     two_level_fixture,
     two_level_tolerance,
@@ -22,11 +23,19 @@ from roughkleene.pseudo import compute_pseudocomplements
 from roughkleene.represent import (
     NotKleene,
     NotRegular,
+    RepresentError,
     build_similarity,
     represent,
     roundtrip_check,
 )
-from roughkleene.rough import Covering, _assemble, _powerset_pairs, rs_g_map, tolerance_from_covering
+from roughkleene.rough import (
+    Covering,
+    Tolerance,
+    _assemble,
+    _powerset_pairs,
+    rs_g_map,
+    tolerance_from_covering,
+)
 
 
 def _similarity(dm):
@@ -138,8 +147,7 @@ class TestPipeline:
         tol = res.tolerance
         a, b = _assemble(tol, _powerset_pairs(tol), res.covering), res.rs
         assert a.pairs == b.pairs
-        assert a.lattice.meet == b.lattice.meet
-        assert a.lattice.join == b.lattice.join
+        assert rows(a.lattice) == rows(b.lattice)
 
 
 class TestRandomFixtures:
@@ -167,6 +175,15 @@ class TestRoundTrip:
         rep = roundtrip_check(tol)
         assert rep["sizesAgree"] and rep["verified"]
         assert rep["rsSize"] == 6
+
+    @pytest.mark.parametrize("n", [5, 16, 17])
+    def test_path_tolerance_is_refused_before_its_algebra_is_built(self, n):
+        """No irredundant covering induces a path tolerance, whose rough
+        order has no lattice at 5 points, passes the table cap at 16 and
+        the powerset cap at 17: each is refused up front."""
+        tol = Tolerance.from_pairs([str(i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+        with pytest.raises(RepresentError, match="round trip needs an irredundant covering"):
+            roundtrip_check(tol)
 
 
 def _jposet_of(rs):

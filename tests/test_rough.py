@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     full_tolerance,
     identity_tolerance,
+    rows,
     two_level_covering,
     two_level_fixture,
     two_level_tolerance,
@@ -347,8 +348,7 @@ class TestDualRoute:
         for rs in (by_sweep, by_downsets):
             assert rs.covering is not None
         assert by_sweep.pairs == by_downsets.pairs
-        assert by_sweep.lattice.meet == by_downsets.lattice.meet
-        assert by_sweep.lattice.join == by_downsets.lattice.join
+        assert rows(by_sweep.lattice) == rows(by_downsets.lattice)
         for op in ("neg", "star", "plus"):
             assert getattr(by_sweep, op) == getattr(by_downsets, op)
 
@@ -406,13 +406,13 @@ class TestFormulaCheck:
         real = rough.inclusion_lattice
 
         def corrupted(labels, sets, width):
-            lat, meet_of, join_of = real(labels, sets, width)
+            lat = real(labels, sets, width)
             # bottom v bottom and top ^ top both land on the wrong end: the
-            # key of a diagonal cell is the element's own code
+            # key of a diagonal pair is the element's own code
             corner = lat.bottom if kind == "join" else lat.top
-            keyed = join_of if kind == "join" else meet_of
+            keyed = lat.joins if kind == "join" else lat.meets
             keyed[sets[corner]] = lat.top if kind == "join" else lat.bottom
-            return lat, meet_of, join_of
+            return lat
 
         monkeypatch.setattr(rough, "inclusion_lattice", corrupted)
         with pytest.raises(FormulaMismatch, match=f"^{kind}:") as info:

@@ -1,21 +1,23 @@
-"""The table layer against its pairwise definitions.
+"""The lattice layer against its pairwise definitions.
 
 Each reference function below is the plain loop the library used to run:
 every ordered pair in ascending order, stopping at the first failure.  The
-library now computes each unordered pair once, builds the coordinatewise
-order bit-sliced and the 2^U sweep by recurrence, and must return the same
-tables, verdicts and first witnesses.  Orders given as inclusion of sets
-have their tables built by inclusion_lattice, one lookup per distinct
-intersection or union, and are compared with inclusion_below, Poset and
-Lattice.from_poset; the rough formula check runs once per such key and is
-compared with the per-pair scan it replaced.
+library now answers meet and join by the keys of each pair, builds the
+coordinatewise order bit-sliced and the 2^U sweep by recurrence, and must
+return the same cells, verdicts and first witnesses.  Every lattice is
+built from the keys of its pairs, one lookup per distinct intersection or
+union of codes, by inclusion_lattice or Lattice.from_poset, and is
+compared with inclusion_below, Poset and the per-pair scan ref_tables; the
+rough formula check runs once per such key and is compared with the
+per-pair scan it replaced.  The rows the references index
+are read pair by pair (conftest.rows).
 """
 
 import random
 import tracemalloc
 
 import pytest
-from conftest import two_level_fixture
+from conftest import rows, two_level_fixture
 
 from roughkleene.demorgan import antitone_involutions, build_kleene_from_jposet, validate_demorgan
 from roughkleene.generators import (
@@ -68,7 +70,8 @@ def ref_rough_order(pairs):
 
 
 def ref_tables(p):
-    """("ok", meet, join), or (kind, pair) of the first bad ordered pair."""
+    """("ok", meet, join, bottom, top), or (kind, pair) of the first bad
+    ordered pair."""
     n = p.n
     below_id = {p.below[i]: i for i in range(n)}
     above_id = {p.above[i]: i for i in range(n)}
@@ -84,7 +87,9 @@ def ref_tables(p):
             if jn is None:
                 return "join", (min(i, j), max(i, j))
             join[i][j] = jn
-    return "ok", tuple(map(tuple, meet)), tuple(map(tuple, join))
+    bottom = next(i for i in range(n) if all(p.leq(i, k) for k in range(n)))
+    top = next(i for i in range(n) if all(p.leq(k, i) for k in range(n)))
+    return "ok", tuple(map(tuple, meet)), tuple(map(tuple, join)), bottom, top
 
 
 def tables(p):
@@ -92,12 +97,13 @@ def tables(p):
         lat = Lattice.from_poset(p)
     except NotALattice as exc:
         return exc.kind, exc.pair
-    return "ok", lat.meet, lat.join
+    return "ok", *rows(lat), lat.bottom, lat.top
 
 
 def ref_p_laws(dp):
     """The message of the first failing law, or None."""
     lat, star, plus = dp.lattice, dp.star, dp.plus
+    meet, join = rows(lat)
     for a in range(lat.n):
         sa = star[a]
         if star[star[sa]] != sa:
@@ -111,9 +117,9 @@ def ref_p_laws(dp):
         for b in range(lat.n):
             if lat.leq(a, b) and not lat.leq(star[b], sa):
                 return f"star not antitone at ({a},{b})"
-            if star[lat.join[a][b]] != lat.meet[sa][star[b]]:
+            if star[join[a][b]] != meet[sa][star[b]]:
                 return f"(a v b)* != a* ^ b* at ({a},{b})"
-            if not lat.leq(lat.join[sa][star[b]], star[lat.meet[a][b]]):
+            if not lat.leq(join[sa][star[b]], star[meet[a][b]]):
                 return f"(a ^ b)* >= a* v b* fails at ({a},{b})"
     return None
 
@@ -130,6 +136,7 @@ def ref_extend_iso(dm, dp, ji, phi, rs):
     """(iso, checks), or (operation, witness) of the first failing check."""
     lat, target = dm.lattice, rs.lattice
     n = lat.n
+    (meet, join), (target_meet, target_join) = rows(lat), rows(target)
     iso = tuple(
         target.join_all(phi[j] for j in range(n) if j in ji and lat.leq(j, x))
         for x in range(n)
@@ -146,9 +153,9 @@ def ref_extend_iso(dm, dp, ji, phi, rs):
                 return op, {"x": x}
             checks[op] += 1
         for y in range(n):
-            if iso[lat.meet[x][y]] != target.meet[iso[x]][iso[y]]:
+            if iso[meet[x][y]] != target_meet[iso[x]][iso[y]]:
                 return "meet", {"pair": (x, y)}
-            if iso[lat.join[x][y]] != target.join[iso[x]][iso[y]]:
+            if iso[join[x][y]] != target_join[iso[x]][iso[y]]:
                 return "join", {"pair": (x, y)}
             if lat.leq(x, y) != target.leq(iso[x], iso[y]):
                 return "order", {"pair": (x, y)}
@@ -193,31 +200,33 @@ def path(b):
 
 
 def via_poset(labels, sets, width):
-    """The route inclusion_lattice replaced: the order, its transpose in
-    Poset, then Lattice.from_poset."""
+    """The reference route: the order, its transpose in Poset, then the
+    per-pair scan ref_tables."""
     p = Poset(labels, inclusion_below(sets, width))
-    try:
-        lat = Lattice.from_poset(p)
-    except NotALattice as exc:
-        return exc.kind, exc.pair
-    return "ok", p.below, p.above, lat.meet, lat.join, lat.bottom, lat.top
+    outcome = ref_tables(p)
+    if outcome[0] != "ok":
+        return outcome
+    return "ok", p.below, p.above, *outcome[1:]
 
 
 def keyed(labels, sets, width):
     """inclusion_lattice's outcome in via_poset's shape, after checking that
-    its keyed glb and lub are the cells of exactly the pairs with that key."""
+    its codes are the sets and that its key maps hold the keys of the pairs
+    and no other."""
     try:
-        lat, meet_of, join_of = inclusion_lattice(labels, sets, width)
+        lat = inclusion_lattice(labels, sets, width)
     except NotALattice as exc:
         return exc.kind, exc.pair
+    assert lat.meet_codes == lat.join_codes == tuple(sets)
+    meet, join = rows(lat)
     meet_keys, join_keys = {}, {}
     for i, a in enumerate(sets):
         for j, b in enumerate(sets):
-            assert meet_keys.setdefault(a & b, lat.meet[i][j]) == lat.meet[i][j]
-            assert join_keys.setdefault(a | b, lat.join[i][j]) == lat.join[i][j]
-    assert (meet_of, join_of) == (meet_keys, join_keys)
+            assert meet_keys.setdefault(a & b, meet[i][j]) == meet[i][j]
+            assert join_keys.setdefault(a | b, join[i][j]) == join[i][j]
+    assert (lat.meets, lat.joins) == (meet_keys, join_keys)
     p = lat.poset
-    return "ok", p.below, p.above, lat.meet, lat.join, lat.bottom, lat.top
+    return "ok", p.below, p.above, meet, join, lat.bottom, lat.top
 
 
 def rough_outcomes(tol, pairs=None):
@@ -234,15 +243,16 @@ def ref_formula_scan(tol, pairs, lattice):
     j >= i of each row, then the first failing row in full, meet before
     join."""
     interior, closure = tol.interior, tol.closure
+    meet, join = rows(lattice)
     failing = {
         i
         for i, (a, b) in enumerate(pairs)
-        for m, jn, (c, d) in zip(lattice.meet[i][i:], lattice.join[i][i:], pairs[i:])
+        for m, jn, (c, d) in zip(meet[i][i:], join[i][i:], pairs[i:])
         if pairs[m] != (a & c, interior(b & d)) or pairs[jn] != (closure(a | c), b | d)
     }
     if failing:
         i = min(failing)
-        (a, b), meet_i, join_i = pairs[i], lattice.meet[i], lattice.join[i]
+        (a, b), meet_i, join_i = pairs[i], meet[i], join[i]
         for j, (c, d) in enumerate(pairs):
             want = (a & c, interior(b & d))
             if pairs[meet_i[j]] != want:
@@ -305,8 +315,9 @@ class TestTables:
     ])
     def test_tables_are_symmetric(self, lattice):
         for lat in lattice():
-            assert lat.meet == tuple(zip(*lat.meet))
-            assert lat.join == tuple(zip(*lat.join))
+            meet, join = rows(lat)
+            assert meet == tuple(zip(*meet))
+            assert join == tuple(zip(*join))
 
 
 class TestInclusionLattice:
@@ -336,7 +347,8 @@ class TestInclusionLattice:
 
     def test_distributive_lattices_up_to_ten(self):
         """Every lattice of all_distributive_lattices(10), whose order is
-        inclusion of downsets, against from_poset on the same downsets."""
+        inclusion of downsets, against the per-pair scan on the same
+        downsets."""
         count = 0
         for below, lat in zip(_grow_posets_bounded(9, 10), all_distributive_lattices(10)):
             ds = downsets(below)
@@ -345,32 +357,103 @@ class TestInclusionLattice:
             got, want = keyed(labels, ds, len(below)), via_poset(labels, ds, len(below))
             assert got == want
             p = lat.poset
-            assert (p.labels, p.below, p.above, lat.meet, lat.join, lat.bottom, lat.top) == (
+            assert (p.labels, p.below, p.above, *rows(lat), lat.bottom, lat.top) == (
                 tuple(labels), *want[1:]
             )
             count += 1
         assert count == sum(1 for _ in all_distributive_lattices(10))
 
-    def test_memory_stays_that_of_the_tables(self):
-        """The key streams are never lists: on the k=6 partition (P=729) the
-        traced peak is at most 1.25 times that of Poset + from_poset."""
+    def test_build_rs_stores_no_rows(self):
+        """The lattice keeps its key maps and no P×P rows: build_rs on the
+        k=6 partition (P=729) peaks at most at a fifth of the 13.2 MB that
+        tracemalloc saw when its lattice stored both tables as rows."""
         tol = partition(6)
-        pairs = _powerset_pairs(tol)
-        labels = [str(k) for k in range(len(pairs))]
-        codes = _codes(pairs, tol.n)
-        below = inclusion_below(codes, 2 * tol.n)
+        tracemalloc.start()
+        try:
+            build_rs(tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 13.2e6 / 5
 
-        def peak(build):
-            tracemalloc.start()
-            try:
-                built = build()
-                return tracemalloc.get_traced_memory()[1], built
-            finally:
-                tracemalloc.stop()
 
-        keyed_peak, _ = peak(lambda: inclusion_lattice(labels, codes, 2 * tol.n))
-        table_peak, _ = peak(lambda: Lattice.from_poset(Poset(labels, below)))
-        assert keyed_peak <= 1.25 * table_peak
+class TestFromPoset:
+    def test_every_poset_up_to_six_points(self):
+        """Lattice.from_poset on every poset with 1 to 6 points, up to
+        isomorphism: the cells, bottom and top of the per-pair scan, or its
+        first bad pair and kind.  25 of them are lattices."""
+        kinds = {"ok": 0, "meet": 0, "join": 0}
+        for below in _grow_posets_bounded(6, 1 << 6):
+            if not below:
+                continue
+            p = Poset([str(k) for k in range(len(below))], below)
+            outcome = tables(p)
+            assert outcome == ref_tables(p)
+            kinds[outcome[0]] += 1
+        assert kinds["ok"] == 25 and kinds["meet"] and kinds["join"]
+
+    def test_small_poset_on_a_long_chain(self):
+        """A 48-element chain with 3 more elements above its top and 3
+        below its bottom, in 40 seeded orders: the outcome of the per-pair
+        scan.  Only the 6 can form a bad pair, so each first bad pair lies
+        in row 48 or later, past the first chunk (16 rows) of the key
+        streams."""
+        rng = random.Random(13)
+        kinds = set()
+        for _ in range(40):
+            covers = [(i, i + 1) for i in range(47)]
+            for e in range(48, 51):
+                covers += [(d, e) for d in range(47, e) if rng.random() < 0.4] or [(47, e)]
+            for e in range(51, 54):
+                covers += [(e, d) for d in (0, *range(51, e)) if rng.random() < 0.4] or [(e, 0)]
+            p = Poset.from_covers([str(k) for k in range(54)], covers)
+            outcome = tables(p)
+            assert outcome == ref_tables(p)
+            kinds.add(outcome[0])
+        assert {"meet", "join"} <= kinds
+
+    def test_no_lattice_stops_near_its_first_bad_pair(self):
+        """300 seeded tops over 300 atoms, no two with one glb: NotALattice
+        at (0, 1), and a tracemalloc peak under 2.5 MB.  Streaming the keys
+        of every pair before looking any up peaked at 25 MB."""
+        rng = random.Random(5)
+        below = [1 << i for i in range(300)]
+        below += [rng.getrandbits(300) | 1 << 300 + t for t in range(300)]
+        p = Poset([str(k) for k in range(600)], below)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotALattice) as err:
+                Lattice.from_poset(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.pair, err.value.kind) == ((0, 1), "meet")
+        assert peak <= 2.5e6
+
+    @pytest.mark.parametrize("atoms", [2, 30, 400])
+    def test_wide_lattice_keeps_one_key_per_element(self, atoms):
+        """M_n, n atoms between a bottom and a top: each key map holds at
+        most one key per element, and at 400 atoms the build peaks under
+        1 MB of tracemalloc.  Keying the joins by unions of downsets would
+        hold the n²/2 unions of two atoms, and the per-pair cells of both
+        tables took 4.1 MB."""
+        below = [1, *(1 | 1 << i for i in range(1, atoms + 1)), (1 << atoms + 2) - 1]
+        p = Poset([str(k) for k in range(atoms + 2)], below)
+        tracemalloc.start()
+        try:
+            lat = Lattice.from_poset(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(lat.meets) <= lat.n and len(lat.joins) <= lat.n
+        assert peak <= 1e6
+        if atoms <= 30:
+            assert tables(p) == ref_tables(p)
+
+    def test_empty_poset(self):
+        with pytest.raises(NotALattice) as err:
+            Lattice.from_poset(Poset([], []))
+        assert (err.value.pair, err.value.kind) == ((None, None), "meet")
 
 
 class TestFormulaKeys:
@@ -384,7 +467,7 @@ class TestFormulaKeys:
         for tol in [*small_tolerances(4), partition(3), path(2)]:
             pairs = _powerset_pairs(tol)
             try:
-                lattice = rough_lattice([str(k) for k in range(len(pairs))], pairs, tol.n)[0]
+                lattice = rough_lattice([str(k) for k in range(len(pairs))], pairs, tol.n)
             except NotALattice:
                 continue
             ref_formula_scan(tol, pairs, lattice)
@@ -436,8 +519,8 @@ class TestPLaws:
     ])
     def test_pair_scan_is_skipped_when_the_premises_hold(self, lattices):
         """With star antitone and a <= a** on every element the pair laws
-        follow, so a valid DoubleP passes even when no row of the meet or
-        join table can be read.  The lattices without pseudocomplements are
+        follow, so a valid DoubleP passes even when neither key map of its
+        lattice can be read.  The lattices without pseudocomplements are
         skipped; the non-distributive ones with both maps are kept."""
         checked = 0
         for lat in lattices():
@@ -446,7 +529,8 @@ class TestPLaws:
             except PseudoError:
                 continue
             assert ref_p_laws(dp) is None
-            guarded = Lattice(lat.poset, Unreadable(), Unreadable(), lat.bottom, lat.top)
+            guarded = Lattice(lat.poset, lat.meet_codes, lat.join_codes, Unreadable(), Unreadable(),
+                              lat.bottom, lat.top)
             _check_p_laws(DoubleP(guarded, dp.star, dp.plus, dp.distributive))
             checked += 1
         assert checked > 0
@@ -474,10 +558,10 @@ class TestPLaws:
 
 
 class Unreadable:
-    """A table whose rows raise when read."""
+    """A key map whose entries raise when read."""
 
-    def __getitem__(self, row):
-        raise AssertionError(f"table row {row} was read")
+    def __getitem__(self, key):
+        raise AssertionError(f"key {key} was read")
 
 
 class TestPowerset:
