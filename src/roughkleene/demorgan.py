@@ -9,15 +9,12 @@ can be rebuilt:  neg(x) = join of {j | gmap(j) not<= x}.
 from __future__ import annotations
 
 from .posets import (
-    JoinIrreducibles,
     Lattice,
     Poset,
     bits,
     first_bad_triple,
     first_not_below,
     inclusion_lattice,
-    is_distributive,
-    join_irreducibles,
     mask_of,
 )
 
@@ -79,7 +76,7 @@ def validate_demorgan(lat: Lattice, neg) -> DeMorgan:
     An antitone involution is a dual order automorphism, which maps joins to
     meets and meets to joins, so the De Morgan laws need no pair scan.
     """
-    if not is_distributive(lat):
+    if not lat.distributive:
         raise NotDistributive(first_bad_triple(lat))
     n = lat.n
     neg = tuple(neg)
@@ -114,15 +111,15 @@ def is_kleene(dm: DeMorgan):
     return witness is None, witness
 
 
-def compute_g(dm: DeMorgan, ji: JoinIrreducibles) -> dict:
-    """gmap(j) = the least element not below neg(j), for each join-irreducible j:
+def compute_g(dm: DeMorgan) -> dict:
+    """gmap(j) = the least element not below neg(j), for each j of lattice.ji:
     the meet (Lattice.meet_of) of the mask outside ↓neg(j), checked for J1
     and J2.  Each caller enforces J3 (j comparable with gmap(j)) its own way:
     build_similarity's split into atoms and upper join-irreducibles, rs_g_map's
     block closed form, and the sweep that J3 holds exactly when is_kleene does.
     """
     lat, neg = dm.lattice, dm.neg
-    p = lat.poset
+    ji, p = lat.ji, lat.poset
     full = (1 << lat.n) - 1
     g = {}
     for j in ji.members:
@@ -134,12 +131,12 @@ def compute_g(dm: DeMorgan, ji: JoinIrreducibles) -> dict:
     return g
 
 
-def neg_from_g(lat: Lattice, ji: JoinIrreducibles, g: dict):
+def neg_from_g(lat: Lattice, g: dict):
     """Rebuild the negation: neg(x) = join of {j join-irreducible | gmap(j) not<= x}."""
     p = lat.poset
     neg = []
     for x in range(lat.n):
-        neg.append(lat.join_all(j for j in ji.members if not p.leq(g[j], x)))
+        neg.append(lat.join_all(j for j in lat.ji.members if not p.leq(g[j], x)))
     neg = tuple(neg)
     for x in range(lat.n):
         if neg[neg[x]] != x:
@@ -188,12 +185,12 @@ def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     index = {d: i for i, d in enumerate(downsets)}
     labels = [_downset_label(jposet, d) for d in downsets]
     lat = inclusion_lattice(labels, downsets, jposet.n)
-    ji = join_irreducibles(lat)
+    ji = lat.ji
     principal = {index[jposet.below[x]]: x for x in range(jposet.n)}
     if sorted(principal) != list(ji.members):
         raise DeMorganError("downset lattice does not reproduce the input poset")
     g_l = {jid: index[jposet.below[g[principal[jid]]]] for jid in ji.members}
-    neg = neg_from_g(lat, ji, g_l)
+    neg = neg_from_g(lat, g_l)
     return validate_demorgan(lat, neg)
 
 

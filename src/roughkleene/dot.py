@@ -6,7 +6,7 @@ line endings.  Join-irreducible elements are drawn filled.
 
 from __future__ import annotations
 
-from .posets import Lattice, join_irreducibles
+from .posets import Lattice
 from .rough import RoughSetAlgebra
 
 
@@ -16,13 +16,12 @@ def _quote(s: str) -> str:
 
 def hasse_dot(lat: Lattice, name="lattice", neg=None) -> str:
     """Bottom-up Hasse diagram; pass neg to annotate each node with its image."""
-    ji = join_irreducibles(lat)
     lines = [f"digraph {name} {{", "  rankdir=BT;", '  node [shape=circle];']
     for i in range(lat.n):
         label = lat.labels[i]
         if neg is not None:
             label = f"{label} | ~{lat.labels[neg[i]]}"
-        style = ' style=filled fillcolor=black fontcolor=white' if i in ji else ""
+        style = ' style=filled fillcolor=black fontcolor=white' if i in lat.ji else ""
         lines.append(f"  n{i} [label={_quote(label)}{style}];")
     for i, j in lat.poset.covers():
         lines.append(f"  n{i} -> n{j};")

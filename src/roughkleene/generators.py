@@ -98,6 +98,8 @@ def _grow_semilattices(max_size):
     """All meet-semilattices with bottom, up to iso, with at most max_size
     elements.  Grown by repeatedly adjoining a maximal element whose strict
     lower set is a downset containing the bottom."""
+    if max_size < 1:
+        return
     seed = (1,)  # the one-point semilattice
     level = {canonical_key(1, seed): seed}
     yield seed

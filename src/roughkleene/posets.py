@@ -8,7 +8,9 @@ A Lattice is an order given twice as inclusion of sets, its meet codes and
 its join codes: meet is looked up by the intersection of two meet codes and
 join by the union of two join codes, in key maps that _keyed_lattice fills
 while it proves the order a lattice.  No P×P table is stored; a witness
-scan that needs rows builds them after a failure.
+scan that needs rows builds them after a failure.  The same builder then
+finds the lattice's join-irreducibles and decides its distributivity, once:
+every reader takes lat.ji and lat.distributive.
 """
 
 from __future__ import annotations
@@ -191,8 +193,11 @@ def _keyed_lattice(poset: "Poset", meet_codes: tuple, join_codes: tuple) -> "Lat
         left -= chunk
         chunk *= 2
     full = (1 << n) - 1
-    return Lattice(poset, meet_codes, join_codes, streams[0][4], streams[1][4],
-                   above.index(full), below.index(full))
+    lat = Lattice(poset, meet_codes, join_codes, streams[0][4], streams[1][4],
+                  above.index(full), below.index(full))
+    lat.ji = join_irreducibles(lat)
+    lat.distributive = is_distributive(lat)
+    return lat
 
 
 def downsets(below: Sequence[int]) -> list:
@@ -403,10 +408,13 @@ class Lattice:
     are one lookup each and no P×P table is stored.  _keyed_lattice builds
     every Lattice and proves the order a lattice by looking up every pair's
     keys: inclusion_lattice with the sets as both codes, from_poset with
-    ↓x and L∖↑x.
+    ↓x and L∖↑x.  It then sets ji, the JoinIrreducibles of the lattice, and
+    distributive, the verdict of is_distributive, so each is found once
+    per lattice.
     """
 
-    __slots__ = ("poset", "meet_codes", "join_codes", "meets", "joins", "bottom", "top")
+    __slots__ = ("poset", "meet_codes", "join_codes", "meets", "joins", "bottom", "top",
+                 "ji", "distributive")
 
     def __init__(self, poset: Poset, meet_codes, join_codes, meets: dict, joins: dict,
                  bottom: int, top: int):
@@ -535,21 +543,15 @@ def join_irreducibles(lat: Lattice) -> JoinIrreducibles:
 def is_distributive(lat: Lattice) -> bool:
     """Whether x∧(y∨z) == (x∧y)∨(x∧z) for all triples.
 
-    A finite lattice is distributive iff every join-irreducible j is
-    join-prime (j <= x∨y implies j <= x or j <= y), that is, iff the
+    A finite lattice is distributive iff every join-irreducible j of lat.ji
+    is join-prime (j <= x∨y implies j <= x or j <= y), that is, iff the
     downset L∖↑j is closed under ∨.  A finite downset D is closed under ∨
     exactly when ⋁D ∈ D (Davey & Priestley, ch. 2), so each test is one
     fold (Lattice.join_of), not a scan of all pairs outside ↑j.  The first
     violating triple is first_bad_triple's to find, for the callers that
     report it.
     """
-    below = lat.poset.below
-    for j in range(lat.n):
-        # j has one lower cover iff the elements strictly below j join to
-        # less than j; that is never so for the bottom
-        if lat.join_of(below[j] ^ (1 << j)) != j and not is_join_prime(lat, j):
-            return False
-    return True
+    return all(is_join_prime(lat, j) for j in lat.ji.members)
 
 
 def is_join_prime(lat: Lattice, x: int) -> bool:
@@ -595,13 +597,14 @@ def first_bad_triple(lat: Lattice):
     return None
 
 
-def has_two_levels(ji: JoinIrreducibles, lat: Lattice):
-    """Whether j < k among join-irreducibles forces j to be an atom.
+def has_two_levels(lat: Lattice):
+    """Whether j < k among the join-irreducibles of lat forces j to be an atom.
 
     For finite (hence spatial) lattices this is the same as the
     join-irreducibles containing no 3-element chain.  Witness is the
     lexicographically first violating pair (j, k).
     """
+    ji = lat.ji
     amask = mask_of(ji.atoms)
     p = lat.poset
     for j in ji.members:

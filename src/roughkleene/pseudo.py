@@ -12,12 +12,10 @@ from dataclasses import dataclass, replace
 
 from .demorgan import DeMorgan
 from .posets import (
-    JoinIrreducibles,
     Lattice,
     bits,
     first_not_below,
     has_two_levels,
-    is_distributive,
     is_join_prime,
     mask_of,
 )
@@ -43,15 +41,15 @@ class CriteriaDisagree(PseudoError):
 
 
 class DoubleP:
-    """A lattice with star/plus maps; distributive flag gates the deeper theory."""
+    """A lattice with star/plus maps.  Whether the deeper theory applies is
+    the lattice's own verdict, lattice.distributive."""
 
-    __slots__ = ("lattice", "star", "plus", "distributive")
+    __slots__ = ("lattice", "star", "plus")
 
-    def __init__(self, lattice: Lattice, star, plus, distributive: bool):
+    def __init__(self, lattice: Lattice, star, plus):
         self.lattice = lattice
         self.star = tuple(star)
         self.plus = tuple(plus)
-        self.distributive = distributive
 
 
 def compute_pseudocomplements(lat: Lattice) -> DoubleP:
@@ -64,8 +62,8 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
     Dually, {z : x ∨ z = 1} is L minus the downsets of the coatoms above x,
     folded with Lattice.meet_of.
 
-    Non-distributive lattices are accepted when both maps exist, but the
-    result is flagged and the regularity machinery refuses it.
+    Non-distributive lattices are accepted when both maps exist; the
+    regularity machinery refuses them by lat.distributive.
     """
     bottom, top = lat.bottom, lat.top
     below, above = lat.poset.below, lat.poset.above
@@ -90,7 +88,7 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
         if lat.join(x, cand) != top:
             raise NoPseudocomplement(x, dual=True)
         plus.append(cand)
-    dp = DoubleP(lat, star, plus, is_distributive(lat))
+    dp = DoubleP(lat, star, plus)
     _check_p_laws(dp)
     return dp
 
@@ -103,11 +101,10 @@ def _check_p_laws(dp: DoubleP):
     per element: star is antitone and a <= a**.  For z = a* ^ b*, a <= a** <=
     z* and b <= z*, so a v b <= z* and z <= z** <= (a v b)*; antitonicity
     gives (a v b)* <= z and a* v b* <= (a ^ b)*.  So the pairs are scanned
-    only when a premise fails, and then on the pairs b >= a only, as both
-    laws are symmetric.  Antitonicity at a is one mask test: ↑a must lie
-    inside the b with star[b] <= star[a].  The first failure of the full
-    scan lies in the first row that fails these tests, and only that row is
-    scanned for it.
+    only when a premise fails somewhere, and then row by row, as the full
+    scan runs, until the first failure: at the latest the first row where a
+    premise fails.  Antitonicity at a is one mask test: ↑a must lie inside
+    the b with star[b] <= star[a].
     """
     lat, star, plus = dp.lattice, dp.star, dp.plus
     below, above = lat.poset.below, lat.poset.above
@@ -121,19 +118,9 @@ def _check_p_laws(dp: DoubleP):
     for s in star_le:
         for e in bits(below[s] & image):
             star_le[s] |= preimage[e]
-    antitone = [above[a] & ~star_le[sa] == 0 for a, sa in enumerate(star)]
-    if all(antitone) and all(below[star[sa]] >> a & 1 for a, sa in enumerate(star)):
-        failing = set()
-    else:
-        # the rows a with a pair b >= a that fails (a v b)* = a* ^ b* or
-        # (a ^ b)* >= a* v b*, in one pass over the pairs
-        failing = {
-            a
-            for a, sa in enumerate(star)
-            for b in range(a, lat.n)
-            if star[lat.join(a, b)] != lat.meet(sa, star[b])
-            or not below[star[lat.meet(a, b)]] >> lat.join(sa, star[b]) & 1
-        }
+    premises = all(
+        above[a] & ~star_le[sa] == 0 and below[star[sa]] >> a & 1 for a, sa in enumerate(star)
+    )
     for a in range(lat.n):
         sa = star[a]
         if star[star[sa]] != sa:
@@ -144,7 +131,7 @@ def _check_p_laws(dp: DoubleP):
             raise PseudoError(f"a+ != a+++ at {a}")
         if not below[a] >> plus[plus[a]] & 1:
             raise PseudoError(f"a++ <= a fails at {a}")
-        if antitone[a] and a not in failing:
+        if premises:
             continue
         for b in range(lat.n):
             sb = star[b]
@@ -186,7 +173,7 @@ def check_M_D_N(dp: DoubleP, neg=None) -> MDNReport:
         lat, [lat.meet(x, plus[x]) for x in range(lat.n)],
         [lat.join(y, star[y]) for y in range(lat.n)],
     )
-    if dp.distributive and (m_witness is None) != (d_witness is None):
+    if lat.distributive and (m_witness is None) != (d_witness is None):
         raise CriteriaDisagree({"M": m_witness is None, "D": d_witness is None})
     n_ok, n_witness = None, None
     if neg is not None:
@@ -210,7 +197,7 @@ def heyting_implications(dp: DoubleP):
     regular double p-structures satisfy.
     """
     lat = dp.lattice
-    if not dp.distributive:
+    if not lat.distributive:
         raise PseudoError("implications need a distributive lattice")
     n = lat.n
     imp = [[0] * n for _ in range(n)]
@@ -260,7 +247,7 @@ def skeletons(dp: DoubleP):
     for the plus skeleton.
     """
     lat, star, plus = dp.lattice, dp.star, dp.plus
-    if not dp.distributive:
+    if not lat.distributive:
         raise PseudoError("skeletons need a distributive lattice")
     s_members = tuple(sorted(set(star)))
     p_members = tuple(sorted(set(plus)))
@@ -344,17 +331,17 @@ class RegularityReport:
     k_witness: tuple | None = None
 
 
-def is_regular(dp: DoubleP, ji: JoinIrreducibles, neg=None) -> RegularityReport:
+def is_regular(dp: DoubleP, neg=None) -> RegularityReport:
     """Decide regularity three ways and insist the verdicts agree.
 
     Criteria: (M); no prime-filter chain of three; the join-irreducibles
     have at most two levels.  neg, when given, adds the (N) verdict.
     """
-    if not dp.distributive:
+    if not dp.lattice.distributive:
         raise PseudoError("regularity is only defined for distributive input")
     mdn = check_M_D_N(dp, neg)
     family = prime_filters(dp.lattice)
-    two, witness = has_two_levels(ji, dp.lattice)
+    two, witness = has_two_levels(dp.lattice)
     verdicts = {
         "M": mdn.m,
         "D": mdn.d,
@@ -386,7 +373,7 @@ def is_regular(dp: DoubleP, ji: JoinIrreducibles, neg=None) -> RegularityReport:
     )
 
 
-def demorgan_pseudo_report(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles):
+def demorgan_pseudo_report(dm: DeMorgan, dp: DoubleP):
     """Full diagnostic for a pseudocomplemented De Morgan structure.
 
     Also enforces the interplay laws: neg swaps star and plus, and for
@@ -401,7 +388,7 @@ def demorgan_pseudo_report(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles):
             raise PseudoError(f"neg(x*) != (neg x)+ at {x}")
         if neg[dp.plus[x]] != dp.star[neg[x]]:
             raise PseudoError(f"neg(x+) != (neg x)* at {x}")
-    report = is_regular(dp, ji, neg)
+    report = is_regular(dp, neg)
     kleene, k_witness = is_kleene(dm)
     if report.regular and kleene != report.n:
         raise CriteriaDisagree({"K": kleene, "N": report.n, "regular": True})

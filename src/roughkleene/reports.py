@@ -14,8 +14,6 @@ from .posets import (
     NotALattice,
     bits,
     first_bad_triple,
-    is_distributive,
-    join_irreducibles,
 )
 from .pseudo import NoPseudocomplement, compute_pseudocomplements, is_regular
 from .represent import RepresentationResult
@@ -43,10 +41,9 @@ def check_report(lat: Lattice, dm: DeMorgan | None) -> dict:
     The regularity verdicts come from pseudo.is_regular, so check also
     enforces that its criteria agree.
     """
-    dist = is_distributive(lat)
     report = {
         "size": lat.n,
-        "distributive": dist,
+        "distributive": lat.distributive,
         "deMorgan": dm is not None,
         "M": None,
         "D": None,
@@ -57,7 +54,7 @@ def check_report(lat: Lattice, dm: DeMorgan | None) -> dict:
         "regular": None,
         "witnesses": {},
     }
-    if not dist:
+    if not lat.distributive:
         report["witnesses"]["distributive"] = _names(lat, first_bad_triple(lat))
         return report
     try:
@@ -65,7 +62,7 @@ def check_report(lat: Lattice, dm: DeMorgan | None) -> dict:
     except NoPseudocomplement as exc:  # unreachable for distributive input
         report["witnesses"]["pseudocomplement"] = str(exc)
         return report
-    reg = is_regular(dp, join_irreducibles(lat), dm.neg if dm is not None else None)
+    reg = is_regular(dp, dm.neg if dm is not None else None)
     report.update(M=reg.m, D=reg.d, N=reg.n, primeChainMax=reg.prime_chain_max,
                   twoLevels=reg.two_levels, regular=reg.regular)
     for key, witness in (("M", reg.m_witness), ("D", reg.d_witness), ("N", reg.n_witness),
@@ -156,6 +153,7 @@ def verify_report(obj) -> dict:
 def represent_bundle(result: RepresentationResult) -> dict:
     """The exchange bundle for a verified representation."""
     src = result.source.lattice
+    rs_labels = result.rs.lattice.labels
     tol = result.tolerance
     labels = tol.labels
     sim = result.similarity
@@ -175,10 +173,10 @@ def represent_bundle(result: RepresentationResult) -> dict:
         "covering": [_set_names(labels, b) for b in result.covering.blocks],
         "tolerancePairs": [[labels[i], labels[j]] for i, j in tol.pairs()],
         "phi": {
-            src.labels[x]: result.rs.fmt(t) for x, t in sorted(result.phi.items())
+            src.labels[x]: rs_labels[t] for x, t in sorted(result.phi.items())
         },
         "isoTable": {
-            src.labels[x]: result.rs.fmt(result.iso[x]) for x in range(src.n)
+            src.labels[x]: rs_labels[result.iso[x]] for x in range(src.n)
         },
         "report": {
             "atoms": atoms,

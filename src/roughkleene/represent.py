@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .demorgan import DeMorgan, compute_g
-from .posets import JoinIrreducibles, bits, join_irreducibles, mask_of
+from .posets import bits, mask_of
 from .pseudo import DoubleP, compute_pseudocomplements, demorgan_pseudo_report
 from .rough import (
     Covering,
@@ -70,17 +70,18 @@ class SimilaritySpace:
     spans: dict              # atom -> frozenset of lattice element ids
 
 
-def build_similarity(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles) -> SimilaritySpace:
+def build_similarity(dm: DeMorgan, dp: DoubleP) -> SimilaritySpace:
     """Similarity and spans for a regular Kleene structure, with the span
     laws checked: spans meet iff their atoms are similar, a span is a
     singleton iff its atom is fixed, and distinct atoms never share spans."""
-    report = demorgan_pseudo_report(dm, dp, ji)
+    report = demorgan_pseudo_report(dm, dp)
     if not report.k:
         raise NotKleene(report.k_witness)
     if not report.regular:
         raise NotRegular(report.two_levels_witness)
     lat = dm.lattice
-    g = compute_g(dm, ji)
+    ji = lat.ji
+    g = compute_g(dm)
     atoms = ji.atoms
     low = tuple(x for x in ji.members if lat.leq(x, g[x]))
     high = tuple(x for x in ji.members if lat.poset.leq(g[x], x) and g[x] != x)
@@ -121,7 +122,7 @@ def build_similarity(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles) -> Similar
     return SimilaritySpace(atoms, g, simeq, spans)
 
 
-def build_tolerance_universe(dm: DeMorgan, ji: JoinIrreducibles, sim: SimilaritySpace):
+def build_tolerance_universe(dm: DeMorgan, sim: SimilaritySpace):
     """The universe (span elements, as source-lattice ids), the covering the
     spans form, and its induced tolerance.
 
@@ -131,6 +132,7 @@ def build_tolerance_universe(dm: DeMorgan, ji: JoinIrreducibles, sim: Similarity
     is {x, gmap(x)} and its outer closure is the union of the similar spans.
     """
     lat = dm.lattice
+    ji = lat.ji
     universe = sorted(set().union(*sim.spans.values())) if sim.spans else []
     pos = {lid: k for k, lid in enumerate(universe)}
     labels = [lat.labels[lid] for lid in universe]
@@ -174,12 +176,13 @@ def build_tolerance_universe(dm: DeMorgan, ji: JoinIrreducibles, sim: Similarity
     return tuple(universe), cov, tol
 
 
-def build_phi(dm: DeMorgan, ji: JoinIrreducibles, sim: SimilaritySpace,
-              universe, tol: Tolerance, rs: RoughSetAlgebra) -> dict:
+def build_phi(dm: DeMorgan, sim: SimilaritySpace, universe, tol: Tolerance,
+              rs: RoughSetAlgebra) -> dict:
     """The join-irreducible correspondence: an atom strictly below its
     partner goes to (empty, R(x)); anything else to the rough pair of R(x).
     Verified to be a gmap-equivariant order-isomorphism."""
     lat = dm.lattice
+    ji = lat.ji
     pos = {lid: k for k, lid in enumerate(universe)}
     phi = {}
     for x in ji.members:
@@ -207,8 +210,7 @@ def build_phi(dm: DeMorgan, ji: JoinIrreducibles, sim: SimilaritySpace,
     return phi
 
 
-def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
-               phi: dict, rs: RoughSetAlgebra):
+def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
     """Extend phi to the whole lattice by joins and verify, pair by pair,
     that every operation is preserved.
 
@@ -216,18 +218,17 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
     ↑iso(x), as iso is a bijection.  If every row passes, iso is an order
     isomorphism of lattices, which preserves meet and join (Davey &
     Priestley, Introduction to Lattices and Order, 2.19), so the pairs are
-    scanned only when a row fails, and then on the pairs y >= x, as meet
-    and join are symmetric.  Every ordered pair is still verified,
-    and the checks count each one.  The first failure of a scan of x, then
-    y, lies in the first row to fail these tests, and only that row is
-    scanned for it.
+    scanned only when some row fails, and then row by row, as the full scan
+    of x, then y, runs, until the first failure: at the latest the first
+    row that fails the order test.  Every ordered pair is still verified,
+    and the checks count each one.
     """
     lat, target = dm.lattice, rs.lattice
     n = lat.n
     below, rs_below = lat.poset.below, target.poset.below
     above, rs_above = lat.poset.above, target.poset.above
     iso = tuple(
-        target.join_all(phi[j] for j in bits(below[x] & ji.member_mask))
+        target.join_all(phi[j] for j in bits(below[x] & lat.ji.member_mask))
         for x in range(n)
     )
     if sorted(iso) != list(range(rs.n)):
@@ -235,20 +236,9 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
     if iso[lat.bottom] != rs.lattice.bottom or iso[lat.top] != rs.lattice.top:
         raise IsoCheckFailed("bounds", {})
     checks = {"meet": 0, "join": 0, "neg": 0, "star": 0, "plus": 0, "order": 0}
-    ordered = [
+    ordered = all(
         mask_of(iso[y] for y in bits(above[x])) == rs_above[ix] for x, ix in enumerate(iso)
-    ]
-    if all(ordered):
-        failing = set()
-    else:
-        # the rows x with a pair y >= x whose meet or join is not preserved
-        failing = {
-            x
-            for x, ix in enumerate(iso)
-            for y in range(x, n)
-            if iso[lat.meet(x, y)] != target.meet(ix, iso[y])
-            or iso[lat.join(x, y)] != target.join(ix, iso[y])
-        }
+    )
     for x in range(n):
         if rs.neg[iso[x]] != iso[dm.neg[x]]:
             raise IsoCheckFailed("neg", {"x": x})
@@ -260,7 +250,7 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, ji: JoinIrreducibles,
         checks["star"] += 1
         checks["plus"] += 1
         ix = iso[x]
-        if x in failing or not ordered[x]:
+        if not ordered:
             for y in range(n):
                 iy = iso[y]
                 if iso[lat.meet(x, y)] != target.meet(ix, iy):
@@ -294,12 +284,11 @@ def represent(dm: DeMorgan) -> RepresentationResult:
     the spans, so build_rs takes the downset route, whatever the size of
     the universe, and only the table cap bounds it."""
     dp = compute_pseudocomplements(dm.lattice)
-    ji = join_irreducibles(dm.lattice)
-    sim = build_similarity(dm, dp, ji)
-    universe, cov, tol = build_tolerance_universe(dm, ji, sim)
+    sim = build_similarity(dm, dp)
+    universe, cov, tol = build_tolerance_universe(dm, sim)
     rs = build_rs(tol)
-    phi = build_phi(dm, ji, sim, universe, tol, rs)
-    iso, checks = extend_iso(dm, dp, ji, phi, rs)
+    phi = build_phi(dm, sim, universe, tol, rs)
+    iso, checks = extend_iso(dm, dp, phi, rs)
     report = {
         "sourceSize": dm.lattice.n,
         "universeSize": tol.n,

@@ -308,7 +308,8 @@ class RoughSetAlgebra:
     is pairs[i].  neg swaps-and-complements coordinates; star and plus are
     the complement-approximation maps.  For tolerances induced by an
     irredundant covering the full Kleene/regularity battery has been run
-    and demorgan/doublep/ji are populated.
+    and demorgan/doublep/ji are populated; ji is then lattice.ji.  The
+    label of element i, lattice.labels[i], is fmt_pair of pairs[i].
     """
 
     __slots__ = (
@@ -333,9 +334,6 @@ class RoughSetAlgebra:
     @property
     def n(self):
         return len(self.pairs)
-
-    def fmt(self, i):
-        return fmt_pair(self.pairs[i], self.tolerance.labels)
 
 
 def _approximation_table(tol: Tolerance):
@@ -519,12 +517,10 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None):
     neg, star, plus = tuple(neg), tuple(star), tuple(plus)
     demorgan = doublep = ji = None
     if covering is not None:
-        from .posets import join_irreducibles
-
         demorgan = validate_demorgan(lattice, neg)
         doublep = compute_pseudocomplements(lattice)
-        ji = join_irreducibles(lattice)
-        report = demorgan_pseudo_report(demorgan, doublep, ji)
+        ji = lattice.ji
+        report = demorgan_pseudo_report(demorgan, doublep)
         if not report.k:
             raise FormulaMismatch(
                 "irredundant rough algebra is not Kleene", {"witness": report.k_witness}
@@ -569,8 +565,6 @@ def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
 class RSJoinIrreducibles:
     members: tuple       # pair values, sorted
     atoms: tuple         # pair values, sorted
-    lattice_members: tuple
-    lattice_atoms: tuple
 
 
 def rs_join_irreducibles(rs: RoughSetAlgebra) -> RSJoinIrreducibles:
@@ -592,8 +586,7 @@ def rs_join_irreducibles(rs: RoughSetAlgebra) -> RSJoinIrreducibles:
     lattice_atoms = sorted(rs.pairs[a] for a in rs.ji.atoms)
     if atom_formula != lattice_atoms:
         raise FormulaMismatch("atoms", {"formula": atom_formula, "lattice": lattice_atoms})
-    return RSJoinIrreducibles(tuple(formula), tuple(atom_formula),
-                              tuple(from_lattice), tuple(lattice_atoms))
+    return RSJoinIrreducibles(tuple(formula), tuple(atom_formula))
 
 
 def rs_g_map(rs: RoughSetAlgebra) -> dict:
@@ -602,7 +595,7 @@ def rs_g_map(rs: RoughSetAlgebra) -> dict:
     give fixed points."""
     if rs.covering is None:
         raise ToleranceError("gmap formulas need an irredundant covering")
-    g = compute_g(rs.demorgan, rs.ji)
+    g = compute_g(rs.demorgan)
     tol = rs.tolerance
     for b in rs.covering.blocks:
         pb = rs.index[approximations(tol, b)]
@@ -619,13 +612,7 @@ def rs_g_map(rs: RoughSetAlgebra) -> dict:
 @dataclass(frozen=True)
 class IsolatedBlockReport:
     block: int
-    uniform_neighborhoods: bool
-    exact_pair: bool
-    single_atom_below: bool
-
-    @property
-    def isolated(self):
-        return self.uniform_neighborhoods
+    isolated: bool       # the three readings of isolated_blocks agree on it
 
 
 def isolated_blocks(rs: RoughSetAlgebra):
@@ -649,7 +636,7 @@ def isolated_blocks(rs: RoughSetAlgebra):
                 "isolated-block conditions disagree",
                 {"block": b, "uniform": uniform, "exact": exact, "single": single},
             )
-        out.append(IsolatedBlockReport(b, uniform, exact, single))
+        out.append(IsolatedBlockReport(b, uniform))
     return out
 
 

@@ -24,7 +24,7 @@ from .generators import (
 )
 from .isomorph import lattice_key
 from .jsonio import covering_doc, lattice_doc, tolerance_doc
-from .posets import Lattice, NotALattice, Poset, is_distributive, join_irreducibles
+from .posets import Lattice, NotALattice, Poset
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report, heyting_implications, is_regular, skeletons
 from .rough import (
     RS_CHECKS,
@@ -219,7 +219,7 @@ def _eval_tolerance(seq, n, enc, deep, want_witness, report: EnumerationReport):
 
     def irr_iff_dist():
         irred = induced_irredundant_covering(tol) is not None
-        nice = lat is not None and is_distributive(lat)
+        nice = lat is not None and lat.distributive
         return irred == nice
 
     _step(report, seq, "irredundantIffDistributiveRsLattice", doc, irr_iff_dist)
@@ -241,10 +241,9 @@ def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
     if not _step(report, seq, "pseudocomplementLaws", doc, pseudo):
         return
     dp = holder["dp"]
-    if dp is None or not dp.distributive:
+    if dp is None or not lat.distributive:
         return
-    ji = join_irreducibles(lat)
-    _step(report, seq, "regularityCriteriaEquivalence", doc, lambda: is_regular(dp, ji) is not None)
+    _step(report, seq, "regularityCriteriaEquivalence", doc, lambda: is_regular(dp) is not None)
     _step(report, seq, "heytingClosedForms", doc, lambda: heyting_implications(dp) is not None)
     _step(report, seq, "skeletonsBoolean", doc, lambda: skeletons(dp) is not None)
     for neg in antitone_involutions(lat):
@@ -254,21 +253,21 @@ def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
             continue
 
         def g_round_trip():
-            g = compute_g(dm, ji)
-            return neg_from_g(lat, ji, g) == dm.neg
+            g = compute_g(dm)
+            return neg_from_g(lat, g) == dm.neg
 
         _step(report, seq, "gmapRoundTrip", ndoc, g_round_trip)
 
         def j3_iff_kleene():
-            g = compute_g(dm, ji)
+            g = compute_g(dm)
             p = lat.poset
-            j3 = all(p.leq(j, g[j]) or p.leq(g[j], j) for j in ji.members)
+            j3 = all(p.leq(j, g[j]) or p.leq(g[j], j) for j in lat.ji.members)
             return j3 == is_kleene(dm)[0]
 
         _step(report, seq, "comparabilityIffKleene", ndoc, j3_iff_kleene)
         _step(
             report, seq, "negationPseudoInterplay", ndoc,
-            lambda: demorgan_pseudo_report(dm, dp, ji) is not None,
+            lambda: demorgan_pseudo_report(dm, dp) is not None,
         )
 
 

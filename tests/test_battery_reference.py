@@ -9,7 +9,7 @@ is kept here as an oracle over the exhaustive corpus.
 """
 
 import pytest
-from conftest import chain, fixture_path, rows
+from conftest import diamond_m3, fixture_path, rows
 
 from roughkleene import jsonio
 from roughkleene.demorgan import (
@@ -207,10 +207,11 @@ def test_check_M_D_N(cases):
 
 
 def test_check_M_D_N_picks_the_smallest_first_index():
-    # keys (0,0) (1,0) (1,0) (0,0): the pair (1, 2) repeats first, but the
-    # lexicographically first pair is (0, 3)
-    dp = DoubleP(chain(4), (0, 1, 1, 0), (0, 0, 0, 0), False)
-    assert check_M_D_N(dp).m_witness == ref_mdn(dp, (3, 2, 1, 0))[0] == (0, 3)
+    # keys (0,0) (1,0) (1,0) (0,0) (2,0): the pair (1, 2) repeats first, but
+    # the lexicographically first pair is (0, 3); M3 is not distributive, so
+    # (M) and (D) need not agree
+    dp = DoubleP(diamond_m3(), (0, 1, 1, 0, 2), (0, 0, 0, 0, 0))
+    assert check_M_D_N(dp).m_witness == ref_mdn(dp, (4, 3, 2, 1, 0))[0] == (0, 3)
 
 
 def test_validate_demorgan_antitone_witness(cases):
@@ -276,10 +277,11 @@ def test_demorgan_laws_hold_on_the_irredundant_corpus():
     assert count == 522
 
 
-def ref_compute_g(dm, ji):
+def ref_compute_g(dm):
     """gmap(j) as the meet of the list of elements not below neg(j), or the
     first GNotJoinIrreducible witness."""
     lat, neg = dm.lattice, dm.neg
+    ji = ref_join_irreducibles(lat)
     g = {}
     for j in ji.members:
         val = lat.meet_all(x for x in range(lat.n) if not lat.leq(x, neg[j]))
@@ -297,12 +299,11 @@ def test_compute_g_against_the_meet_of_the_list():
     for lat in all_lattices(7):
         if not is_distributive(lat):
             continue
-        ji = join_irreducibles(lat)
         for neg in involutions(lat.n):
             dm = DeMorgan(lat, neg)
-            want = ref_compute_g(dm, ji)
+            want = ref_compute_g(dm)
             try:
-                got = compute_g(dm, ji)
+                got = compute_g(dm)
             except GNotJoinIrreducible as exc:
                 assert want == ("GNotJoinIrreducible", exc.witness)
                 outcomes.add("GNotJoinIrreducible")
@@ -344,7 +345,7 @@ def ref_join_irreducibles(lat):
 ])
 def test_join_irreducibles_against_the_lower_covers(lattices):
     for lat in lattices():
-        assert join_irreducibles(lat) == ref_join_irreducibles(lat)
+        assert join_irreducibles(lat) == lat.ji == ref_join_irreducibles(lat)
 
 
 def test_spatiality_failure_on_a_bent_join_table(monkeypatch):
@@ -384,7 +385,7 @@ def ref_check_report(lat, dm):
         report["witnesses"]["pseudocomplement"] = str(exc)
         return report
     mdn = check_M_D_N(dp, dm.neg if dm is not None else None)
-    two, two_witness = has_two_levels(join_irreducibles(lat), lat)
+    two, two_witness = has_two_levels(lat)
     family = prime_filters(lat)
     report.update(M=mdn.m, D=mdn.d, N=mdn.n, primeChainMax=family.chain_max,
                   twoLevels=two, regular=mdn.m)

@@ -1,9 +1,11 @@
 import json
+import sys
 import time
 
 import pytest
 from conftest import fixture_path
 
+from roughkleene import posets
 from roughkleene.cli import main
 
 
@@ -384,3 +386,29 @@ class TestRender:
         _, out1, _ = run_cli(capsys, "render", fixture_path("jposet_two_level.json"))
         _, out2, _ = run_cli(capsys, "render", fixture_path("jposet_two_level.json"))
         assert out1 == out2
+
+
+@pytest.mark.parametrize("command, fixture, lattices", [
+    ("represent", "jposet_two_level.json", 2),
+    ("verify", "partition_2_3.json", 1),
+    ("check", "four_chain.json", 1),
+])
+def test_each_lattice_decides_its_join_irreducibles_and_distributivity_once(
+        capsys, monkeypatch, command, fixture, lattices):
+    """join_irreducibles and is_distributive run once per lattice built,
+    counted wherever a module of the package holds them."""
+    calls = dict.fromkeys(("join_irreducibles", "is_distributive"), 0)
+    for name in calls:
+        original = getattr(posets, name)
+
+        def counted(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "roughkleene":
+                for attr in [a for a, v in vars(module).items() if v is original]:
+                    monkeypatch.setattr(module, attr, counted)
+    code, _, _ = run_cli(capsys, command, fixture_path(fixture))
+    assert code == 0
+    assert calls == {"join_irreducibles": lattices, "is_distributive": lattices}

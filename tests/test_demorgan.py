@@ -19,7 +19,7 @@ from roughkleene.demorgan import (
     validate_demorgan,
 )
 from roughkleene.generators import all_distributive_lattices
-from roughkleene.posets import Poset, join_irreducibles
+from roughkleene.posets import Poset
 
 
 class TestValidate:
@@ -68,26 +68,25 @@ class TestKleene:
 class TestGMap:
     def test_three_chain_swaps_levels(self):
         dm = kleene_three()
-        g = compute_g(dm, join_irreducibles(dm.lattice))
+        g = compute_g(dm)
         assert g == {1: 2, 2: 1}
 
     def test_boolean_identity_on_atoms(self):
         dm = validate_demorgan(boolean_lattice(3), boolean_complement(3))
-        g = compute_g(dm, join_irreducibles(dm.lattice))
+        g = compute_g(dm)
         assert g == {1: 1, 2: 2, 4: 4}
 
     def test_two_level_fixture_pairs_atoms_with_uppers(self):
         dm = two_level_fixture()
         lab = dm.lattice.labels
-        g = compute_g(dm, join_irreducibles(dm.lattice))
+        g = compute_g(dm)
         named = {lab[k]: lab[v] for k, v in g.items()}
         assert named == {"a": "j", "j": "a", "b": "k", "k": "b", "c": "l", "l": "c"}
 
     def test_neg_rebuilt_from_g(self):
         dm = kleene_three()
-        ji = join_irreducibles(dm.lattice)
-        g = compute_g(dm, ji)
-        assert neg_from_g(dm.lattice, ji, g) == (2, 1, 0)
+        g = compute_g(dm)
+        assert neg_from_g(dm.lattice, g) == (2, 1, 0)
 
     def test_fixture_negation_of_an_atom(self):
         # ~a is the join of every join-irreducible except g(a) = j, which
@@ -99,20 +98,18 @@ class TestGMap:
 
     def test_round_trip_everywhere_small(self):
         for lat in all_distributive_lattices(8):
-            ji = join_irreducibles(lat)
             for neg in antitone_involutions(lat):
                 dm = validate_demorgan(lat, neg)
-                g = compute_g(dm, ji)
-                assert neg_from_g(lat, ji, g) == dm.neg
+                g = compute_g(dm)
+                assert neg_from_g(lat, g) == dm.neg
 
     def test_comparability_iff_kleene_small(self):
         for lat in all_distributive_lattices(8):
-            ji = join_irreducibles(lat)
             p = lat.poset
             for neg in antitone_involutions(lat):
                 dm = validate_demorgan(lat, neg)
-                g = compute_g(dm, ji)
-                j3 = all(p.leq(j, g[j]) or p.leq(g[j], j) for j in ji.members)
+                g = compute_g(dm)
+                j3 = all(p.leq(j, g[j]) or p.leq(g[j], j) for j in lat.ji.members)
                 assert j3 == is_kleene(dm)[0]
 
 

@@ -195,6 +195,7 @@ class TestDistributivity:
             got = is_distributive(lat)
             law = _triple_scan(lat)
             assert got == law, f"triple scan disagrees on {lat.labels}"
+            assert lat.distributive == law
             assert (first_bad_triple(lat) is None) == law
             assert got == (not _has_bad_sublattice(lat, m3, n5))
 
@@ -287,24 +288,24 @@ class TestJoinIrreducibles:
 class TestTwoLevels:
     def test_boolean(self):
         lat = boolean_lattice(3)
-        assert has_two_levels(join_irreducibles(lat), lat) == (True, None)
+        assert has_two_levels(lat) == (True, None)
 
     def test_four_chain_witness(self):
         lat = chain(4)
-        ok, witness = has_two_levels(join_irreducibles(lat), lat)
+        ok, witness = has_two_levels(lat)
         assert not ok
         assert witness == (2, 3)  # b < 1 with b not an atom
 
     def test_two_level_fixture(self):
         dm = two_level_fixture()
-        assert has_two_levels(join_irreducibles(dm.lattice), dm.lattice)[0]
+        assert has_two_levels(dm.lattice)[0]
 
     def test_no_three_chain_equivalence(self):
         # for (spatial) finite lattices: two levels iff no 3-chain among
         # the join-irreducibles
         for lat in all_lattices(7):
-            ji = join_irreducibles(lat)
-            two = has_two_levels(ji, lat)[0]
+            ji = lat.ji
+            two = has_two_levels(lat)[0]
             p = lat.poset
             three_chain = any(
                 p.leq(a, b) and p.leq(b, c) and a != b and b != c

@@ -141,22 +141,21 @@ class TestRegularity:
     def test_two_level_fixture_regular(self):
         dm = two_level_fixture()
         dp = compute_pseudocomplements(dm.lattice)
-        ji = join_irreducibles(dm.lattice)
-        rep = is_regular(dp, ji, dm.neg)
+        rep = is_regular(dp, dm.neg)
         assert rep.regular
         assert rep.prime_chain_max == 2
 
     def test_four_chain_not_regular(self):
         dm = four_chain_kleene()
         dp = compute_pseudocomplements(dm.lattice)
-        rep = is_regular(dp, join_irreducibles(dm.lattice), dm.neg)
+        rep = is_regular(dp, dm.neg)
         assert not rep.regular
         assert rep.prime_chain_max == 3
         assert not rep.two_levels
 
     def test_boolean_regular(self):
         lat = boolean_lattice(3)
-        rep = is_regular(compute_pseudocomplements(lat), join_irreducibles(lat))
+        rep = is_regular(compute_pseudocomplements(lat))
         assert rep.regular
 
 
@@ -173,9 +172,8 @@ class TestInterplay:
         # structure; sweep every small De Morgan p-structure through it
         for lat in all_distributive_lattices(8):
             dp = compute_pseudocomplements(lat)
-            ji = join_irreducibles(lat)
             for neg in antitone_involutions(lat):
                 dm = validate_demorgan(lat, neg)
-                rep = demorgan_pseudo_report(dm, dp, ji)
+                rep = demorgan_pseudo_report(dm, dp)
                 if rep.regular:
                     assert rep.k == rep.n

@@ -40,8 +40,7 @@ from roughkleene.rough import (
 
 def _similarity(dm):
     dp = compute_pseudocomplements(dm.lattice)
-    ji = join_irreducibles(dm.lattice)
-    return build_similarity(dm, dp, ji), ji
+    return build_similarity(dm, dp), dm.lattice.ji
 
 
 class TestSimilarity:

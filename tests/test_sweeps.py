@@ -1,8 +1,10 @@
 import json
 
+import pytest
 from conftest import fixture_path
 
 from roughkleene import jsonio, rough
+from roughkleene.generators import all_lattices
 from roughkleene.reports import verify_report
 from roughkleene.sweeps import (
     EnumerationReport,
@@ -90,3 +92,18 @@ def test_verify_and_the_covering_sweep_run_one_check_registry(monkeypatch):
     outcome = sweep_coverings(2, workers=1).properties["gmapClosedForm"]
     assert outcome.checked == outcome.failures == 3  # the irredundant coverings on up to 2 points
     assert outcome.first_witness[1]["error"] == error
+
+
+@pytest.mark.parametrize("max_size, count", [(-1, 0), (0, 0), (1, 1), (2, 2), (3, 3), (8, 300)])
+def test_all_lattices_stays_within_its_bound(max_size, count):
+    sizes = [lat.n for lat in all_lattices(max_size)]
+    assert len(sizes) == count
+    assert all(n <= max_size for n in sizes)
+
+
+@pytest.mark.parametrize("lattice_max, instances", [(0, 2), (1, 3), (2, 4)])
+def test_enumerate_tests_no_lattice_past_its_bound(lattice_max, instances):
+    """One covering and one tolerance on one point, then every lattice with
+    at most lattice_max elements."""
+    report = run_enumeration(universe_max=1, lattice_max=lattice_max, workers=1)
+    assert report.instances_tested == instances

@@ -35,7 +35,6 @@ from roughkleene.posets import (
     downsets,
     inclusion_below,
     inclusion_lattice,
-    join_irreducibles,
     mask_of,
 )
 from roughkleene.pseudo import DoubleP, PseudoError, _check_p_laws, compute_pseudocomplements
@@ -132,9 +131,10 @@ def p_laws(dp):
     return None
 
 
-def ref_extend_iso(dm, dp, ji, phi, rs):
+def ref_extend_iso(dm, dp, phi, rs):
     """(iso, checks), or (operation, witness) of the first failing check."""
     lat, target = dm.lattice, rs.lattice
+    ji = lat.ji
     n = lat.n
     (meet, join), (target_meet, target_join) = rows(lat), rows(target)
     iso = tuple(
@@ -165,9 +165,9 @@ def ref_extend_iso(dm, dp, ji, phi, rs):
     return iso, checks
 
 
-def iso_outcome(dm, dp, ji, phi, rs):
+def iso_outcome(dm, dp, phi, rs):
     try:
-        return extend_iso(dm, dp, ji, phi, rs)
+        return extend_iso(dm, dp, phi, rs)
     except IsoCheckFailed as exc:
         return exc.operation, exc.witness
 
@@ -506,7 +506,7 @@ class TestPLaws:
                     maps = {"star": list(dp.star), "plus": list(dp.plus)}
                     values = maps[field]
                     values[u], values[v] = values[v], values[u]
-                    bent = DoubleP(lat, maps["star"], maps["plus"], dp.distributive)
+                    bent = DoubleP(lat, maps["star"], maps["plus"])
                     message = p_laws(bent)
                     assert message == ref_p_laws(bent)
                     failed += message is not None
@@ -531,7 +531,7 @@ class TestPLaws:
             assert ref_p_laws(dp) is None
             guarded = Lattice(lat.poset, lat.meet_codes, lat.join_codes, Unreadable(), Unreadable(),
                               lat.bottom, lat.top)
-            _check_p_laws(DoubleP(guarded, dp.star, dp.plus, dp.distributive))
+            _check_p_laws(DoubleP(guarded, dp.star, dp.plus))
             checked += 1
         assert checked > 0
 
@@ -547,7 +547,7 @@ class TestPLaws:
                         continue
                     star = list(dp.star)
                     star[u] = v
-                    bent = DoubleP(lat, star, dp.plus, dp.distributive)
+                    bent = DoubleP(lat, star, dp.plus)
                     message = p_laws(bent)
                     assert message == ref_p_laws(bent)
                     messages.add(message and message.split(" at ")[0])
@@ -598,10 +598,10 @@ class TestExtendIso:
             except (NotKleene, NotRegular):
                 continue
             lat = dm.lattice
-            dp, ji = compute_pseudocomplements(lat), join_irreducibles(lat)
+            dp = compute_pseudocomplements(lat)
             rs = result.rs
             target = rs.lattice
-            assert iso_outcome(dm, dp, ji, result.phi, rs) == ref_extend_iso(dm, dp, ji, result.phi, rs)
+            assert iso_outcome(dm, dp, result.phi, rs) == ref_extend_iso(dm, dp, result.phi, rs)
             inner = [t for t in range(rs.n) if t not in (target.bottom, target.top)]
             swaps = [(u, v) for u in inner for v in inner if u < v]
             if len(swaps) > 150:
@@ -614,8 +614,8 @@ class TestExtendIso:
                     return swap.get(value, value) if self is target else value
 
                 monkeypatch.setattr(Lattice, "join_all", wrong)
-                got = iso_outcome(dm, dp, ji, result.phi, rs)
-                want = ref_extend_iso(dm, dp, ji, result.phi, rs)
+                got = iso_outcome(dm, dp, result.phi, rs)
+                want = ref_extend_iso(dm, dp, result.phi, rs)
                 monkeypatch.setattr(Lattice, "join_all", real_join_all)
                 assert got == want
                 outcomes.add(got[0] if isinstance(got[0], str) else "ok")
@@ -629,9 +629,9 @@ class TestExtendIso:
             for cov in irredundant_coverings(n):
                 dm = build_rs(tolerance_from_covering(cov)).demorgan
                 result = represent(dm)
-                dp, ji = compute_pseudocomplements(dm.lattice), join_irreducibles(dm.lattice)
-                got = iso_outcome(dm, dp, ji, result.phi, result.rs)
-                assert got == ref_extend_iso(dm, dp, ji, result.phi, result.rs)
+                dp = compute_pseudocomplements(dm.lattice)
+                got = iso_outcome(dm, dp, result.phi, result.rs)
+                assert got == ref_extend_iso(dm, dp, result.phi, result.rs)
                 assert got[1] == result.report["checks"]
                 count += 1
         assert count == 522
