@@ -4,6 +4,11 @@ The negation is an order-reversing involution.  On the join-irreducibles it
 induces the self-dual map  gmap(j) = meet of {x | x not<= neg(j)},  an
 antitone involution of the join-irreducible poset from which the negation
 can be rebuilt:  neg(x) = join of {j | gmap(j) not<= x}.
+
+A jposet's algebra is the downset lattice of its join-irreducibles
+(posets.downset_lattice), built with no pair lookups.  Antitonicity of neg
+is decided on the lattice's order pulled back along neg (posets.pulled_back),
+bit-sliced, with no walk over any ↓x.
 """
 
 from __future__ import annotations
@@ -12,10 +17,10 @@ from .posets import (
     Lattice,
     Poset,
     bits,
+    downset_lattice,
     first_bad_triple,
     first_not_below,
-    inclusion_lattice,
-    mask_of,
+    pulled_back,
 )
 
 
@@ -85,12 +90,12 @@ def validate_demorgan(lat: Lattice, neg) -> DeMorgan:
     for x in range(n):
         if neg[neg[x]] != x:
             raise NotInvolution(x)
-    # an involution is a bijection, so {y | neg(y) <= neg(x)} is the
-    # neg-image of ↓neg(x); antitonicity at x says that image is exactly ↑x,
-    # and the lowest bit of the difference is the first failing y
-    below, above = lat.poset.below, lat.poset.above
-    for x in range(n):
-        diff = above[x] ^ mask_of(neg[z] for z in bits(below[neg[x]]))
+    # antitonicity at x says {y | neg(y) <= neg(x)} is exactly ↑x; the order
+    # pulled back along neg gives that set in one within(), and the lowest
+    # bit of the difference is the first failing y
+    order, codes = pulled_back(lat, neg), lat.meet_codes
+    for x, up in enumerate(lat.poset.above):
+        diff = up ^ order.within(codes[neg[x]])
         if diff:
             raise NotAntitone(x, (diff & -diff).bit_length() - 1)
     return DeMorgan(lat, neg)
@@ -172,9 +177,8 @@ def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     principal downset, otherwise the labels of the downset's maximal
     elements joined by "|".  The downset walk raises TableCapExceeded once
     there are more downsets than the table cap, before any order is built.
-    Downsets are ordered by inclusion, so the lattice is inclusion_lattice
-    of the downsets themselves: the union of two downsets is a downset,
-    and each key is the code of the meet or join it maps to.
+    The lattice is downset_lattice of the downsets themselves, which proves
+    them all of D(J) with no pair lookups.
     """
     _check_j1_j2(jposet, range(jposet.n), g)
     for x in range(jposet.n):
@@ -184,7 +188,7 @@ def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     downsets.sort(key=lambda d: (d.bit_count(), d))
     index = {d: i for i, d in enumerate(downsets)}
     labels = [_downset_label(jposet, d) for d in downsets]
-    lat = inclusion_lattice(labels, downsets, jposet.n)
+    lat = downset_lattice(labels, downsets, jposet.below)
     ji = lat.ji
     principal = {index[jposet.below[x]]: x for x in range(jposet.n)}
     if sorted(principal) != list(ji.members):

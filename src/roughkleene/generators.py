@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .isomorph import canonical_key
-from .posets import Lattice, Poset, downsets, inclusion_lattice, mask_of
+from .posets import Lattice, Poset, downset_lattice, downsets, mask_of
 from .rough import Covering, Tolerance, is_irredundant
 
 
@@ -167,7 +167,7 @@ def all_distributive_lattices(max_size):
         ds = downsets(below)
         ds.sort(key=lambda d: (d.bit_count(), d))
         lab = [f"d{i}" for i in range(len(ds))]
-        yield inclusion_lattice(lab, ds, len(below))
+        yield downset_lattice(lab, ds, below)
 
 
 def product_of_chains(sizes):

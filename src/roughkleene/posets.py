@@ -6,11 +6,20 @@ operation is deterministic, so values can be shared freely across threads.
 
 A Lattice is an order given twice as inclusion of sets, its meet codes and
 its join codes: meet is looked up by the intersection of two meet codes and
-join by the union of two join codes, in key maps that _keyed_lattice fills
-while it proves the order a lattice.  No P×P table is stored; a witness
-scan that needs rows builds them after a failure.  The same builder then
-finds the lattice's join-irreducibles and decides its distributivity, once:
-every reader takes lat.ji and lat.distributive.
+join by the union of two join codes.  No P×P table is stored; a witness
+scan that needs rows builds them after a failure.  Two builders make every
+Lattice:
+
+- downset_lattice, for the lattice D(J) of all downsets of a poset J
+  (Birkhoff): each element's code is its downset, so one index map answers
+  both meet and join, and the builder proves in O(P·|J|) that its family is
+  all of D(J) instead of looking up any pair;
+- _keyed_lattice, for orders not known to be lattices (inclusion_lattice,
+  Lattice.from_poset): it streams the meet and join keys of the P²/2 pairs
+  into its key maps while it proves the order a lattice.
+
+Either builder then finds the lattice's join-irreducibles and decides its
+distributivity, once: every reader takes lat.ji and lat.distributive.
 """
 
 from __future__ import annotations
@@ -52,9 +61,11 @@ class NotALattice(PosetError):
 
 
 # The most elements an order, a lattice or a downset list is built for: 3^7,
-# the rough-set algebra of seven 2-point blocks.  It bounds the P²/2 pairs
-# whose meet and join keys _keyed_lattice streams, whose time grows as P²;
-# on a lattice each key map holds at most P keys.
+# the rough-set algebra of seven 2-point blocks.  On the downset route
+# (downset_lattice) it bounds the downset list and the O(P·width) bit-sliced
+# order; on the keyed route it bounds the P²/2 pairs whose meet and join
+# keys _keyed_lattice streams, whose time grows as P².  On a lattice each
+# key map holds at most P keys.
 MAX_TABLE_ELEMENTS = 2187
 
 
@@ -73,8 +84,22 @@ def check_table_size(n: int):
         raise TableCapExceeded(n)
 
 
+def transpose(sets: Sequence[int], width: int) -> list:
+    """out[u] = the mask of the k whose set sets[k] holds point u, for the
+    width points: one step per bit of each set, inline as in _Inclusion."""
+    out = [0] * width
+    for k, m in enumerate(sets):
+        bit = 1 << k
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= bit
+            m ^= low
+    return out
+
+
 class _Inclusion:
-    """The inclusion order of distinct sets of points, read bit-sliced.
+    """The inclusion order of sets of points, read bit-sliced; the sets are
+    distinct when they are the elements of an order.
 
     holders[u] is the mask of the k whose set holds point u.  within(s) is
     the mask of the k with sets[k] ⊆ s: sets[k] ⊆ s fails exactly when
@@ -89,11 +114,7 @@ class _Inclusion:
 
     def __init__(self, sets: Sequence[int], width: int):
         check_table_size(len(sets))
-        holders = [0] * width
-        for k, m in enumerate(sets):
-            for u in bits(m):
-                holders[u] |= 1 << k
-        self.holders = holders
+        self.holders = transpose(sets, width)
         self.full, self.points = (1 << len(sets)) - 1, reduce(or_, sets, 0)
 
     def within(self, s: int) -> int:
@@ -200,6 +221,69 @@ def _keyed_lattice(poset: "Poset", meet_codes: tuple, join_codes: tuple) -> "Lat
     return lat
 
 
+def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Sequence[int]) -> "Lattice":
+    """The lattice D(J) of all downsets of the poset J with below[j] = ↓j,
+    element i being downsets[i], a mask over the points of J; the downsets
+    come in any order.  PosetError when they are not all of D(J).
+
+    The meet and join of two downsets are their intersection and union, so
+    each element's code, for meet and join alike, is its downset, and
+    meets and joins are the one index map {d: id}: it holds the key of
+    every pair and no other.  The order is inclusion, read bit-sliced
+    (_Inclusion).  No pair is looked up.  Instead the family is proved to
+    be all of D(J): every member is down-closed, the empty downset is a
+    member, and so is d ∪ {j} for each member d and each j minimal outside
+    it, since every downset is reached from ∅ by adding minimal elements
+    one at a time.  That is one within() per member over the strict
+    downsets ↓j∖{j}, O(P·|J|) in all.
+    """
+    check_table_size(len(downsets))
+    index = {d: i for i, d in enumerate(downsets)}
+    if len(index) != len(downsets):
+        raise PosetError("the downsets of a downset lattice must be pairwise distinct")
+    if 0 not in index:
+        raise PosetError("the empty downset is missing")
+    width = len(below)
+    # fits(d): the j whose strict downset lies in d, so d is down-closed when
+    # it lies in fits(d), and the j of fits(d) outside d are its minimal ones
+    fits = _Inclusion([b & ~(1 << j) for j, b in enumerate(below)], width).within
+    for d in downsets:
+        can_add = fits(d)
+        if d & ~can_add:
+            raise PosetError(f"member {d:#x} is not a downset")
+        missing = next((j for j in bits(can_add & ~d) if d | 1 << j not in index), None)
+        if missing is not None:
+            raise PosetError(f"the downset {d | 1 << missing:#x} is missing")
+    order = _Inclusion(downsets, width)
+    poset = _poset_with_above(labels, list(map(order.within, downsets)),
+                              list(map(order.containing, downsets)))
+    codes = tuple(downsets)
+    lat = Lattice(poset, codes, codes, index, index, index[0], index[(1 << width) - 1])
+    lat.ji = join_irreducibles(lat)
+    lat.distributive = is_distributive(lat)
+    return lat
+
+
+def pulled_back(lat: "Lattice", perm: Sequence[int]) -> _Inclusion:
+    """The order of lat pulled back along a bijection perm of its ids, read
+    bit-sliced: an _Inclusion over lat.meet_codes[perm[y]], whose
+    within(lat.meet_codes[perm[x]]) is the mask of the y with perm[y] <=
+    perm[x] and whose containing(lat.meet_codes[perm[x]]) is the mask of
+    the y with perm[y] >= perm[x].  Building it costs one step per bit of
+    each code and each query O(code width), with no walk over any ↓x.
+    """
+    codes = lat.meet_codes
+    return _Inclusion([codes[v] for v in perm], codes[lat.top].bit_length())
+
+
+def preserves_order(source: "Lattice", target: "Lattice", iso: Sequence[int]) -> bool:
+    """Whether a bijection iso from the ids of source onto those of target
+    is an order isomorphism: ↑iso(x) pulls back (pulled_back) to ↑x for
+    every x, one containing() each."""
+    order, codes = pulled_back(target, iso), target.meet_codes
+    return all(order.containing(codes[ix]) == up for ix, up in zip(iso, source.poset.above))
+
+
 def downsets(below: Sequence[int]) -> list:
     """All down-closed subsets of the order below[i] = ↓i, as bitmasks, ascending.
 
@@ -301,18 +385,14 @@ class Poset:
     """A finite poset: n elements 0..n-1, labels, and the full order relation.
 
     below[i] is the bitmask of {j | j <= i}; above[i] the bitmask of {j | i <= j}.
-    above is built from below one set bit at a time.
+    above is the transpose of below.
     """
 
     __slots__ = ("n", "labels", "below", "above")
 
     def __init__(self, labels: Sequence[str], below: Sequence[int]):
         self._set_order(labels, below)
-        above = [0] * self.n
-        for j in range(self.n):
-            for i in bits(self.below[j]):
-                above[i] |= 1 << j
-        self.above = tuple(above)
+        self.above = tuple(transpose(self.below, self.n))
 
     def _set_order(self, labels: Sequence[str], below: Sequence[int]):
         n = len(below)
@@ -405,12 +485,13 @@ class Lattice:
     codes (the pair's meet key) to the id of their glb, and joins maps the
     union of two join codes (the join key) to the id of their lub; each
     holds the keys of every pair and no other, so meet(i, j) and join(i, j)
-    are one lookup each and no P×P table is stored.  _keyed_lattice builds
-    every Lattice and proves the order a lattice by looking up every pair's
-    keys: inclusion_lattice with the sets as both codes, from_poset with
-    ↓x and L∖↑x.  It then sets ji, the JoinIrreducibles of the lattice, and
-    distributive, the verdict of is_distributive, so each is found once
-    per lattice.
+    are one lookup each and no P×P table is stored.  Two builders make
+    every Lattice: downset_lattice, with each downset as both codes and one
+    index map for both, and _keyed_lattice, which proves an order a
+    lattice by looking up every pair's keys (inclusion_lattice with the
+    sets as both codes, from_poset with ↓x and L∖↑x).  Each then sets ji,
+    the JoinIrreducibles of the lattice, and distributive, the verdict of
+    is_distributive, so each is found once per lattice.
     """
 
     __slots__ = ("poset", "meet_codes", "join_codes", "meets", "joins", "bottom", "top",

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .demorgan import DeMorgan, compute_g
-from .posets import bits, mask_of
+from .posets import bits, mask_of, preserves_order
 from .pseudo import DoubleP, compute_pseudocomplements, demorgan_pseudo_report
 from .rough import (
     Covering,
@@ -214,8 +214,9 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
     """Extend phi to the whole lattice by joins and verify, pair by pair,
     that every operation is preserved.
 
-    The order test of row x is one mask test: the image of ↑x must be
-    ↑iso(x), as iso is a bijection.  If every row passes, iso is an order
+    The order test (posets.preserves_order) pulls the target's order back
+    along iso, bit-sliced: ↑iso(x) must pull back to ↑x for every x, as
+    iso is a bijection.  If every row passes, iso is an order
     isomorphism of lattices, which preserves meet and join (Davey &
     Priestley, Introduction to Lattices and Order, 2.19), so the pairs are
     scanned only when some row fails, and then row by row, as the full scan
@@ -226,7 +227,6 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
     lat, target = dm.lattice, rs.lattice
     n = lat.n
     below, rs_below = lat.poset.below, target.poset.below
-    above, rs_above = lat.poset.above, target.poset.above
     iso = tuple(
         target.join_all(phi[j] for j in bits(below[x] & lat.ji.member_mask))
         for x in range(n)
@@ -236,9 +236,7 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
     if iso[lat.bottom] != rs.lattice.bottom or iso[lat.top] != rs.lattice.top:
         raise IsoCheckFailed("bounds", {})
     checks = {"meet": 0, "join": 0, "neg": 0, "star": 0, "plus": 0, "order": 0}
-    ordered = all(
-        mask_of(iso[y] for y in bits(above[x])) == rs_above[ix] for x, ix in enumerate(iso)
-    )
+    ordered = preserves_order(lat, target, iso)
     for x in range(n):
         if rs.neg[iso[x]] != iso[dm.neg[x]]:
             raise IsoCheckFailed("neg", {"x": x})
@@ -309,7 +307,8 @@ def roundtrip_check(tol: Tolerance) -> dict:
     cov = induced_irredundant_covering(tol)
     if cov is None:
         raise RepresentError("round trip needs an irredundant covering")
-    rs = _assemble(tol, join_closure_pairs(tol, cov), cov)
+    pairs, downsets, below = join_closure_pairs(tol, cov)
+    rs = _assemble(tol, pairs, cov, downsets, below)
     result = represent(rs.demorgan)
     return {
         "rsSize": rs.n,

@@ -9,22 +9,27 @@ into a lattice-with-operations when the order admits one.
 build_rs is the one builder, and the tolerance picks its route.  When an
 irredundant covering induces it, the rough pairs form a distributive
 lattice, and the downset route joins each downset of the block-derived
-join-irreducibles (Birkhoff).  Its downsets come from posets.downsets, so
+join-irreducibles J (Birkhoff).  Its downsets come from posets.downsets, so
 it costs time linear in the number of pairs and stops once they pass the
 table cap.  Any other tolerance takes the powerset sweep, the defining
 construction: 2^|U| subsets, capped at POWERSET_CAP points.  On every
 covering-induced algebra that verify and the sweeps check, the powerset
-sweep is the independent oracle (dualRouteEqual).
+sweep is the independent oracle (dualRouteEqual); the algebra sweeps it
+once for both of its checks (RoughSetAlgebra.powerset_table).
 
 A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
-so the coordinatewise order is inclusion of codes.  In an inclusion order
-the meet of two elements depends only on the intersection of their codes,
-and the join only on the union; the closed forms of meet and join read the
-same keys.  So the lattice (posets.inclusion_lattice) and the check of both
-closed forms (_check_formulas) cost one lookup and one test per distinct
-key, which are far fewer than the P² pairs.  The lattice answers meet and
-join by those same keys and stores no row, so the check covers every pair
-the algebra is ever asked about.
+so the coordinatewise order is inclusion of codes.  On the downset route
+the lattice is posets.downset_lattice of the pairs' downsets, with no pair
+looked up; _assemble checks that the order of the codes is the order of
+the downsets, and decides both closed forms of meet and join per point
+(_closed_forms_hold), in O(P·U).  On the powerset route the lattice is
+posets.inclusion_lattice of the codes: in an inclusion order the meet of
+two elements depends only on the intersection of their codes, and the join
+only on the union, and the closed forms read the same keys, so the lattice
+and the check of both closed forms (_check_formulas) cost one lookup and
+one test per distinct key.  Either way the lattice answers meet and join
+from what was checked, so the check covers every pair the algebra is ever
+asked about.
 """
 
 from __future__ import annotations
@@ -35,7 +40,16 @@ from itertools import count, repeat
 from operator import and_, eq, invert, or_, xor
 
 from .demorgan import validate_demorgan, compute_g
-from .posets import Memo, NotALattice, bits, downsets, inclusion_below, inclusion_lattice
+from .posets import (
+    Memo,
+    NotALattice,
+    bits,
+    downset_lattice,
+    downsets,
+    inclusion_below,
+    inclusion_lattice,
+    transpose,
+)
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report
 
 
@@ -314,7 +328,7 @@ class RoughSetAlgebra:
 
     __slots__ = (
         "tolerance", "pairs", "index", "lattice",
-        "neg", "star", "plus", "covering", "demorgan", "doublep", "ji",
+        "neg", "star", "plus", "covering", "demorgan", "doublep", "ji", "_table",
     )
 
     def __init__(self, tolerance, pairs, index, lattice, neg, star, plus,
@@ -330,10 +344,19 @@ class RoughSetAlgebra:
         self.demorgan = demorgan
         self.doublep = doublep
         self.ji = ji
+        self._table = None
 
     @property
     def n(self):
         return len(self.pairs)
+
+    @property
+    def powerset_table(self):
+        """_approximation_table of the tolerance, swept on first use and
+        kept with this algebra, so that its powerset checks share one sweep."""
+        if self._table is None:
+            self._table = _approximation_table(self.tolerance)
+        return self._table
 
 
 def _approximation_table(tol: Tolerance):
@@ -375,8 +398,10 @@ def _approximation_table(tol: Tolerance):
     return los, ups
 
 
-def _powerset_pairs(tol: Tolerance):
-    los, ups = _approximation_table(tol)
+def _powerset_pairs(tol: Tolerance, table=None):
+    """The sorted rough pairs of every subset, from table, or from a fresh
+    _approximation_table when it is None."""
+    los, ups = _approximation_table(tol) if table is None else table
     return sorted(set(zip(los, ups)))
 
 
@@ -392,7 +417,11 @@ def formula_join_irreducibles(tol: Tolerance, cov: Covering):
 
 
 def join_closure_pairs(tol: Tolerance, cov: Covering | None):
-    """All joins of the block-derived join-irreducibles, one per downset.
+    """All joins of the block-derived join-irreducibles, one per downset,
+    as (pairs, downsets, below): the sorted rough pairs, the downset of J
+    whose join each pair is, and the order of J as down-masks, where J is
+    formula_join_irreducibles' sorted list.  That is what downset_lattice
+    needs to build the algebra with no pair lookups.
 
     For a tolerance induced by an irredundant covering the rough pairs form
     a finite distributive lattice, so each pair is the join of exactly one
@@ -406,13 +435,14 @@ def join_closure_pairs(tol: Tolerance, cov: Covering | None):
     if cov is None:
         raise ToleranceError("join closure needs a tolerance induced by an irredundant covering")
     ji = formula_join_irreducibles(tol, cov)
+    below = rough_order(ji, tol.n)
     closure = Memo(tol.closure)
-    seen = set()
+    joined = {}
     # ji is sorted, and a coordinatewise smaller pair sorts first, so the
     # highest element of a downset d is maximal in it: d without it is a
     # smaller downset, listed earlier, whose unions are already known
     unions = {0: (0, 0)}
-    for d in downsets(rough_order(ji, tol.n)):
+    for d in downsets(below):
         if d:
             top = d.bit_length() - 1
             lo, up = unions[d ^ 1 << top]
@@ -420,10 +450,11 @@ def join_closure_pairs(tol: Tolerance, cov: Covering | None):
             unions[d] = (lo | a, up | b)
         lo, up = unions[d]
         pair = (closure[lo], up)
-        if pair in seen:
+        if pair in joined:
             raise FormulaMismatch("two downsets share a join", {"pair": pair})
-        seen.add(pair)
-    return sorted(seen)
+        joined[pair] = d
+    pairs = sorted(joined)
+    return pairs, [joined[pair] for pair in pairs], below
 
 
 def _codes(pairs, n_points: int) -> list:
@@ -462,7 +493,9 @@ def _check_formulas(tol: Tolerance, pairs, meets, joins):
     Lattice.join answer each pair from the same entries.  Only when some
     key fails are the pairs scanned, row by row and each row in full, for
     the first pair whose key failed, meet before join: the pair and formula
-    of a row-major scan of every pair.
+    of a row-major scan of every pair.  This is the powerset route's check;
+    the downset route calls it only to name the failure _closed_forms_hold
+    found, with the keys of every pair gathered.
     """
     U, low = tol.n, (1 << tol.n) - 1
     interior, closure = Memo(tol.interior), Memo(tol.closure)
@@ -489,20 +522,73 @@ def _check_formulas(tol: Tolerance, pairs, meets, joins):
                     )
 
 
-def _assemble(tol: Tolerance, pairs, covering: Covering | None):
+def _closed_forms_hold(tol: Tolerance, pairs, lattice) -> bool:
+    """Whether every meet and join of lattice is its closed form, decided
+    per point of U: lattice orders the sorted pairs coordinatewise, so its
+    ids run along a linear extension of its order.
+
+    By the Galois connection of upper and lower (lower∘upper∘lower = lower,
+    upper∘lower∘upper = upper, lower keeps ∩ and upper keeps ∪), the meet
+    is (a∩c, interior(b∩d)) on every pair exactly when lo and lower∘up keep
+    ∧ and each up is open (the diagonal pairs), and the join is
+    (closure(a∪c), b∪d) on every pair exactly when up and upper∘lo keep ∨
+    and each lo is closed.  A map f into sets keeps ∧ exactly when, for
+    each point u, the ids whose f-value holds u are none or a principal
+    filter ↑k, and k is then the lowest of them; dually f keeps ∨ exactly
+    when the ids whose f-value lacks u are none or ↓k of the highest of
+    them.  So each map costs one transpose and one mask test per point,
+    O(P·U) in all.
+    """
+    below, above = lattice.poset.below, lattice.poset.above
+    full, U = (1 << len(pairs)) - 1, tol.n
+    lows, ups = [lo for lo, _ in pairs], [up for _, up in pairs]
+    lower, upper = Memo(tol.lower), Memo(tol.upper)
+
+    def keeps_meets(values):
+        return all(h == 0 or h == above[(h & -h).bit_length() - 1] for h in transpose(values, U))
+
+    def keeps_joins(values):
+        return all(c == 0 or c == below[c.bit_length() - 1]
+                   for c in (full ^ h for h in transpose(values, U)))
+
+    return (all(tol.interior(up) == up for up in set(ups))
+            and all(tol.closure(lo) == lo for lo in set(lows))
+            and keeps_meets(lows) and keeps_meets([lower[up] for up in ups])
+            and keeps_joins(ups) and keeps_joins([upper[lo] for lo in lows]))
+
+
+def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, below=None):
     """The rough-set algebra on the sorted pair set, with every check run.
 
-    The lattice comes from rough_lattice, which raises NotALattice when the
-    order has no meet or join for some pair.  The
-    keyed meet and join of every pair are checked against their closed
-    forms (_check_formulas), neg, star and plus against the pair set, and, for a tolerance induced
-    by an irredundant covering, the Kleene and regularity battery.
+    With downsets and below from join_closure_pairs (the downset route) the
+    lattice is downset_lattice of the pairs' downsets of J, whose order
+    below is; FormulaMismatch names the first pair whose ↓ in the
+    coordinatewise order (rough_order) differs from its ↓ in the downset
+    order, and the closed forms of meet and join are decided per point
+    (_closed_forms_hold).  Only when they fail are the keys of every pair
+    gathered for _check_formulas, which names the first failing pair.
+    Otherwise the lattice comes from rough_lattice, which raises
+    NotALattice when the order has no meet or join for some pair, and the
+    keyed meet and join are checked per key (_check_formulas).  Then neg,
+    star and plus are checked against the pair set, and, for a tolerance
+    induced by an irredundant covering, the Kleene and regularity battery.
     covering is induced_irredundant_covering(tol), found once by the
     caller; the algebra carries it as rs.covering.
     """
     labels = [fmt_pair(pr, tol.labels) for pr in pairs]
-    lattice = rough_lattice(labels, pairs, tol.n)
-    _check_formulas(tol, pairs, lattice.meets, lattice.joins)
+    if downsets is None:
+        lattice = rough_lattice(labels, pairs, tol.n)
+        _check_formulas(tol, pairs, lattice.meets, lattice.joins)
+    else:
+        lattice = downset_lattice(labels, downsets, below)
+        for pair, by_codes, by_downsets in zip(pairs, rough_order(pairs, tol.n), lattice.poset.below):
+            if by_codes != by_downsets:
+                raise FormulaMismatch("rough order is not the downset order", {"pair": pair})
+        if not _closed_forms_hold(tol, pairs, lattice):
+            codes, ids = _codes(pairs, tol.n), range(len(pairs))
+            meets = {codes[i] & codes[j]: lattice.meet(i, j) for i in ids for j in ids}
+            joins = {codes[i] | codes[j]: lattice.join(i, j) for i in ids for j in ids}
+            _check_formulas(tol, pairs, meets, joins)
     index = {pr: i for i, pr in enumerate(pairs)}
     full = (1 << tol.n) - 1
     neg, star, plus = [], [], []
@@ -548,8 +634,10 @@ def build_rs(tol: Tolerance) -> RoughSetAlgebra:
     happens for some tolerances, all of them on the powerset route.
     """
     cov = induced_irredundant_covering(tol)
-    pairs = _powerset_pairs(tol) if cov is None else join_closure_pairs(tol, cov)
-    return _assemble(tol, pairs, cov)
+    if cov is None:
+        return _assemble(tol, _powerset_pairs(tol), None)
+    pairs, downsets, below = join_closure_pairs(tol, cov)
+    return _assemble(tol, pairs, cov, downsets, below)
 
 
 def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
@@ -558,7 +646,8 @@ def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
     package calls it; it stays as the name the benchmark's tracer wraps.
     """
     cov = induced_irredundant_covering(tol)
-    return _assemble(tol, join_closure_pairs(tol, cov), cov)
+    pairs, downsets, below = join_closure_pairs(tol, cov)
+    return _assemble(tol, pairs, cov, downsets, below)
 
 
 @dataclass(frozen=True)
@@ -640,20 +729,22 @@ def isolated_blocks(rs: RoughSetAlgebra):
     return out
 
 
-def powerset_images(tol: Tolerance):
-    """The sorted images of lower and upper over the whole powerset."""
-    los, ups = _approximation_table(tol)
+def powerset_images(tol: Tolerance, table=None):
+    """The sorted images of lower and upper over the whole powerset, from
+    table, or from a fresh _approximation_table when it is None."""
+    los, ups = _approximation_table(tol) if table is None else table
     return sorted(set(los)), sorted(set(ups))
 
 
-def powerset_image_report(tol: Tolerance, cov: Covering | None):
+def powerset_image_report(tol: Tolerance, cov: Covering | None, table=None):
     """For irredundant-covering tolerances: both images are atomistic Boolean
     lattices with the block cores / blocks as atoms and the stated
     double-approximation complements.  cov is
-    induced_irredundant_covering(tol); None raises ToleranceError."""
+    induced_irredundant_covering(tol); None raises ToleranceError.  table
+    is passed on to powerset_images."""
     if cov is None:
         raise ToleranceError("image analysis needs an irredundant covering")
-    los, ups = powerset_images(tol)
+    los, ups = powerset_images(tol, table)
     full = (1 << tol.n) - 1
     lo_atoms = sorted({tol.lower(b) for b in cov.blocks})
     up_atoms = sorted(cov.blocks)
@@ -717,14 +808,16 @@ def skeleton_isomorphism_report(rs: RoughSetAlgebra):
 # The checks that verify and the covering sweep both run on a built algebra
 # whose tolerance an irredundant covering induces, by output name.  Each
 # looks its function up in this module when it runs, so a wrapper or a
-# patch installed here is what both outputs run.
+# patch installed here is what both outputs run.  The two powerset checks
+# share the algebra's one sweep, rs.powerset_table.
 RS_CHECKS = (
     ("joinIrreducibleFormulas", lambda rs: rs_join_irreducibles(rs) is not None),
     ("gmapClosedForm", lambda rs: rs_g_map(rs) is not None),
     ("skeletonIsomorphisms", lambda rs: skeleton_isomorphism_report(rs) is not None),
     ("imageLatticesAtomisticBoolean",
-     lambda rs: powerset_image_report(rs.tolerance, rs.covering) is not None),
-    ("dualRouteEqual", lambda rs: list(rs.pairs) == _powerset_pairs(rs.tolerance)),
+     lambda rs: powerset_image_report(rs.tolerance, rs.covering, rs.powerset_table) is not None),
+    ("dualRouteEqual",
+     lambda rs: list(rs.pairs) == _powerset_pairs(rs.tolerance, rs.powerset_table)),
 )
 
 

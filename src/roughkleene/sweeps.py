@@ -24,7 +24,7 @@ from .generators import (
 )
 from .isomorph import lattice_key
 from .jsonio import covering_doc, lattice_doc, tolerance_doc
-from .posets import Lattice, NotALattice, Poset
+from .posets import Lattice, NotALattice
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report, heyting_implications, is_regular, skeletons
 from .rough import (
     RS_CHECKS,
@@ -291,8 +291,7 @@ def _run_tolerance_chunk(args):
 
 def _run_lattice_chunk(args):
     report = EnumerationReport()
-    for seq, below, labels in args:
-        lat = Lattice.from_poset(Poset(labels, below))
+    for seq, lat in args:
         _eval_lattice(seq, lat, report)
         report.instances_tested += 1
     return report
@@ -363,12 +362,11 @@ def sweep_tolerances(max_universe=5, workers=None, canonical=False) -> Enumerati
 
 def sweep_demorgan(max_lattice=8, workers=None) -> EnumerationReport:
     """All lattices up to the size bound; each distributive one is checked
-    with every order-reversing involution it admits."""
+    with every order-reversing involution it admits.  The runners take the
+    lattices all_lattices built, so each is built once."""
     workers = worker_count() if workers is None else workers
     start = time.perf_counter()
-    items = []
-    for seq, lat in enumerate(all_lattices(max_lattice)):
-        items.append((seq, lat.poset.below, lat.labels))
+    items = list(enumerate(all_lattices(max_lattice)))
     report = _pooled(_run_lattice_chunk, items, workers)
     report.runtime_seconds = time.perf_counter() - start
     return report

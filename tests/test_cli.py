@@ -298,11 +298,43 @@ class TestRoutes:
         rs = rough.build_rs(rough.tolerance_from_covering(cov))
         assert rs.n == 6 and rs.covering is not None
 
+    @pytest.mark.parametrize("rung, digest", [
+        ("verify-partition-7", "5dd5a2eaa0bbf1ea"),
+        ("represent-jposet-7", "a192c82103010b3a"),
+    ])
+    def test_top_rung_takes_no_pair_stream(self, monkeypatch, rung, digest):
+        """P = 2187 = 3^7, the table cap: the report of the covering by seven
+        2-point blocks and the bundle of the jposet of seven pairs a_i < b_i
+        with g swapping each pair keep their bytes, and neither reaches the
+        keyed builder, whose P²/2 key streams the downset route replaces."""
+        import hashlib
+
+        from roughkleene import jsonio
+        from roughkleene.demorgan import build_kleene_from_jposet
+        from roughkleene.reports import represent_bundle, verify_report
+        from roughkleene.represent import represent
+        from roughkleene.rough import Covering
+
+        def refuse(*args):
+            raise AssertionError("the keyed builder ran")
+
+        monkeypatch.setattr(posets, "_keyed_lattice", refuse)
+        if rung == "verify-partition-7":
+            doc = verify_report(Covering([f"p{i}" for i in range(14)], [3 << 2 * i for i in range(7)]))
+            assert doc["rsSize"] == 2187 and doc["failures"] == []
+        else:
+            labels = [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(7)]
+            jposet = posets.Poset.from_covers(labels, [(i, 7 + i) for i in range(7)])
+            dm = build_kleene_from_jposet(jposet, {i: (i + 7) % 14 for i in range(14)})
+            doc = represent_bundle(represent(dm))
+            assert doc["report"]["rsSize"] == 2187 and doc["report"]["verified"]
+        assert hashlib.sha256(jsonio.dumps(doc).encode()).hexdigest()[:16] == digest
+
     def test_powerset_sweep_is_the_dual_route_oracle(self, capsys, monkeypatch):
         from roughkleene import rough
 
         real = rough._powerset_pairs
-        monkeypatch.setattr(rough, "_powerset_pairs", lambda tol: real(tol)[1:])
+        monkeypatch.setattr(rough, "_powerset_pairs", lambda tol, table=None: real(tol, table)[1:])
         code, out, _ = run_cli(capsys, "verify", fixture_path("partition_2_3.json"))
         assert code == 1
         report = json.loads(out)

@@ -299,7 +299,7 @@ class TestGaloisAndImages:
         for n in range(1, 6):
             for cov in irredundant_coverings(n):
                 tol = tolerance_from_covering(cov)
-                pairs = join_closure_pairs(tol, cov)
+                pairs = join_closure_pairs(tol, cov)[0]
                 assert powerset_images(tol) == (
                     sorted({lo for lo, _ in pairs}),
                     sorted({up for _, up in pairs}),
@@ -357,7 +357,7 @@ class TestDualRoute:
         for n in range(1, 5):
             for cov in irredundant_coverings(n):
                 tol = tolerance_from_covering(cov)
-                assert join_closure_pairs(tol, cov) == _powerset_pairs(tol)
+                assert join_closure_pairs(tol, cov)[0] == _powerset_pairs(tol)
                 count += 1
         assert count == 60  # 1 + 2 + 8 + 49
 
@@ -375,14 +375,14 @@ class TestDualRoute:
             if not is_irredundant(cov).irredundant:
                 continue
             tol = tolerance_from_covering(cov)
-            assert join_closure_pairs(tol, cov) == _powerset_pairs(tol)
+            assert join_closure_pairs(tol, cov)[0] == _powerset_pairs(tol)
             count += 1
 
     def test_partition_seven_pairs(self):
         cov = Covering([str(i) for i in range(14)], [3 << (2 * i) for i in range(7)])
         tol = tolerance_from_covering(cov)
         start = time.perf_counter()
-        pairs = join_closure_pairs(tol, cov)
+        pairs = join_closure_pairs(tol, cov)[0]
         elapsed = time.perf_counter() - start
         assert len(pairs) == 3**7
         assert pairs == _powerset_pairs(tol)
@@ -403,6 +403,10 @@ class TestDualRoute:
 class TestFormulaCheck:
     @pytest.mark.parametrize("kind", ["meet", "join"])
     def test_corrupted_table_is_caught(self, monkeypatch, kind):
+        # a tolerance that no irredundant covering induces, whose rough order
+        # is a lattice: the powerset route, with its keyed maps
+        tol = tolerance_from_encoding(4, 13)
+        assert induced_irredundant_covering(tol) is None
         real = rough.inclusion_lattice
 
         def corrupted(labels, sets, width):
@@ -416,10 +420,52 @@ class TestFormulaCheck:
 
         monkeypatch.setattr(rough, "inclusion_lattice", corrupted)
         with pytest.raises(FormulaMismatch, match=f"^{kind}:") as info:
-            build_rs(TOL)
-        full = (1 << TOL.n) - 1
+            build_rs(tol)
+        full = (1 << tol.n) - 1
         corner = (0, 0) if kind == "join" else (full, full)
         assert info.value.details == {"pair": (corner, corner), "formula": corner}
+
+    @pytest.mark.parametrize("bent, kind, witness", [
+        # (1,1) -> (1,0) keeps both orders; the first failing pair of the
+        # row-major scan is in row 1, not on the bent element's diagonal
+        ((1, 0), "join", (((0, 6), (1, 0)), (1, 6))),
+        ((1, 3), "meet", (((1, 3), (1, 3)), (1, 1))),
+    ])
+    def test_corrupted_pair_set_on_the_downset_route(self, monkeypatch, bent, kind, witness):
+        """The partition {1},{2,3}: one pair of join_closure_pairs bent so
+        that the rough order is still the downset order; the per-point
+        certificate fails, and the first (pair, formula) of a row-major scan
+        of every pair, meet before join, is named."""
+        tol = tolerance_from_covering(Covering(["1", "2", "3"], [1, 6]))
+        real = rough.join_closure_pairs
+
+        def bent_pairs(t, c):
+            pairs, downsets, below = real(t, c)
+            assert pairs == [(0, 0), (0, 6), (1, 1), (1, 7), (6, 6), (7, 7)]
+            return [bent if pr == (1, 1) else pr for pr in pairs], downsets, below
+
+        monkeypatch.setattr(rough, "join_closure_pairs", bent_pairs)
+        with pytest.raises(FormulaMismatch, match=f"^{kind}:") as info:
+            build_rs(tol)
+        pair, formula = witness
+        assert info.value.details == {"pair": pair, "formula": formula}
+
+    def test_order_differing_from_the_downsets_is_caught(self, monkeypatch):
+        # the downsets of the two atoms (0,6) and (1,1) swapped: the family
+        # is still all of D(J) and each atom's own ↓ still agrees, so the
+        # first element whose ↓ differs is (6,6), above (0,6) alone
+        tol = tolerance_from_covering(Covering(["1", "2", "3"], [1, 6]))
+        real = rough.join_closure_pairs
+
+        def swapped(t, c):
+            pairs, downsets, below = real(t, c)
+            downsets[1], downsets[2] = downsets[2], downsets[1]
+            return pairs, downsets, below
+
+        monkeypatch.setattr(rough, "join_closure_pairs", swapped)
+        with pytest.raises(FormulaMismatch, match="^rough order is not the downset order") as info:
+            build_rs(tol)
+        assert info.value.details == {"pair": (6, 6)}
 
 
 class TestPartitions:

@@ -107,3 +107,44 @@ def test_enumerate_tests_no_lattice_past_its_bound(lattice_max, instances):
     at most lattice_max elements."""
     report = run_enumeration(universe_max=1, lattice_max=lattice_max, workers=1)
     assert report.instances_tested == instances
+
+
+def test_demorgan_sweep_builds_each_lattice_once(monkeypatch):
+    """sweep_demorgan hands its runner the lattices all_lattices built, so
+    the 300 lattices up to 8 elements are built 300 times, serially and
+    under a pool alike."""
+    from roughkleene.posets import Lattice
+
+    built = []
+    real = Lattice.from_poset.__func__
+
+    def counted(cls, p):
+        built.append(p.n)
+        return real(cls, p)
+
+    monkeypatch.setattr(Lattice, "from_poset", classmethod(counted))
+    serial = sweep_demorgan(8, workers=1)
+    assert len(built) == serial.instances_tested == 300
+    pooled = sweep_demorgan(8, workers=2)
+    assert len(built) == 600
+    assert pooled.to_dict(include_runtime=False) == serial.to_dict(include_runtime=False)
+
+
+def test_covering_battery_sweeps_the_powerset_once_per_algebra(monkeypatch):
+    """imageLatticesAtomisticBoolean and dualRouteEqual share one sweep of
+    each covering algebra's powerset, and verify sweeps it once per call."""
+    swept = []
+    real = rough._approximation_table
+
+    def counted(tol):
+        swept.append(tol.n)
+        return real(tol)
+
+    monkeypatch.setattr(rough, "_approximation_table", counted)
+    cov = jsonio.parse_covering(jsonio.load_document(fixture_path("partition_2_3.json")))
+    for _ in range(2):
+        assert verify_report(cov)["failures"] == []
+    assert swept == [cov.n, cov.n]
+    swept.clear()
+    report = sweep_coverings(3, workers=1)
+    assert len(swept) == report.properties["dualRouteEqual"].checked == 11

@@ -32,10 +32,14 @@ from roughkleene.posets import (
     Lattice,
     NotALattice,
     Poset,
+    PosetError,
+    bits,
+    downset_lattice,
     downsets,
     inclusion_below,
     inclusion_lattice,
     mask_of,
+    preserves_order,
 )
 from roughkleene.pseudo import DoubleP, PseudoError, _check_p_laws, compute_pseudocomplements
 from roughkleene.represent import (
@@ -50,6 +54,7 @@ from roughkleene.rough import (
     FormulaMismatch,
     Tolerance,
     _assemble,
+    _closed_forms_hold,
     _codes,
     _powerset_pairs,
     approximations,
@@ -635,3 +640,133 @@ class TestExtendIso:
                 assert got[1] == result.report["checks"]
                 count += 1
         assert count == 522
+
+
+def same_lattice(got, want):
+    """Whether two lattices on the same ids have the same order, bounds,
+    join-irreducibles and every meet and join."""
+    def seen(lat):
+        return lat.poset.below, lat.poset.above, lat.bottom, lat.top, lat.ji, *rows(lat)
+
+    return seen(got) == seen(want)
+
+
+class TestDownsetLattice:
+    def test_distributive_lattices_up_to_ten(self):
+        """Every lattice of all_distributive_lattices(10), which
+        downset_lattice builds, against inclusion_lattice, the keyed
+        route, on the same downsets; one index map serves meet and join."""
+        count = 0
+        for below, lat in zip(_grow_posets_bounded(9, 10), all_distributive_lattices(10)):
+            ds = downsets(below)
+            ds.sort(key=lambda d: (d.bit_count(), d))
+            assert lat.meet_codes == lat.join_codes == tuple(ds)
+            assert lat.meets is lat.joins and lat.meets == {d: i for i, d in enumerate(ds)}
+            assert same_lattice(lat, inclusion_lattice(lat.labels, ds, len(below)))
+            count += 1
+        assert count == 109  # 1 + 1 + 1 + 2 + 3 + 5 + 8 + 15 + 26 + 47
+
+    def test_rough_algebras_of_the_irredundant_coverings(self):
+        """The 522 irredundant coverings on up to 5 points: each rough
+        algebra, whose lattice downset_lattice builds, against rough_lattice
+        (inclusion_lattice of the codes of its pairs)."""
+        count = 0
+        for n in range(1, 6):
+            for cov in irredundant_coverings(n):
+                tol = tolerance_from_covering(cov)
+                rs = build_rs(tol)
+                assert same_lattice(rs.lattice, rough_lattice(rs.lattice.labels, rs.pairs, tol.n))
+                count += 1
+        assert count == 522
+
+    @pytest.mark.parametrize("family, message", [
+        ([1, 3], "the empty downset is missing"),
+        ([0, 3], "the downset 0x1 is missing"),
+        ([0, 1, 2, 3], "member 0x2 is not a downset"),
+        ([0, 1, 3, 4], "member 0x4 is not a downset"),
+        ([0, 1, 1, 3], "the downsets of a downset lattice must be pairwise distinct"),
+    ])
+    def test_a_family_that_is_not_every_downset_is_refused(self, family, message):
+        """J is the chain 0 < 1, whose downsets are 0, 0x1 and 0x3."""
+        with pytest.raises(PosetError, match=f"^{message}$"):
+            downset_lattice([str(d) for d in range(len(family))], family, [0b01, 0b11])
+
+
+def formulas_hold(tol, pairs, lattice):
+    try:
+        ref_formula_scan(tol, pairs, lattice)
+    except FormulaMismatch:
+        return False
+    return True
+
+
+class TestClosedFormCertificate:
+    def test_every_lattice_order_up_to_five_points(self):
+        """The per-point certificate against the per-pair scan on every
+        tolerance on up to 5 points whose rough order is a lattice."""
+        verdicts = {True: 0, False: 0}
+        for tol in small_tolerances():
+            pairs = _powerset_pairs(tol)
+            try:
+                lattice = rough_lattice([str(k) for k in range(len(pairs))], pairs, tol.n)
+            except NotALattice:
+                continue
+            holds = _closed_forms_hold(tol, pairs, lattice)
+            assert holds == formulas_hold(tol, pairs, lattice)
+            verdicts[holds] += 1
+        assert verdicts == {True: 1039, False: 0}
+
+    def test_mutated_pair_sets(self):
+        """Pair sets that stay lattices with one pair dropped (up to 4
+        points) or one point of one pair flipped (up to 3 points): the
+        certificate's verdict is the per-pair scan's on each."""
+        verdicts = {True: 0, False: 0}
+        for tol in small_tolerances(4):
+            pairs = _powerset_pairs(tol)
+            mutants = [pairs[:i] + pairs[i + 1:] for i in range(len(pairs))]
+            if tol.n <= 3:
+                for i, (lo, up) in enumerate(pairs):
+                    for u in range(tol.n):
+                        for bent in ((lo ^ 1 << u, up), (lo, up ^ 1 << u)):
+                            mutants.append(sorted({*pairs[:i], bent, *pairs[i + 1:]}))
+            for mutant in mutants:
+                try:
+                    lattice = rough_lattice([str(k) for k in range(len(mutant))], mutant, tol.n)
+                except NotALattice:
+                    continue
+                holds = _closed_forms_hold(tol, mutant, lattice)
+                assert holds == formulas_hold(tol, mutant, lattice)
+                verdicts[holds] += 1
+        assert verdicts == {True: 229, False: 506}
+
+
+def ref_ordered(lat, target, iso):
+    """extend_iso's order test before the pull-back: the image of each ↑x,
+    walked bit by bit, is ↑iso(x)."""
+    above, target_above = lat.poset.above, target.poset.above
+    return all(mask_of(iso[y] for y in bits(above[x])) == target_above[ix] for x, ix in enumerate(iso))
+
+
+class TestPreservesOrder:
+    def test_represented_algebras(self):
+        """The acceptance suite's represented algebras, the two-level
+        fixture and 50 seeded two-level structures: represent's iso passes
+        both order tests, and with two of its values swapped (20 seeded
+        swaps each) the pull-back gives the walk's verdict."""
+        rng, swap_rng = random.Random(5309), random.Random(3)
+        algebras = [two_level_fixture()]
+        while len(algebras) < 51:
+            algebras.append(build_kleene_from_jposet(*random_two_level_structure(rng, max_atoms=5, max_ji=10)))
+        verdicts = {True: 0, False: 0}
+        for dm in algebras:
+            result = represent(dm)
+            lat, target, iso = dm.lattice, result.rs.lattice, result.iso
+            assert preserves_order(lat, target, iso) and ref_ordered(lat, target, iso)
+            for _ in range(20):
+                x, y = swap_rng.sample(range(lat.n), 2)
+                bent = list(iso)
+                bent[x], bent[y] = bent[y], bent[x]
+                ordered = preserves_order(lat, target, bent)
+                assert ordered == ref_ordered(lat, target, bent)
+                verdicts[ordered] += 1
+        assert verdicts[False] > 500
