@@ -265,7 +265,7 @@ def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Seque
 
 
 def pulled_back(lat: "Lattice", perm: Sequence[int]) -> _Inclusion:
-    """The order of lat pulled back along a bijection perm of its ids, read
+    """The order of lat pulled back along perm, a sequence of its ids, read
     bit-sliced: an _Inclusion over lat.meet_codes[perm[y]], whose
     within(lat.meet_codes[perm[x]]) is the mask of the y with perm[y] <=
     perm[x] and whose containing(lat.meet_codes[perm[x]]) is the mask of

@@ -18,18 +18,20 @@ sweep is the independent oracle (dualRouteEqual); the algebra sweeps it
 once for both of its checks (RoughSetAlgebra.powerset_table).
 
 A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
-so the coordinatewise order is inclusion of codes.  On the downset route
-the lattice is posets.downset_lattice of the pairs' downsets, with no pair
-looked up; _assemble checks that the order of the codes is the order of
-the downsets, and decides both closed forms of meet and join per point
-(_closed_forms_hold), in O(P·U).  On the powerset route the lattice is
-posets.inclusion_lattice of the codes: in an inclusion order the meet of
-two elements depends only on the intersection of their codes, and the join
-only on the union, and the closed forms read the same keys, so the lattice
-and the check of both closed forms (_check_formulas) cost one lookup and
-one test per distinct key.  Either way the lattice answers meet and join
-from what was checked, so the check covers every pair the algebra is ever
-asked about.
+so the coordinatewise order is inclusion of codes.  _assemble decides once,
+per route, whether every meet and join of the lattice is its closed form.
+On the downset route the lattice is posets.downset_lattice of the pairs'
+downsets, with no pair looked up, and the closed forms are decided per
+point (_closed_forms_hold), in O(P·U); when they hold, the downset order is
+the coordinatewise order, so no second order is built.  On the powerset
+route the lattice is posets.inclusion_lattice of the codes: in an inclusion
+order the meet of two elements depends only on the intersection of their
+codes, and the join only on the union, and the closed forms read the same
+keys, so the decision costs one test per distinct key (_keys_hold).  Either
+way the lattice answers meet and join from what was decided, so the
+decision covers every pair the algebra is ever asked about.  A failed
+decision has one path, _name_failure, which names the first element whose
+order differs and else the first failing (pair, formula).
 """
 
 from __future__ import annotations
@@ -43,11 +45,13 @@ from .demorgan import validate_demorgan, compute_g
 from .posets import (
     Memo,
     NotALattice,
+    _Inclusion,
     bits,
     downset_lattice,
     downsets,
     inclusion_below,
     inclusion_lattice,
+    pulled_back,
     transpose,
 )
 from .pseudo import compute_pseudocomplements, demorgan_pseudo_report
@@ -158,14 +162,10 @@ class Tolerance:
 
 
 def approximations(tol: Tolerance, X: int):
-    """The rough pair of X, with the lower/upper duality checked on the fly."""
-    full = (1 << tol.n) - 1
-    lo, up = tol.lower(X), tol.upper(X)
-    if lo ^ full != tol.upper(X ^ full):
-        raise FormulaMismatch("approximation duality", {"X": X})
-    if lo & ~X or X & ~up:
-        raise FormulaMismatch("reflexive sandwich", {"X": X})
-    return lo, up
+    """The rough pair (lower(X), upper(X)) of X.  Their duality and the
+    sandwich lower(X) ⊆ X ⊆ upper(X) are checked for every X by the
+    powerset sweep, _approximation_table."""
+    return tol.lower(X), tol.upper(X)
 
 
 def galois_holds(tol: Tolerance, X: int, Y: int) -> bool:
@@ -236,15 +236,7 @@ def tolerance_from_covering(cov: Covering) -> Tolerance:
     for b in cov.blocks:
         for x in bits(b):
             nbr[x] |= b
-    tol = Tolerance(cov.labels, nbr)
-    for x in range(cov.n):
-        joined = 0
-        for b in cov.blocks:
-            if b >> x & 1:
-                joined |= b
-        if joined != tol.nbr[x]:
-            raise FormulaMismatch("neighborhood is not the union of its blocks", {"x": x})
-    return tol
+    return Tolerance(cov.labels, nbr)
 
 
 @dataclass(frozen=True)
@@ -322,17 +314,17 @@ class RoughSetAlgebra:
     is pairs[i].  neg swaps-and-complements coordinates; star and plus are
     the complement-approximation maps.  For tolerances induced by an
     irredundant covering the full Kleene/regularity battery has been run
-    and demorgan/doublep/ji are populated; ji is then lattice.ji.  The
+    and demorgan/doublep are populated, and ji is lattice.ji.  The
     label of element i, lattice.labels[i], is fmt_pair of pairs[i].
     """
 
     __slots__ = (
         "tolerance", "pairs", "index", "lattice",
-        "neg", "star", "plus", "covering", "demorgan", "doublep", "ji", "_table",
+        "neg", "star", "plus", "covering", "demorgan", "doublep", "_table",
     )
 
     def __init__(self, tolerance, pairs, index, lattice, neg, star, plus,
-                 covering, demorgan, doublep, ji):
+                 covering, demorgan, doublep):
         self.tolerance = tolerance
         self.pairs = pairs
         self.index = index
@@ -343,12 +335,17 @@ class RoughSetAlgebra:
         self.covering = covering
         self.demorgan = demorgan
         self.doublep = doublep
-        self.ji = ji
         self._table = None
 
     @property
     def n(self):
         return len(self.pairs)
+
+    @property
+    def ji(self):
+        """lattice.ji when an irredundant covering induces the tolerance,
+        else None."""
+        return None if self.covering is None else self.lattice.ji
 
     @property
     def powerset_table(self):
@@ -480,52 +477,49 @@ def rough_lattice(labels, pairs, n_points: int):
         raise NotALattice((pairs[i], pairs[j]), exc.kind) from None
 
 
-def _check_formulas(tol: Tolerance, pairs, meets, joins):
-    """Raise FormulaMismatch unless every keyed meet and join is its closed
-    form: (a, b) ∧ (c, d) = (a ∩ c, upper(lower(b ∩ d))) and
-    (a, b) ∨ (c, d) = (lower(upper(a ∪ c)), b ∪ d).
-
-    Both forms read only the key of the pair: the intersection s of the two
-    codes gives a ∩ c = s & low and b ∩ d = s >> U, and the union t gives
-    a ∪ c and b ∪ d the same way.  The glb and lub depend on those keys
-    alone too, so one test per entry of the lattice's key maps, meets and
-    joins, covers every pair through its key, and Lattice.meet and
-    Lattice.join answer each pair from the same entries.  Only when some
-    key fails are the pairs scanned, row by row and each row in full, for
-    the first pair whose key failed, meet before join: the pair and formula
-    of a row-major scan of every pair.  This is the powerset route's check;
-    the downset route calls it only to name the failure _closed_forms_hold
-    found, with the keys of every pair gathered.
-    """
+def _closed_forms(tol: Tolerance):
+    """The closed forms (a, b) ∧ (c, d) = (a ∩ c, interior(b ∩ d)) and
+    (a, b) ∨ (c, d) = (closure(a ∪ c), b ∪ d) as functions of the key of
+    the pair: the intersection s of the two codes gives a ∩ c = s & low and
+    b ∩ d = s >> U, and the union t gives a ∪ c and b ∪ d the same way."""
     U, low = tol.n, (1 << tol.n) - 1
     interior, closure = Memo(tol.interior), Memo(tol.closure)
+    return (lambda s: (s & low, interior[s >> U])), (lambda t: (closure[t & low], t >> U))
 
-    def meet_formula(s):
-        return (s & low, interior[s >> U])
 
-    def join_formula(t):
-        return (closure[t & low], t >> U)
+def _keys_hold(tol: Tolerance, pairs, lattice) -> bool:
+    """Whether every entry of lattice's key maps, meets and joins, is its
+    closed form.  In an inclusion order the glb and lub depend on the keys
+    alone, and Lattice.meet and Lattice.join answer each pair from these
+    entries, so one test per key covers every pair."""
+    meet_form, join_form = _closed_forms(tol)
+    return (all(pairs[m] == meet_form(s) for s, m in lattice.meets.items())
+            and all(pairs[m] == join_form(t) for t, m in lattice.joins.items()))
 
-    bad_meets = {s for s, m in meets.items() if pairs[m] != meet_formula(s)}
-    bad_joins = {t for t, m in joins.items() if pairs[m] != join_formula(t)}
-    if bad_meets or bad_joins:
-        codes = _codes(pairs, U)
-        for i, ci in enumerate(codes):
-            for j, cj in enumerate(codes):
-                if ci & cj in bad_meets:
-                    raise FormulaMismatch(
-                        "meet", {"pair": (pairs[i], pairs[j]), "formula": meet_formula(ci & cj)}
-                    )
-                if ci | cj in bad_joins:
-                    raise FormulaMismatch(
-                        "join", {"pair": (pairs[i], pairs[j]), "formula": join_formula(ci | cj)}
-                    )
+
+def _name_failure(tol: Tolerance, pairs, lattice):
+    """Raise FormulaMismatch for a lattice whose closed forms failed their
+    decision: at the first element whose ↓ in the coordinatewise order
+    (rough_order) differs from its ↓ in lattice, and else at the first
+    (pair, formula) of a row-major scan of every pair, meet before join."""
+    for pair, by_codes, by_lattice in zip(pairs, rough_order(pairs, tol.n), lattice.poset.below):
+        if by_codes != by_lattice:
+            raise FormulaMismatch("rough order is not the downset order", {"pair": pair})
+    meet_form, join_form = _closed_forms(tol)
+    codes = _codes(pairs, tol.n)
+    for i, ci in enumerate(codes):
+        for j, cj in enumerate(codes):
+            for kind, got, formula in (("meet", lattice.meet(i, j), meet_form(ci & cj)),
+                                       ("join", lattice.join(i, j), join_form(ci | cj))):
+                if pairs[got] != formula:
+                    raise FormulaMismatch(kind, {"pair": (pairs[i], pairs[j]), "formula": formula})
 
 
 def _closed_forms_hold(tol: Tolerance, pairs, lattice) -> bool:
     """Whether every meet and join of lattice is its closed form, decided
-    per point of U: lattice orders the sorted pairs coordinatewise, so its
-    ids run along a linear extension of its order.
+    per point of U.  A True is exact whatever the ids.  A False is exact
+    when the ids run along a linear extension of the order, as sorted pairs
+    do in the coordinatewise order; _name_failure checks that order first.
 
     By the Galois connection of upper and lower (lower∘upper∘lower = lower,
     upper∘lower∘upper = upper, lower keeps ∩ and upper keeps ∪), the meet
@@ -562,33 +556,28 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
 
     With downsets and below from join_closure_pairs (the downset route) the
     lattice is downset_lattice of the pairs' downsets of J, whose order
-    below is; FormulaMismatch names the first pair whose ↓ in the
-    coordinatewise order (rough_order) differs from its ↓ in the downset
-    order, and the closed forms of meet and join are decided per point
-    (_closed_forms_hold).  Only when they fail are the keys of every pair
-    gathered for _check_formulas, which names the first failing pair.
-    Otherwise the lattice comes from rough_lattice, which raises
-    NotALattice when the order has no meet or join for some pair, and the
-    keyed meet and join are checked per key (_check_formulas).  Then neg,
-    star and plus are checked against the pair set, and, for a tolerance
-    induced by an irredundant covering, the Kleene and regularity battery.
-    covering is induced_irredundant_covering(tol), found once by the
-    caller; the algebra carries it as rs.covering.
+    below is, and the closed forms of meet and join are decided per point
+    (_closed_forms_hold).  Otherwise the lattice comes from rough_lattice,
+    which raises NotALattice when the order has no meet or join for some
+    pair, and they are decided per key (_keys_hold).  Either decision that
+    fails goes to _name_failure.  A passing one needs no order check: the
+    lattice meet is then (a∩c, interior(b∩d)) on every pair, so i <= j
+    exactly when lo_i ⊆ lo_j and up_i = interior(up_i ∩ up_j), which is
+    up_i ⊆ up_j as each up is open; the lattice order is the coordinatewise
+    order.  Then neg, star and plus are checked against the pair set, and,
+    for a tolerance induced by an irredundant covering, the Kleene and
+    regularity battery.  covering is induced_irredundant_covering(tol),
+    found once by the caller; the algebra carries it as rs.covering.
     """
     labels = [fmt_pair(pr, tol.labels) for pr in pairs]
     if downsets is None:
         lattice = rough_lattice(labels, pairs, tol.n)
-        _check_formulas(tol, pairs, lattice.meets, lattice.joins)
+        holds = _keys_hold(tol, pairs, lattice)
     else:
         lattice = downset_lattice(labels, downsets, below)
-        for pair, by_codes, by_downsets in zip(pairs, rough_order(pairs, tol.n), lattice.poset.below):
-            if by_codes != by_downsets:
-                raise FormulaMismatch("rough order is not the downset order", {"pair": pair})
-        if not _closed_forms_hold(tol, pairs, lattice):
-            codes, ids = _codes(pairs, tol.n), range(len(pairs))
-            meets = {codes[i] & codes[j]: lattice.meet(i, j) for i in ids for j in ids}
-            joins = {codes[i] | codes[j]: lattice.join(i, j) for i in ids for j in ids}
-            _check_formulas(tol, pairs, meets, joins)
+        holds = _closed_forms_hold(tol, pairs, lattice)
+    if not holds:
+        _name_failure(tol, pairs, lattice)
     index = {pr: i for i, pr in enumerate(pairs)}
     full = (1 << tol.n) - 1
     neg, star, plus = [], [], []
@@ -601,11 +590,10 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
                 raise FormulaMismatch("unary operation leaves the pair set", {"value": source})
             target.append(i)
     neg, star, plus = tuple(neg), tuple(star), tuple(plus)
-    demorgan = doublep = ji = None
+    demorgan = doublep = None
     if covering is not None:
         demorgan = validate_demorgan(lattice, neg)
         doublep = compute_pseudocomplements(lattice)
-        ji = lattice.ji
         report = demorgan_pseudo_report(demorgan, doublep)
         if not report.k:
             raise FormulaMismatch(
@@ -619,7 +607,7 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
         if not report.regular:
             raise FormulaMismatch("irredundant rough algebra is not regular", {})
     return RoughSetAlgebra(
-        tol, tuple(pairs), index, lattice, neg, star, plus, covering, demorgan, doublep, ji
+        tol, tuple(pairs), index, lattice, neg, star, plus, covering, demorgan, doublep
     )
 
 
@@ -774,6 +762,25 @@ def powerset_image_report(tol: Tolerance, cov: Covering | None, table=None):
     return los, ups
 
 
+def _reversal_witness(image, mapped, lattice, width: int):
+    """The first (b, c) of a row-major scan of the sorted sets image, over
+    width points, where c ⊆ b and mapped[b] <= mapped[c] in lattice
+    disagree, or None; mapped lists lattice ids in the order of image.
+
+    Bit-sliced: for each b, within(b) of an _Inclusion over image is the
+    mask of the c ⊆ b, and containing(its code) of the order pulled back
+    along mapped (pulled_back) the mask of the c with mapped[b] <=
+    mapped[c], so the lowest bit of their XOR is the first bad c.
+    """
+    within = _Inclusion(image, width).within
+    containing, codes = pulled_back(lattice, mapped).containing, lattice.meet_codes
+    for b, m in zip(image, mapped):
+        diff = within(b) ^ containing(codes[m])
+        if diff:
+            return b, image[(diff & -diff).bit_length() - 1]
+    return None
+
+
 def skeleton_isomorphism_report(rs: RoughSetAlgebra):
     """The star skeleton mirrors the upper image under reversed inclusion via
     B -> rough pair of B-complement; dually for the plus skeleton and the
@@ -791,17 +798,12 @@ def skeleton_isomorphism_report(rs: RoughSetAlgebra):
     star_image = sorted({rs.star[i] for i in range(rs.n)})
     plus_image = sorted({rs.plus[i] for i in range(rs.n)})
     for image, target, name in ((ups, star_image, "star"), (los, plus_image, "plus")):
-        mapped = {}
-        for b in image:
-            mapped[b] = rs.index[approximations(tol, full & ~b)]
-        if sorted(set(mapped.values())) != target:
+        mapped = [rs.index[approximations(tol, full & ~b)] for b in image]
+        if sorted(set(mapped)) != target:
             raise FormulaMismatch(f"{name} skeleton image", {})
-        for b in image:
-            for c in image:
-                if (b | c == b) != rs.lattice.leq(mapped[b], mapped[c]):
-                    raise FormulaMismatch(
-                        f"{name} skeleton order", {"pair": (b, c)}
-                    )
+        witness = _reversal_witness(image, mapped, rs.lattice, tol.n)
+        if witness is not None:
+            raise FormulaMismatch(f"{name} skeleton order", {"pair": witness})
     return {"star": len(star_image), "plus": len(plus_image)}
 
 

@@ -468,6 +468,23 @@ class TestFormulaCheck:
         assert info.value.details == {"pair": (6, 6)}
 
 
+    def test_the_downset_route_orders_only_j(self, monkeypatch):
+        """build_rs of the partition into seven 2-point blocks (P=2187)
+        orders the 14 join-irreducibles once, in join_closure_pairs; the
+        certificate that holds there makes a second, P-element rough order
+        needless."""
+        real, calls = rough.rough_order, []
+
+        def counted(pairs, n_points):
+            calls.append(len(pairs))
+            return real(pairs, n_points)
+
+        monkeypatch.setattr(rough, "rough_order", counted)
+        cov = Covering([f"p{i}" for i in range(14)], [3 << 2 * i for i in range(7)])
+        assert build_rs(tolerance_from_covering(cov)).n == 2187
+        assert calls == [14]
+
+
 class TestPartitions:
     def test_gehrke_walker_on_partitions(self):
         for cov in all_partitions(4):

@@ -49,16 +49,20 @@ from roughkleene.represent import (
     extend_iso,
     represent,
 )
+from roughkleene import rough
 from roughkleene.rough import (
     Covering,
     FormulaMismatch,
     Tolerance,
+    _approximation_table,
     _assemble,
     _closed_forms_hold,
     _codes,
     _powerset_pairs,
+    _reversal_witness,
     approximations,
     build_rs,
+    join_closure_pairs,
     powerset_images,
     rough_lattice,
     rough_order,
@@ -573,6 +577,7 @@ class TestPowerset:
     def test_against_per_subset_approximations(self):
         for tol in [*small_tolerances(), *seeded_tolerances()]:
             subsets = [approximations(tol, X) for X in range(1 << tol.n)]
+            assert list(zip(*_approximation_table(tol))) == subsets
             assert _powerset_pairs(tol) == sorted(set(subsets))
             assert powerset_images(tol) == (
                 sorted({lo for lo, _ in subsets}), sorted({up for _, up in subsets})
@@ -738,6 +743,83 @@ class TestClosedFormCertificate:
                 assert holds == formulas_hold(tol, mutant, lattice)
                 verdicts[holds] += 1
         assert verdicts == {True: 229, False: 506}
+
+
+def covering_algebras():
+    """(tol, pairs, downsets, below) of the downset route on each of the 522
+    irredundant coverings on up to 5 points."""
+    for n in range(1, 6):
+        for cov in irredundant_coverings(n):
+            tol = tolerance_from_covering(cov)
+            yield tol, *join_closure_pairs(tol, cov)
+
+
+class TestCertificateImpliesOrder:
+    def test_swapped_downsets(self, monkeypatch):
+        """On each downset-route algebra, and on 1,566 mutants that swap the
+        downsets of two seeded pairs (the family stays all of D(J)), a True
+        from the certificate implies that the coordinatewise order is the
+        downset order, which _assemble no longer compares when it holds;
+        build_rs raises on every mutant whose order differs.  The 34 mutants
+        that hold keep the order."""
+        rng = random.Random(16)
+        seen = {"holds": 0, "fails": 0, "order differs": 0}
+        for tol, pairs, ds, below in covering_algebras():
+            labels = [str(k) for k in range(len(pairs))]
+            mutants = [list(ds)]
+            for _ in range(3 if len(pairs) > 1 else 0):
+                i, j = rng.sample(range(len(pairs)), 2)
+                mutant = list(ds)
+                mutant[i], mutant[j] = mutant[j], mutant[i]
+                mutants.append(mutant)
+            for mutant in mutants:
+                lattice = downset_lattice(labels, mutant, below)
+                agree = rough_order(pairs, tol.n) == list(lattice.poset.below)
+                holds = _closed_forms_hold(tol, pairs, lattice)
+                assert agree or not holds
+                seen["holds" if holds else "fails"] += 1
+                if not agree:
+                    seen["order differs"] += 1
+                    monkeypatch.setattr(rough, "join_closure_pairs", lambda t, c: (pairs, mutant, below))
+                    with pytest.raises(FormulaMismatch, match="^rough order is not the downset order"):
+                        build_rs(tol)
+        assert seen == {"holds": 556, "fails": 1532, "order differs": 1532}
+
+
+def ref_reversal_witness(image, mapped, lattice):
+    """skeleton_isomorphism_report's order test before the masks: every
+    (b, c) of image, row-major, through Lattice.leq."""
+    for b, mb in zip(image, mapped):
+        for c, mc in zip(image, mapped):
+            if (b | c == b) != lattice.leq(mb, mc):
+                return b, c
+    return None
+
+
+class TestReversalWitness:
+    def test_skeletons_of_the_irredundant_coverings(self):
+        """Both skeleton maps of the 522 covering algebras, and each with
+        two of its values swapped (three seeded swaps per map): the masks
+        name the nested scan's first (b, c), or None with it."""
+        rng = random.Random(1604)
+        verdicts = {True: 0, False: 0}
+        for n in range(1, 6):
+            for cov in irredundant_coverings(n):
+                tol = tolerance_from_covering(cov)
+                rs, full = build_rs(tol), (1 << tol.n) - 1
+                for image in (sorted({up for _, up in rs.pairs}), sorted({lo for lo, _ in rs.pairs})):
+                    mapped = [rs.index[approximations(tol, full & ~b)] for b in image]
+                    cases = [mapped]
+                    for _ in range(3 if len(image) > 1 else 0):
+                        i, j = rng.sample(range(len(image)), 2)
+                        bent = list(mapped)
+                        bent[i], bent[j] = bent[j], bent[i]
+                        cases.append(bent)
+                    for case in cases:
+                        witness = _reversal_witness(image, case, rs.lattice, tol.n)
+                        assert witness == ref_reversal_witness(image, case, rs.lattice)
+                        verdicts[witness is None] += 1
+        assert verdicts == {True: 1158, False: 3018}
 
 
 def ref_ordered(lat, target, iso):
