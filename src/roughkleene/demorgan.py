@@ -6,8 +6,9 @@ antitone involution of the join-irreducible poset from which the negation
 can be rebuilt:  neg(x) = join of {j | gmap(j) not<= x}.
 
 A jposet's algebra is the downset lattice of its join-irreducibles
-(posets.downset_lattice), built with no pair lookups.  Antitonicity of neg
-is decided on the lattice's order pulled back along neg (posets.pulled_back),
+(posets.downset_lattice), built with no pair lookups, and its negation is
+read from g on J with no fold: neg(D) = J ∖ g(D).  Antitonicity of neg is
+decided on the lattice's order pulled back along neg (posets.pulled_back),
 bit-sliced, with no walk over any ↓x.
 """
 
@@ -20,6 +21,7 @@ from .posets import (
     downset_lattice,
     first_bad_triple,
     first_not_below,
+    mask_of,
     pulled_back,
 )
 
@@ -137,16 +139,14 @@ def compute_g(dm: DeMorgan) -> dict:
 
 
 def neg_from_g(lat: Lattice, g: dict):
-    """Rebuild the negation: neg(x) = join of {j join-irreducible | gmap(j) not<= x}."""
+    """Rebuild the negation: neg(x) = join of {j join-irreducible | gmap(j) not<= x}.
+
+    The result is not validated: callers compare it with a negation that
+    validate_demorgan has already accepted.
+    """
     p = lat.poset
-    neg = []
-    for x in range(lat.n):
-        neg.append(lat.join_all(j for j in lat.ji.members if not p.leq(g[j], x)))
-    neg = tuple(neg)
-    for x in range(lat.n):
-        if neg[neg[x]] != x:
-            raise NotInvolution(x)
-    return neg
+    return tuple(lat.join_all(j for j in lat.ji.members if not p.leq(g[j], x))
+                 for x in range(lat.n))
 
 
 def _check_j1_j2(poset: Poset, members, g: dict):
@@ -178,7 +178,12 @@ def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     elements joined by "|".  The downset walk raises TableCapExceeded once
     there are more downsets than the table cap, before any order is built.
     The lattice is downset_lattice of the downsets themselves, which proves
-    them all of D(J) with no pair lookups.
+    them all of D(J) with no pair lookups and reads its join-irreducibles
+    from J.
+
+    The negation is the J formula neg(D) = {j : g(j) ∉ D} = J ∖ g(D), a
+    downset because g is an antitone involution: one lookup in the index
+    map per downset, no join fold.  validate_demorgan still checks it.
     """
     _check_j1_j2(jposet, range(jposet.n), g)
     for x in range(jposet.n):
@@ -186,15 +191,10 @@ def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
             raise GViolatesJ1J2J3("J3", x)
     downsets = jposet.downsets()
     downsets.sort(key=lambda d: (d.bit_count(), d))
-    index = {d: i for i, d in enumerate(downsets)}
     labels = [_downset_label(jposet, d) for d in downsets]
     lat = downset_lattice(labels, downsets, jposet.below)
-    ji = lat.ji
-    principal = {index[jposet.below[x]]: x for x in range(jposet.n)}
-    if sorted(principal) != list(ji.members):
-        raise DeMorganError("downset lattice does not reproduce the input poset")
-    g_l = {jid: index[jposet.below[g[principal[jid]]]] for jid in ji.members}
-    neg = neg_from_g(lat, g_l)
+    full = (1 << jposet.n) - 1
+    neg = [lat.meets[full ^ mask_of(g[j] for j in bits(d))] for d in downsets]
     return validate_demorgan(lat, neg)
 
 

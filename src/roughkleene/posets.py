@@ -13,13 +13,18 @@ Lattice:
 - downset_lattice, for the lattice D(J) of all downsets of a poset J
   (Birkhoff): each element's code is its downset, so one index map answers
   both meet and join, and the builder proves in O(P·|J|) that its family is
-  all of D(J) instead of looking up any pair;
+  all of D(J) instead of looking up any pair.  It reads the lattice's
+  join-irreducibles from J, the principal downsets, and knows it
+  distributive;
 - _keyed_lattice, for orders not known to be lattices (inclusion_lattice,
   Lattice.from_poset): it streams the meet and join keys of the P²/2 pairs
-  into its key maps while it proves the order a lattice.
+  into its key maps while it proves the order a lattice, then finds the
+  join-irreducibles and decides distributivity by join folds
+  (join_irreducibles, is_distributive).
 
-Either builder then finds the lattice's join-irreducibles and decides its
-distributivity, once: every reader takes lat.ji and lat.distributive.
+Either way each is found once per lattice: every reader takes lat.ji and
+lat.distributive.  The fold routes also stay callable on any lattice, as
+the independent oracle of the block formulas (rough.rs_join_irreducibles).
 """
 
 from __future__ import annotations
@@ -236,6 +241,12 @@ def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Seque
     it, since every downset is reached from ∅ by adding minimal elements
     one at a time.  That is one within() per member over the strict
     downsets ↓j∖{j}, O(P·|J|) in all.
+
+    below is then proved an order: each ↓j holds j, and ↓j and ↓j∖{j} are
+    members, so down-closed (transitivity and antisymmetry); PosetError
+    otherwise.  So J is known and nothing is folded: lat.ji is the ↓j,
+    each covering ↓j∖{j} alone, its atoms the ↓j of the minimal j, and
+    lat.distributive is True.
     """
     check_table_size(len(downsets))
     index = {d: i for i, d in enumerate(downsets)}
@@ -254,13 +265,20 @@ def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Seque
         missing = next((j for j in bits(can_add & ~d) if d | 1 << j not in index), None)
         if missing is not None:
             raise PosetError(f"the downset {d | 1 << missing:#x} is missing")
+    lower = {}
+    for j, b in enumerate(below):
+        if not b >> j & 1 or b not in index or b ^ 1 << j not in index:
+            raise PosetError(f"below is not an order at point {j}")
+        lower[index[b]] = index[b ^ 1 << j]
     order = _Inclusion(downsets, width)
     poset = _poset_with_above(labels, list(map(order.within, downsets)),
                               list(map(order.containing, downsets)))
     codes = tuple(downsets)
     lat = Lattice(poset, codes, codes, index, index, index[0], index[(1 << width) - 1])
-    lat.ji = join_irreducibles(lat)
-    lat.distributive = is_distributive(lat)
+    members = tuple(sorted(lower))
+    atoms = tuple(j for j in members if lower[j] == lat.bottom)
+    lat.ji = JoinIrreducibles(members, lower, atoms, mask_of(members))
+    lat.distributive = True
     return lat
 
 
@@ -490,8 +508,9 @@ class Lattice:
     index map for both, and _keyed_lattice, which proves an order a
     lattice by looking up every pair's keys (inclusion_lattice with the
     sets as both codes, from_poset with ↓x and L∖↑x).  Each then sets ji,
-    the JoinIrreducibles of the lattice, and distributive, the verdict of
-    is_distributive, so each is found once per lattice.
+    the JoinIrreducibles of the lattice, and distributive, once per
+    lattice: downset_lattice reads both from J, and _keyed_lattice folds
+    (join_irreducibles, is_distributive).
     """
 
     __slots__ = ("poset", "meet_codes", "join_codes", "meets", "joins", "bottom", "top",

@@ -51,6 +51,7 @@ from .posets import (
     downsets,
     inclusion_below,
     inclusion_lattice,
+    join_irreducibles,
     pulled_back,
     transpose,
 )
@@ -646,12 +647,18 @@ class RSJoinIrreducibles:
 
 def rs_join_irreducibles(rs: RoughSetAlgebra) -> RSJoinIrreducibles:
     """Join-irreducibles of the rough lattice, computed from the order and
-    from the block formulas, with both routes required to agree."""
+    from the block formulas, with both routes required to agree.
+
+    The order's route is posets.join_irreducibles, the join folds, run here
+    on the built lattice: downset_lattice reads lattice.ji from the formula
+    J itself, so comparing with lattice.ji would prove nothing.
+    """
     if rs.covering is None:
         raise ToleranceError("join-irreducible formulas need an irredundant covering")
     tol, cov = rs.tolerance, rs.covering
     formula = formula_join_irreducibles(tol, cov)
-    from_lattice = sorted(rs.pairs[j] for j in rs.ji.members)
+    ji = join_irreducibles(rs.lattice)
+    from_lattice = sorted(rs.pairs[j] for j in ji.members)
     if formula != from_lattice:
         raise FormulaMismatch(
             "join-irreducibles", {"formula": formula, "lattice": from_lattice}
@@ -660,7 +667,7 @@ def rs_join_irreducibles(rs: RoughSetAlgebra) -> RSJoinIrreducibles:
         {(b, b) for b in cov.blocks if b.bit_count() == 1}
         | {(0, b) for b in cov.blocks if b.bit_count() >= 2}
     )
-    lattice_atoms = sorted(rs.pairs[a] for a in rs.ji.atoms)
+    lattice_atoms = sorted(rs.pairs[a] for a in ji.atoms)
     if atom_formula != lattice_atoms:
         raise FormulaMismatch("atoms", {"formula": atom_formula, "lattice": lattice_atoms})
     return RSJoinIrreducibles(tuple(formula), tuple(atom_formula))

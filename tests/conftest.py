@@ -69,14 +69,19 @@ def square_demorgan(swap: bool) -> DeMorgan:
     return validate_demorgan(lat, neg)
 
 
-def two_level_fixture() -> DeMorgan:
-    """Atoms a,b,c with partners j,k,l: a,b < j; a,b,c < k; b,c < l."""
+def two_level_jposet():
+    """(jposet, g): atoms a,b,c with partners j,k,l: a,b < j; a,b,c < k;
+    b,c < l; g swaps each atom with its partner."""
     jposet = Poset.from_covers(
         ["a", "b", "c", "j", "k", "l"],
         [(0, 3), (1, 3), (0, 4), (1, 4), (2, 4), (1, 5), (2, 5)],
     )
-    g = {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2}
-    return build_kleene_from_jposet(jposet, g)
+    return jposet, {0: 3, 3: 0, 1: 4, 4: 1, 2: 5, 5: 2}
+
+
+def two_level_fixture() -> DeMorgan:
+    """The Kleene algebra of two_level_jposet."""
+    return build_kleene_from_jposet(*two_level_jposet())
 
 
 def two_level_covering() -> Covering:

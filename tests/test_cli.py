@@ -420,15 +420,18 @@ class TestRender:
         assert out1 == out2
 
 
-@pytest.mark.parametrize("command, fixture, lattices", [
-    ("represent", "jposet_two_level.json", 2),
-    ("verify", "partition_2_3.json", 1),
-    ("check", "four_chain.json", 1),
+@pytest.mark.parametrize("command, fixture, ji_folds, distributive_folds", [
+    ("represent", "jposet_two_level.json", 0, 0),
+    ("verify", "partition_2_3.json", 1, 0),
+    ("check", "four_chain.json", 1, 1),
 ])
-def test_each_lattice_decides_its_join_irreducibles_and_distributivity_once(
-        capsys, monkeypatch, command, fixture, lattices):
-    """join_irreducibles and is_distributive run once per lattice built,
-    counted wherever a module of the package holds them."""
+def test_join_irreducibles_and_distributivity_fold_at_most_once_never_on_D_of_J(
+        capsys, monkeypatch, command, fixture, ji_folds, distributive_folds):
+    """join_irreducibles and is_distributive run at most once per lattice,
+    counted wherever a module of the package holds them, and never while a
+    downset lattice D(J) is built: it reads both from J.  represent builds
+    two D(J) lattices and folds neither; verify's one fold is the
+    joinIrreducibleFormulas check; check builds one keyed lattice."""
     calls = dict.fromkeys(("join_irreducibles", "is_distributive"), 0)
     for name in calls:
         original = getattr(posets, name)
@@ -443,4 +446,4 @@ def test_each_lattice_decides_its_join_irreducibles_and_distributivity_once(
                     monkeypatch.setattr(module, attr, counted)
     code, _, _ = run_cli(capsys, command, fixture_path(fixture))
     assert code == 0
-    assert calls == {"join_irreducibles": lattices, "is_distributive": lattices}
+    assert calls == {"join_irreducibles": ji_folds, "is_distributive": distributive_folds}

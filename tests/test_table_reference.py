@@ -17,9 +17,14 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import rows, two_level_fixture
+from conftest import rows, two_level_fixture, two_level_jposet
 
-from roughkleene.demorgan import antitone_involutions, build_kleene_from_jposet, validate_demorgan
+from roughkleene.demorgan import (
+    antitone_involutions,
+    build_kleene_from_jposet,
+    neg_from_g,
+    validate_demorgan,
+)
 from roughkleene.generators import (
     all_distributive_lattices,
     all_lattices,
@@ -38,6 +43,8 @@ from roughkleene.posets import (
     downsets,
     inclusion_below,
     inclusion_lattice,
+    is_distributive,
+    join_irreducibles,
     mask_of,
     preserves_order,
 )
@@ -684,17 +691,44 @@ class TestDownsetLattice:
                 count += 1
         assert count == 522
 
-    @pytest.mark.parametrize("family, message", [
-        ([1, 3], "the empty downset is missing"),
-        ([0, 3], "the downset 0x1 is missing"),
-        ([0, 1, 2, 3], "member 0x2 is not a downset"),
-        ([0, 1, 3, 4], "member 0x4 is not a downset"),
-        ([0, 1, 1, 3], "the downsets of a downset lattice must be pairwise distinct"),
+    def test_the_j_route_of_g_documents(self):
+        """The two-level fixture, 200 seeded random two-level structures and
+        the jposet of seven pairs a_i < b_i with g swapping each pair: the
+        join-irreducibles that downset_lattice reads from J are the fold
+        route's, the lattice is distributive by is_distributive, and the
+        negation J ∖ g(D) is neg_from_g of g on the principal downsets."""
+        rng = random.Random(17)
+        labels = [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(7)]
+        documents = [two_level_jposet(),
+                     *(random_two_level_structure(rng, max_atoms=7, max_ji=14) for _ in range(200)),
+                     (Poset.from_covers(labels, [(i, 7 + i) for i in range(7)]),
+                      {i: (i + 7) % 14 for i in range(14)})]
+        for jposet, g in documents:
+            dm = build_kleene_from_jposet(jposet, g)
+            lat, principal = dm.lattice, dm.lattice.meets
+            g_l = {principal[jposet.below[j]]: principal[jposet.below[g[j]]] for j in range(jposet.n)}
+            assert lat.ji == join_irreducibles(lat)
+            assert is_distributive(lat)
+            assert dm.neg == neg_from_g(lat, g_l)
+        assert lat.n == 2187
+
+    @pytest.mark.parametrize("family, below, message", [
+        ([1, 3], [0b01, 0b11], "the empty downset is missing"),
+        ([0, 3], [0b01, 0b11], "the downset 0x1 is missing"),
+        ([0, 1, 2, 3], [0b01, 0b11], "member 0x2 is not a downset"),
+        ([0, 1, 3, 4], [0b01, 0b11], "member 0x4 is not a downset"),
+        ([0, 1, 1, 3], [0b01, 0b11], "the downsets of a downset lattice must be pairwise distinct"),
+        ([0, 1, 3, 7], [0b001, 0b011, 0b110], "below is not an order at point 2"),
+        ([0, 1, 2, 3], [0b00, 0b10], "below is not an order at point 0"),
+        ([0, 3], [0b11, 0b11], "below is not an order at point 0"),
     ])
-    def test_a_family_that_is_not_every_downset_is_refused(self, family, message):
-        """J is the chain 0 < 1, whose downsets are 0, 0x1 and 0x3."""
+    def test_a_family_that_is_not_every_downset_is_refused(self, family, below, message):
+        """J is the chain 0 < 1, whose downsets are 0, 0x1 and 0x3, or
+        below is no order: 0 < 1 < 2 without 0 < 2, whose ↓2 is missing
+        from a family that passes the downset proof; ↓0 without 0; or the
+        cycle 0 <= 1 <= 0, whose ↓0∖{0} is no downset."""
         with pytest.raises(PosetError, match=f"^{message}$"):
-            downset_lattice([str(d) for d in range(len(family))], family, [0b01, 0b11])
+            downset_lattice([str(d) for d in range(len(family))], family, below)
 
 
 def formulas_hold(tol, pairs, lattice):
