@@ -1,16 +1,22 @@
 """Pseudocomplements, dual pseudocomplements, and the regularity criteria.
 
 star(x) is the greatest z with x ∧ z = 0; plus(x) the least z with x ∨ z = 1.
-Regularity of a distributive double p-structure is decided three independent
-ways (determination by star/plus pairs, prime-filter chains, two-level
-join-irreducibles) and the verdicts are required to agree.
+A distributive lattice reads both from its join-irreducibles, and any other
+lattice folds them (compute_pseudocomplements).  Regularity of a
+distributive double p-structure is decided three independent ways
+(determination by star/plus pairs, prime-filter chains, two-level
+join-irreducibles) and the verdicts are required to agree (is_regular).
+That comparison, and demorgan_pseudo_report's interplay laws, run on check
+input, in the lattice sweep and in the tests; represent and verify read
+regularity from the two levels of J alone (posets.has_two_levels) and the
+Kleene law from demorgan.is_kleene.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .demorgan import DeMorgan
+from .demorgan import DeMorgan, is_kleene
 from .posets import (
     Lattice,
     bits,
@@ -55,20 +61,63 @@ class DoubleP:
 def compute_pseudocomplements(lat: Lattice) -> DoubleP:
     """Star and plus for every element, then check laws (i)-(v).
 
+    A distributive lattice reads both maps from J (_j_pseudocomplements);
+    any other lattice folds them (_fold_pseudocomplements), which raises
+    NoPseudocomplement when a map does not exist.  Non-distributive
+    lattices are accepted when both maps exist; the regularity machinery
+    refuses them by lat.distributive.
+    """
+    route = _j_pseudocomplements if lat.distributive else _fold_pseudocomplements
+    dp = DoubleP(lat, *route(lat))
+    _check_p_laws(dp)
+    return dp
+
+
+def _j_pseudocomplements(lat: Lattice):
+    """Star and plus of a distributive lattice, read from its J.
+
+    A finite distributive lattice is D(J) by x -> S_x = ↓x ∩ J (Birkhoff),
+    and in D(J) the pseudocomplement of a downset D is J ∖ ↑D, its dual
+    ↓(J ∖ D) (Davey & Priestley, ch. 5).  ↑D is the union of the ↑a over
+    the minimal members of D, which are atoms, and ↓(J ∖ D) the union of
+    the ↓m over the maximal members m of J outside D.  So each element
+    costs one OR per atom below it and one per maximal m not below it,
+    and one lookup in {S_x: x}, with no fold.
+    """
+    below, above, atoms = lat.poset.below, lat.poset.above, lat.ji.atoms
+    jmask = lat.ji.member_mask
+    jsets = [b & jmask for b in below]
+    element = {s: x for x, s in enumerate(jsets)}
+    maximal = [m for m in lat.ji.members if above[m] & jmask == 1 << m]
+    star, plus = [], []
+    for s in jsets:
+        meets = 0
+        for a in atoms:
+            if s >> a & 1:
+                meets |= above[a]
+        star.append(element[jmask & ~meets])
+        joins = 0
+        for m in maximal:
+            if not s >> m & 1:
+                joins |= below[m]
+        plus.append(element[jmask & joins])
+    return star, plus
+
+
+def _fold_pseudocomplements(lat: Lattice):
+    """Star and plus by folds, for any lattice; NoPseudocomplement at the
+    first x whose star or plus does not exist.
+
     star(x) is the join of {z : x ∧ z = 0}, when that join is itself in the
     set.  Each z != 0 lies above an atom, and x ∧ z != 0 iff some atom lies
     below both, so the set is L minus the upsets of the atoms below x: a
     mask, folded with Lattice.join_of, with no scan of the pairs.
     Dually, {z : x ∨ z = 1} is L minus the downsets of the coatoms above x,
     folded with Lattice.meet_of.
-
-    Non-distributive lattices are accepted when both maps exist; the
-    regularity machinery refuses them by lat.distributive.
     """
     bottom, top = lat.bottom, lat.top
-    below, above = lat.poset.below, lat.poset.above
+    below, above, atoms = lat.poset.below, lat.poset.above, lat.ji.atoms
     full = (1 << lat.n) - 1
-    atoms = [a for a in range(lat.n) if below[a] == 1 << a | 1 << bottom and a != bottom]
     coatoms = [c for c in range(lat.n) if above[c] == 1 << c | 1 << top and c != top]
     star, plus = [], []
     for x in range(lat.n):
@@ -88,9 +137,7 @@ def compute_pseudocomplements(lat: Lattice) -> DoubleP:
         if lat.join(x, cand) != top:
             raise NoPseudocomplement(x, dual=True)
         plus.append(cand)
-    dp = DoubleP(lat, star, plus)
-    _check_p_laws(dp)
-    return dp
+    return star, plus
 
 
 def _check_p_laws(dp: DoubleP):
@@ -380,8 +427,6 @@ def demorgan_pseudo_report(dm: DeMorgan, dp: DoubleP):
     regular structures (K) holds exactly when (N) does.  The (K) verdict
     and its first witness are returned in k and k_witness.
     """
-    from .demorgan import is_kleene
-
     lat, neg = dm.lattice, dm.neg
     for x in range(lat.n):
         if neg[dp.star[x]] != dp.plus[neg[x]]:

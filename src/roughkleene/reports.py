@@ -15,7 +15,7 @@ from .posets import (
     bits,
     first_bad_triple,
 )
-from .pseudo import NoPseudocomplement, compute_pseudocomplements, is_regular
+from .pseudo import compute_pseudocomplements, is_regular
 from .represent import RepresentationResult
 from .rough import (
     POWERSET_CAP,
@@ -57,12 +57,8 @@ def check_report(lat: Lattice, dm: DeMorgan | None) -> dict:
     if not lat.distributive:
         report["witnesses"]["distributive"] = _names(lat, first_bad_triple(lat))
         return report
-    try:
-        dp = compute_pseudocomplements(lat)
-    except NoPseudocomplement as exc:  # unreachable for distributive input
-        report["witnesses"]["pseudocomplement"] = str(exc)
-        return report
-    reg = is_regular(dp, dm.neg if dm is not None else None)
+    # the J route of a distributive lattice never raises NoPseudocomplement
+    reg = is_regular(compute_pseudocomplements(lat), dm.neg if dm is not None else None)
     report.update(M=reg.m, D=reg.d, N=reg.n, primeChainMax=reg.prime_chain_max,
                   twoLevels=reg.two_levels, regular=reg.regular)
     for key, witness in (("M", reg.m_witness), ("D", reg.d_witness), ("N", reg.n_witness),

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .demorgan import DeMorgan, compute_g
-from .posets import bits, mask_of, preserves_order
-from .pseudo import DoubleP, compute_pseudocomplements, demorgan_pseudo_report
+from .demorgan import DeMorgan, compute_g, is_kleene
+from .posets import bits, has_two_levels, mask_of, preserves_order
+from .pseudo import DoubleP, compute_pseudocomplements
 from .rough import (
     Covering,
     RoughSetAlgebra,
@@ -68,16 +68,31 @@ class SimilaritySpace:
     spans: dict              # atom -> frozenset of lattice element ids
 
 
-def build_similarity(dm: DeMorgan, dp: DoubleP) -> SimilaritySpace:
+def build_similarity(dm: DeMorgan) -> SimilaritySpace:
     """Similarity and spans for a regular Kleene structure, with the span
     laws checked: spans meet iff their atoms are similar, a span is a
-    singleton iff its atom is fixed, and distinct atoms never share spans."""
-    report = demorgan_pseudo_report(dm, dp)
-    if not report.k:
-        raise NotKleene(report.k_witness)
-    if not report.regular:
-        raise NotRegular(report.two_levels_witness)
+    singleton iff its atom is fixed, and distinct atoms never share spans.
+
+    Kleene is decided by demorgan.is_kleene and regularity by the two
+    levels of J (posets.has_two_levels), whose witnesses NotKleene and
+    NotRegular report.  Then gmap must split J into the atoms, each below
+    its partner, and the rest, each above it.  What that split and
+    compute_g's J1 and J2 already prove is not checked again:
+    - a fixed x has x <= g(x), so it is an atom, and y > x in J would give
+      g(y) <= g(x) = x by J1, so g(y) = x, and y = g(g(y)) = x by J2: no
+      other member of J is comparable with a fixed atom;
+    - the atoms are pairwise incomparable, and the rest are J minus the
+      atoms, an antichain since J has two levels;
+    - the similarity x <= g(y) is reflexive, as each atom x has x <= g(x),
+      and symmetric, as x <= g(y) gives y = g(g(y)) <= g(x) by J1 and J2.
+    """
+    kleene, witness = is_kleene(dm)
+    if not kleene:
+        raise NotKleene(witness)
     lat = dm.lattice
+    regular, witness = has_two_levels(lat)
+    if not regular:
+        raise NotRegular(witness)
     ji = lat.ji
     g = compute_g(dm)
     atoms = ji.atoms
@@ -85,25 +100,7 @@ def build_similarity(dm: DeMorgan, dp: DoubleP) -> SimilaritySpace:
     high = tuple(x for x in ji.members if lat.poset.leq(g[x], x) and g[x] != x)
     if low != atoms or set(high) != set(ji.members) - set(atoms):
         raise RepresentError("gmap does not separate atoms from upper join-irreducibles")
-    for x in ji.members:
-        if g[x] == x:
-            others = (lat.poset.above[x] | lat.poset.below[x]) & ji.member_mask & ~(1 << x)
-            if others:
-                raise RepresentError(f"fixed atom {x} is comparable with {next(bits(others))}")
-    for group in (atoms, high):
-        for x in group:
-            for y in group:
-                if x != y and lat.leq(x, y):
-                    raise RepresentError(f"level is not an antichain at ({x},{y})")
-    simeq = frozenset(
-        (x, y) for x in atoms for y in atoms if lat.leq(x, g[y])
-    )
-    for x, y in simeq:
-        if (y, x) not in simeq:
-            raise RepresentError(f"similarity is not symmetric at ({x},{y})")
-    for x in atoms:
-        if (x, x) not in simeq:
-            raise RepresentError(f"similarity is not reflexive at {x}")
+    simeq = frozenset((x, y) for x in atoms for y in atoms if lat.leq(x, g[y]))
     spans = {}
     for x in atoms:
         members = {lat.join(x, y) for y in atoms if (x, y) in simeq}
@@ -275,7 +272,7 @@ def represent(dm: DeMorgan) -> RepresentationResult:
     the spans, so build_rs takes the downset route, whatever the size of
     the universe, and only the table cap bounds it."""
     dp = compute_pseudocomplements(dm.lattice)
-    sim = build_similarity(dm, dp)
+    sim = build_similarity(dm)
     universe, cov, tol = build_tolerance_universe(dm, sim)
     rs = build_rs(tol)
     phi = build_phi(dm, sim, universe, tol, rs)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from itertools import count, repeat
 from operator import and_, eq, invert, or_, xor
 
-from .demorgan import validate_demorgan, compute_g
+from .demorgan import compute_g, is_kleene, validate_demorgan
 from .posets import (
     Memo,
     NotALattice,
@@ -49,13 +49,14 @@ from .posets import (
     bits,
     downset_lattice,
     downsets,
+    has_two_levels,
     inclusion_below,
     inclusion_lattice,
     join_irreducibles,
     pulled_back,
     transpose,
 )
-from .pseudo import compute_pseudocomplements, demorgan_pseudo_report
+from .pseudo import compute_pseudocomplements
 
 
 class ToleranceError(Exception):
@@ -565,10 +566,16 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
     lattice meet is then (a∩c, interior(b∩d)) on every pair, so i <= j
     exactly when lo_i ⊆ lo_j and up_i = interior(up_i ∩ up_j), which is
     up_i ⊆ up_j as each up is open; the lattice order is the coordinatewise
-    order.  Then neg, star and plus are checked against the pair set, and,
-    for a tolerance induced by an irredundant covering, the Kleene and
-    regularity battery.  covering is induced_irredundant_covering(tol),
-    found once by the caller; the algebra carries it as rs.covering.
+    order.  Then neg, star and plus are checked against the pair set.  For
+    a tolerance induced by an irredundant covering the algebra must then be
+    Kleene (demorgan.is_kleene), star and plus must be the lattice's own,
+    which compute_pseudocomplements reads from J, and it must be regular,
+    read as the two levels of J (posets.has_two_levels), in that order.
+    The three-way regularity comparison and the interplay laws of
+    pseudo.demorgan_pseudo_report do not run here; check, the lattice
+    sweep and the tests run them.  covering is
+    induced_irredundant_covering(tol), found once by the caller; the
+    algebra carries it as rs.covering.
     """
     labels = [fmt_pair(pr, tol.labels) for pr in pairs]
     if downsets is None:
@@ -595,17 +602,15 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
     if covering is not None:
         demorgan = validate_demorgan(lattice, neg)
         doublep = compute_pseudocomplements(lattice)
-        report = demorgan_pseudo_report(demorgan, doublep)
-        if not report.k:
-            raise FormulaMismatch(
-                "irredundant rough algebra is not Kleene", {"witness": report.k_witness}
-            )
+        kleene, k_witness = is_kleene(demorgan)
+        if not kleene:
+            raise FormulaMismatch("irredundant rough algebra is not Kleene", {"witness": k_witness})
         if doublep.star != star or doublep.plus != plus:
             raise FormulaMismatch(
                 "pseudocomplement formulas",
                 {"star": doublep.star == star, "plus": doublep.plus == plus},
             )
-        if not report.regular:
+        if not has_two_levels(lattice)[0]:
             raise FormulaMismatch("irredundant rough algebra is not regular", {})
     return RoughSetAlgebra(
         tol, tuple(pairs), index, lattice, neg, star, plus, covering, demorgan, doublep

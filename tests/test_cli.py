@@ -140,7 +140,18 @@ class TestRepresent:
     def test_four_chain_rejected(self, capsys):
         code, _, err = run_cli(capsys, "represent", fixture_path("four_chain.json"))
         assert code == 1
-        assert "not regular" in err
+        assert err == "input is not regular, two-level witness (2, 3)\n"
+
+    def test_atom_fixing_involution_is_not_kleene(self, capsys, tmp_path):
+        """The involution of the 2x2 Boolean lattice that fixes both atoms:
+        a ^ neg(a) = a is not below b v neg(b) = b."""
+        doc = {"labels": ["0", "a", "b", "1"], "covers": [[0, 1], [0, 2], [1, 3], [2, 3]],
+               "neg": [3, 1, 2, 0]}
+        path = tmp_path / "fixed_atoms.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "represent", str(path))
+        assert (code, out) == (1, "")
+        assert err == "input is not a Kleene structure, witness (1, 2)\n"
 
     def test_lattice_without_negation_is_input_error(self, capsys, tmp_path):
         doc = {"labels": ["0", "1"], "covers": [[0, 1]]}
@@ -165,7 +176,7 @@ class TestRepresent:
     def test_long_chain_jposet_is_not_regular(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "represent", _chain_jposet(tmp_path, 100))
         assert code == 1
-        assert "not regular" in err
+        assert err == "input is not regular, two-level witness (2, 3)\n"
 
     def test_twenty_point_universe_takes_the_downset_route(self, capsys, tmp_path):
         path = _complete_two_level_jposet(tmp_path, 5)
@@ -282,6 +293,56 @@ class TestVerify:
         assert err.strip() == "universe of 17 exceeds the enumeration cap 16"
 
 
+TOP_RUNGS = [
+    ("verify-partition-7", "5dd5a2eaa0bbf1ea"),
+    ("represent-jposet-7", "a192c82103010b3a"),
+]
+
+
+def top_rung_digest(rung):
+    """The digest of the report of the covering by seven 2-point blocks, or
+    of the bundle of the jposet of seven pairs a_i < b_i with g swapping
+    each pair: both algebras have P = 2187 = 3^7, the table cap."""
+    import hashlib
+
+    from roughkleene import jsonio
+    from roughkleene.demorgan import build_kleene_from_jposet
+    from roughkleene.reports import represent_bundle, verify_report
+    from roughkleene.represent import represent
+    from roughkleene.rough import Covering
+
+    if rung == "verify-partition-7":
+        doc = verify_report(Covering([f"p{i}" for i in range(14)], [3 << 2 * i for i in range(7)]))
+        assert doc["rsSize"] == 2187 and doc["failures"] == []
+    else:
+        labels = [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(7)]
+        jposet = posets.Poset.from_covers(labels, [(i, 7 + i) for i in range(7)])
+        dm = build_kleene_from_jposet(jposet, {i: (i + 7) % 14 for i in range(14)})
+        doc = represent_bundle(represent(dm))
+        assert doc["report"]["rsSize"] == 2187 and doc["report"]["verified"]
+    return hashlib.sha256(jsonio.dumps(doc).encode()).hexdigest()[:16]
+
+
+def wrap_everywhere(monkeypatch, original, wrap):
+    """Replace original by wrap(original) in every module of the package
+    that holds it, since modules copy names at import."""
+    wrapped = wrap(original)
+    for key, module in list(sys.modules.items()):
+        if key.split(".")[0] == "roughkleene":
+            for attr in [a for a, v in vars(module).items() if v is original]:
+                monkeypatch.setattr(module, attr, wrapped)
+
+
+def counting(calls):
+    """A wrap for wrap_everywhere that counts the calls in calls, by name."""
+    def wrap(original):
+        def counted(*args):
+            calls[original.__name__] += 1
+            return original(*args)
+        return counted
+    return wrap
+
+
 class TestRoutes:
     def test_covering_routes_never_sweep_the_powerset(self, capsys, tmp_path, monkeypatch):
         from roughkleene import jsonio, rough
@@ -298,37 +359,35 @@ class TestRoutes:
         rs = rough.build_rs(rough.tolerance_from_covering(cov))
         assert rs.n == 6 and rs.covering is not None
 
-    @pytest.mark.parametrize("rung, digest", [
-        ("verify-partition-7", "5dd5a2eaa0bbf1ea"),
-        ("represent-jposet-7", "a192c82103010b3a"),
-    ])
+    @pytest.mark.parametrize("rung, digest", TOP_RUNGS)
     def test_top_rung_takes_no_pair_stream(self, monkeypatch, rung, digest):
         """P = 2187 = 3^7, the table cap: the report of the covering by seven
         2-point blocks and the bundle of the jposet of seven pairs a_i < b_i
         with g swapping each pair keep their bytes, and neither reaches the
         keyed builder, whose P²/2 key streams the downset route replaces."""
-        import hashlib
-
-        from roughkleene import jsonio
-        from roughkleene.demorgan import build_kleene_from_jposet
-        from roughkleene.reports import represent_bundle, verify_report
-        from roughkleene.represent import represent
-        from roughkleene.rough import Covering
-
         def refuse(*args):
             raise AssertionError("the keyed builder ran")
 
         monkeypatch.setattr(posets, "_keyed_lattice", refuse)
-        if rung == "verify-partition-7":
-            doc = verify_report(Covering([f"p{i}" for i in range(14)], [3 << 2 * i for i in range(7)]))
-            assert doc["rsSize"] == 2187 and doc["failures"] == []
-        else:
-            labels = [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(7)]
-            jposet = posets.Poset.from_covers(labels, [(i, 7 + i) for i in range(7)])
-            dm = build_kleene_from_jposet(jposet, {i: (i + 7) % 14 for i in range(14)})
-            doc = represent_bundle(represent(dm))
-            assert doc["report"]["rsSize"] == 2187 and doc["report"]["verified"]
-        assert hashlib.sha256(jsonio.dumps(doc).encode()).hexdigest()[:16] == digest
+        assert top_rung_digest(rung) == digest
+
+    @pytest.mark.parametrize("rung, digest", TOP_RUNGS)
+    def test_top_rung_runs_no_element_battery(self, monkeypatch, rung, digest):
+        """Both top rungs keep their bytes with the element battery and the
+        star/plus folds refused wherever a module of the package holds
+        them: Kleene is is_kleene, regularity the two levels of J, and star
+        and plus of a distributive lattice are read from J."""
+        from roughkleene import pseudo
+
+        def refuse(original):
+            def refused(*args):
+                raise AssertionError(f"{original.__name__} ran")
+            return refused
+
+        for name in ("prime_filters", "check_M_D_N", "is_regular", "demorgan_pseudo_report",
+                     "_fold_pseudocomplements"):
+            wrap_everywhere(monkeypatch, getattr(pseudo, name), refuse)
+        assert top_rung_digest(rung) == digest
 
     def test_powerset_sweep_is_the_dual_route_oracle(self, capsys, monkeypatch):
         from roughkleene import rough
@@ -434,16 +493,22 @@ def test_join_irreducibles_and_distributivity_fold_at_most_once_never_on_D_of_J(
     joinIrreducibleFormulas check; check builds one keyed lattice."""
     calls = dict.fromkeys(("join_irreducibles", "is_distributive"), 0)
     for name in calls:
-        original = getattr(posets, name)
-
-        def counted(*args, name=name, original=original):
-            calls[name] += 1
-            return original(*args)
-
-        for key, module in list(sys.modules.items()):
-            if key.split(".")[0] == "roughkleene":
-                for attr in [a for a, v in vars(module).items() if v is original]:
-                    monkeypatch.setattr(module, attr, counted)
+        wrap_everywhere(monkeypatch, getattr(posets, name), counting(calls))
     code, _, _ = run_cli(capsys, command, fixture_path(fixture))
     assert code == 0
     assert calls == {"join_irreducibles": ji_folds, "is_distributive": distributive_folds}
+
+
+def test_check_runs_the_element_battery_once(capsys, monkeypatch):
+    """check keeps the three-way regularity comparison: is_regular and
+    is_kleene run once each on four_chain, and the verdicts stand."""
+    from roughkleene import demorgan, pseudo
+
+    calls = {"is_regular": 0, "is_kleene": 0}
+    wrap_everywhere(monkeypatch, pseudo.is_regular, counting(calls))
+    wrap_everywhere(monkeypatch, demorgan.is_kleene, counting(calls))
+    code, out, _ = run_cli(capsys, "check", fixture_path("four_chain.json"))
+    assert code == 0
+    assert calls == {"is_regular": 1, "is_kleene": 1}
+    report = json.loads(out)
+    assert (report["regular"], report["primeChainMax"]) == (False, 3)

@@ -19,7 +19,6 @@ from roughkleene.demorgan import build_kleene_from_jposet, validate_demorgan
 from roughkleene.generators import random_two_level_structure
 from roughkleene.isomorph import lattice_key
 from roughkleene.posets import Poset, bits, join_irreducibles, mask_of
-from roughkleene.pseudo import compute_pseudocomplements
 from roughkleene.represent import (
     NotKleene,
     NotRegular,
@@ -39,8 +38,7 @@ from roughkleene.rough import (
 
 
 def _similarity(dm):
-    dp = compute_pseudocomplements(dm.lattice)
-    return build_similarity(dm, dp), dm.lattice.ji
+    return build_similarity(dm), dm.lattice.ji
 
 
 class TestSimilarity:

@@ -41,6 +41,7 @@ from roughkleene.posets import (
     bits,
     downset_lattice,
     downsets,
+    has_two_levels,
     inclusion_below,
     inclusion_lattice,
     is_distributive,
@@ -48,7 +49,16 @@ from roughkleene.posets import (
     mask_of,
     preserves_order,
 )
-from roughkleene.pseudo import DoubleP, PseudoError, _check_p_laws, compute_pseudocomplements
+from roughkleene.pseudo import (
+    DoubleP,
+    PseudoError,
+    _check_p_laws,
+    _fold_pseudocomplements,
+    _j_pseudocomplements,
+    compute_pseudocomplements,
+    demorgan_pseudo_report,
+    is_regular,
+)
 from roughkleene.represent import (
     IsoCheckFailed,
     NotKleene,
@@ -886,3 +896,66 @@ class TestPreservesOrder:
                 assert ordered == ref_ordered(lat, target, bent)
                 verdicts[ordered] += 1
         assert verdicts[False] > 500
+
+
+def seven_pairs():
+    """The Kleene algebra of the jposet of seven pairs a_i < b_i, with g
+    swapping each pair: P = 3^7."""
+    labels = [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(7)]
+    jposet = Poset.from_covers(labels, [(i, 7 + i) for i in range(7)])
+    return build_kleene_from_jposet(jposet, {i: (i + 7) % 14 for i in range(14)})
+
+
+def two_level_sources(count=200):
+    rng = random.Random(19)
+    for _ in range(count):
+        yield build_kleene_from_jposet(*random_two_level_structure(rng, max_atoms=7, max_ji=14))
+
+
+# (lattice, its De Morgan structure or None), by corpus
+J_ROUTE_CORPUS = {
+    "distributive-10": lambda: [
+        (lat, None) for d in all_distributive_lattices(10) for lat in (d, reversed_ids(d))
+    ],
+    "all-lattices-8": lambda: [(lat, None) for lat in all_lattices(8) if lat.distributive],
+    "coverings": lambda: [
+        (rs.lattice, rs.demorgan) for rs in (build_rs(tol) for tol, *_ in covering_algebras())
+    ],
+    "sources": lambda: [(dm.lattice, dm) for dm in two_level_sources()],
+    "seven-pairs": lambda: [
+        (dm.lattice, dm) for dm in (seven_pairs(), build_rs(partition(7)).demorgan)
+    ],
+}
+
+
+class TestJRoute:
+    """represent and verify read star and plus of a distributive lattice
+    from J, regularity from the two levels of J and Kleene from is_kleene
+    alone.  The star/plus folds, is_regular's three-way comparison and
+    demorgan_pseudo_report's interplay laws, which they no longer run, are
+    the oracle here."""
+
+    @pytest.mark.parametrize("corpus, size, verdicts", [
+        ("distributive-10", 218, {True, False}),
+        ("all-lattices-8", 36, {True, False}),
+        ("coverings", 522, {True}),
+        ("sources", 200, {True}),
+        ("seven-pairs", 2, {True}),
+    ])
+    def test_against_the_folds_and_the_battery(self, corpus, size, verdicts):
+        """The J route gives the folds' star and plus, has_two_levels
+        is_regular's verdict, and every covering algebra and two-level
+        source passes demorgan_pseudo_report as regular and Kleene."""
+        count, seen = 0, set()
+        for lat, dm in J_ROUTE_CORPUS[corpus]():
+            assert lat.distributive
+            assert _j_pseudocomplements(lat) == _fold_pseudocomplements(lat)
+            dp = compute_pseudocomplements(lat)
+            two = has_two_levels(lat)[0]
+            assert two == is_regular(dp).regular
+            if dm is not None:
+                report = demorgan_pseudo_report(dm, dp)
+                assert report.k and report.regular
+            seen.add(two)
+            count += 1
+        assert (count, seen) == (size, verdicts)
