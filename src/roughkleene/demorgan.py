@@ -7,17 +7,24 @@ can be rebuilt:  neg(x) = join of {j | gmap(j) not<= x}.
 
 A jposet's algebra is the downset lattice of its join-irreducibles
 (posets.downset_lattice), built with no pair lookups, and its negation is
-read from g on J with no fold: neg(D) = J ∖ g(D).  Antitonicity of neg is
-decided on the lattice's order pulled back along neg (posets.pulled_back),
-bit-sliced, with no walk over any ↓x.
+read from g on J with no fold: neg(D) = J ∖ g(D).  On such a lattice every
+order fact is read from the |J|-bit codes: antitonicity of neg is one
+subset test per covering pair (posets.codes_within), and g(j) is the
+intersection of the ↓p of J outside neg(j).  Any other lattice decides
+antitonicity on its order pulled back along neg (posets.pulled_back),
+bit-sliced, which also names the first witness when the covers fail.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import and_
 
 from .posets import (
     Lattice,
     Poset,
     bits,
+    codes_within,
     downset_lattice,
     first_bad_triple,
     first_not_below,
@@ -82,6 +89,12 @@ def validate_demorgan(lat: Lattice, neg) -> DeMorgan:
 
     An antitone involution is a dual order automorphism, which maps joins to
     meets and meets to joins, so the De Morgan laws need no pair scan.
+
+    Antitonicity, x <= y exactly when neg(y) <= neg(x), needs only its
+    forward half once neg is an involution (apply it to neg(y) <= neg(x)).
+    On a lattice with covering pairs that half is decided on the covers
+    (codes_within); a failure there, or a lattice without covers, runs the
+    row scan of the pulled-back order, which names the first witness.
     """
     if not lat.distributive:
         raise NotDistributive(first_bad_triple(lat))
@@ -92,10 +105,15 @@ def validate_demorgan(lat: Lattice, neg) -> DeMorgan:
     for x in range(n):
         if neg[neg[x]] != x:
             raise NotInvolution(x)
+    codes = lat.meet_codes
+    if lat.covers is not None:
+        lows, highs = lat.covers
+        if codes_within(highs, lows, [codes[v] for v in neg]):
+            return DeMorgan(lat, neg)
     # antitonicity at x says {y | neg(y) <= neg(x)} is exactly ↑x; the order
     # pulled back along neg gives that set in one within(), and the lowest
     # bit of the difference is the first failing y
-    order, codes = pulled_back(lat, neg), lat.meet_codes
+    order = pulled_back(lat, neg)
     for x, up in enumerate(lat.poset.above):
         diff = up ^ order.within(codes[neg[x]])
         if diff:
@@ -119,22 +137,32 @@ def is_kleene(dm: DeMorgan):
 
 
 def compute_g(dm: DeMorgan) -> dict:
-    """gmap(j) = the least element not below neg(j), for each j of lattice.ji:
-    the meet (Lattice.meet_of) of the mask outside ↓neg(j), checked for J1
-    and J2.  Each caller enforces J3 (j comparable with gmap(j)) its own way:
-    build_similarity's split into atoms and upper join-irreducibles, rs_g_map's
-    block closed form, and the sweep that J3 holds exactly when is_kleene does.
+    """gmap(j) = the least element not below neg(j), for each j of lattice.ji,
+    checked for J1 and J2.  Each caller enforces J3 (j comparable with
+    gmap(j)) its own way: build_similarity's split into atoms and upper
+    join-irreducibles, rs_g_map's block closed form, and the sweep that J3
+    holds exactly when is_kleene does.
+
+    On D(J) (lat.points) a downset lies outside ↓D exactly when it holds
+    some p ∉ D, and then holds ↓p, so the least one is ∩{↓p : p ∉ D}: one
+    AND per point outside the code of neg(j), then one index lookup.  Any
+    other lattice folds the mask outside ↓neg(j) (Lattice.meet_of).
     """
     lat, neg = dm.lattice, dm.neg
-    ji, p = lat.ji, lat.poset
-    full = (1 << lat.n) - 1
+    ji, points, codes = lat.ji, lat.points, lat.meet_codes
+    if points is None:
+        full, below = (1 << lat.n) - 1, lat.poset.below
+        least = [lat.meet_of(full & ~below[neg[j]]) for j in ji.members]
+    else:
+        full = (1 << len(points)) - 1
+        least = [lat.meets[reduce(and_, (points[p] for p in bits(full & ~codes[neg[j]])), full)]
+                 for j in ji.members]
     g = {}
-    for j in ji.members:
-        val = lat.meet_of(full & ~p.below[neg[j]])
+    for j, val in zip(ji.members, least):
         if val not in ji:
             raise GNotJoinIrreducible(j, val)
         g[j] = val
-    _check_j1_j2(p, ji.members, g)
+    _check_j1_j2(codes, ji.members, g)
     return g
 
 
@@ -144,19 +172,20 @@ def neg_from_g(lat: Lattice, g: dict):
     The result is not validated: callers compare it with a negation that
     validate_demorgan has already accepted.
     """
-    p = lat.poset
-    return tuple(lat.join_all(j for j in lat.ji.members if not p.leq(g[j], x))
+    return tuple(lat.join_all(j for j in lat.ji.members if not lat.leq(g[j], x))
                  for x in range(lat.n))
 
 
-def _check_j1_j2(poset: Poset, members, g: dict):
+def _check_j1_j2(codes, members, g: dict):
     """Raise at the first x of members, in order, where g(g(x)) != x (J2)
-    or some y of members with x <= y has g(y) not <= g(x) (J1)."""
+    or some y of members with x <= y has g(y) not <= g(x) (J1), in the
+    order where x <= y exactly when codes[x] ⊆ codes[y]."""
     for x in members:
         if g.get(g.get(x, -1), -1) != x:
             raise GViolatesJ1J2J3("J2", x)
+        up, image = codes[x], codes[g[x]]
         for y in members:
-            if poset.leq(x, y) and not poset.leq(g[y], g[x]):
+            if not up & ~codes[y] and codes[g[y]] & ~image:
                 raise GViolatesJ1J2J3("J1", (x, y))
 
 
@@ -185,7 +214,7 @@ def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     downset because g is an antitone involution: one lookup in the index
     map per downset, no join fold.  validate_demorgan still checks it.
     """
-    _check_j1_j2(jposet, range(jposet.n), g)
+    _check_j1_j2(jposet.below, range(jposet.n), g)
     for x in range(jposet.n):
         if not (jposet.leq(x, g[x]) or jposet.leq(g[x], x)):
             raise GViolatesJ1J2J3("J3", x)

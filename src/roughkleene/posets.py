@@ -6,21 +6,26 @@ operation is deterministic, so values can be shared freely across threads.
 
 A Lattice is an order given twice as inclusion of sets, its meet codes and
 its join codes: meet is looked up by the intersection of two meet codes and
-join by the union of two join codes.  No P×P table is stored; a witness
-scan that needs rows builds them after a failure.  Two builders make every
+join by the union of two join codes, and i <= j is one subset test of two
+meet codes (Lattice.leq).  No P×P table is stored.  Two builders make every
 Lattice:
 
 - downset_lattice, for the lattice D(J) of all downsets of a poset J
-  (Birkhoff): each element's code is its downset, so one index map answers
-  both meet and join, and the builder proves in O(P·|J|) that its family is
-  all of D(J) instead of looking up any pair.  It reads the lattice's
-  join-irreducibles from J, the principal downsets, and knows it
-  distributive;
+  (Birkhoff): each element's code is its downset, a |J|-bit mask, so one
+  index map answers both meet and join, and the builder proves in
+  O(P·|J|) that its family is all of D(J) instead of looking up any pair.
+  It keeps the covering pairs d ⋖ d ∪ {j} that proof walks (lat.covers)
+  and the point masks ↓p of J (lat.points), reads the join-irreducibles
+  from J, the principal downsets, and knows it distributive.  Its poset
+  holds the codes and builds the P-bit rows below and above only on first
+  read, for the witness scans, check, dot and the fold oracles; the hot
+  readers decide order facts on the codes and the covers instead
+  (codes_within);
 - _keyed_lattice, for orders not known to be lattices (inclusion_lattice,
   Lattice.from_poset): it streams the meet and join keys of the P²/2 pairs
   into its key maps while it proves the order a lattice, then finds the
   join-irreducibles and decides distributivity by join folds
-  (join_irreducibles, is_distributive).
+  (join_irreducibles, is_distributive).  Its poset holds below and above.
 
 Either way each is found once per lattice: every reader takes lat.ji and
 lat.distributive.  The fold routes also stay callable on any lattice, as
@@ -32,8 +37,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations_with_replacement, compress, count, islice, starmap
-from operator import and_, or_
+from itertools import combinations_with_replacement, compress, count, islice, repeat, starmap
+from operator import and_, invert, or_
 from typing import Iterable, Iterator, Sequence
 
 
@@ -91,15 +96,22 @@ def check_table_size(n: int):
 
 def transpose(sets: Sequence[int], width: int) -> list:
     """out[u] = the mask of the k whose set sets[k] holds point u, for the
-    width points: one step per bit of each set, inline as in _Inclusion."""
-    out = [0] * width
-    for k, m in enumerate(sets):
-        bit = 1 << k
-        while m:
-            low = m & -m
-            out[low.bit_length() - 1] |= bit
-            m ^= low
-    return out
+    width points.
+
+    The sets are packed into one int, row k in the byte-aligned bits from
+    k·stride, and written out once as a binary string, most significant
+    bit first.  Column u is then every stride-th character of that string,
+    from the last row's bit u down to the first's, which is out[u] read
+    as a binary number: one slice and one parse per point, with no step
+    per bit of any set.
+    """
+    if not sets or not width:
+        return [0] * width
+    nbytes = (width + 7) // 8
+    stride = 8 * nbytes
+    packed = int.from_bytes(b"".join(m.to_bytes(nbytes, "little") for m in sets), "little")
+    text = format(packed, f"0{len(sets) * stride}b")
+    return [int(text[stride - 1 - u::stride], 2) for u in range(width)]
 
 
 class _Inclusion:
@@ -234,19 +246,21 @@ def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Seque
     The meet and join of two downsets are their intersection and union, so
     each element's code, for meet and join alike, is its downset, and
     meets and joins are the one index map {d: id}: it holds the key of
-    every pair and no other.  The order is inclusion, read bit-sliced
-    (_Inclusion).  No pair is looked up.  Instead the family is proved to
-    be all of D(J): every member is down-closed, the empty downset is a
-    member, and so is d ∪ {j} for each member d and each j minimal outside
-    it, since every downset is reached from ∅ by adding minimal elements
-    one at a time.  That is one within() per member over the strict
-    downsets ↓j∖{j}, O(P·|J|) in all.
+    every pair and no other.  The order is inclusion of codes (_CodedPoset),
+    whose P-bit rows are built only on first read.  No pair is looked up.
+    Instead the family is proved to be all of D(J): every member is
+    down-closed, the empty downset is a member, and so is d ∪ {j} for each
+    member d and each j minimal outside it, since every downset is reached
+    from ∅ by adding minimal elements one at a time.  That is one within()
+    per member over the strict downsets ↓j∖{j}, O(P·|J|) in all.  The pairs
+    d ⋖ d ∪ {j} it walks are every covering pair of D(J), kept as two id
+    lists, lat.covers = (lower ids, upper ids), for codes_within.
 
     below is then proved an order: each ↓j holds j, and ↓j and ↓j∖{j} are
     members, so down-closed (transitivity and antisymmetry); PosetError
-    otherwise.  So J is known and nothing is folded: lat.ji is the ↓j,
-    each covering ↓j∖{j} alone, its atoms the ↓j of the minimal j, and
-    lat.distributive is True.
+    otherwise.  So J is known and nothing is folded: lat.points is below,
+    lat.ji is the ↓j, each covering ↓j∖{j} alone, its atoms the ↓j of the
+    minimal j, and lat.distributive is True.
     """
     check_table_size(len(downsets))
     index = {d: i for i, d in enumerate(downsets)}
@@ -258,23 +272,29 @@ def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Seque
     # fits(d): the j whose strict downset lies in d, so d is down-closed when
     # it lies in fits(d), and the j of fits(d) outside d are its minimal ones
     fits = _Inclusion([b & ~(1 << j) for j, b in enumerate(below)], width).within
-    for d in downsets:
+    lows, highs, get = [], [], index.get
+    for i, d in enumerate(downsets):
         can_add = fits(d)
         if d & ~can_add:
             raise PosetError(f"member {d:#x} is not a downset")
-        missing = next((j for j in bits(can_add & ~d) if d | 1 << j not in index), None)
-        if missing is not None:
-            raise PosetError(f"the downset {d | 1 << missing:#x} is missing")
+        free = can_add & ~d
+        while free:
+            low = free & -free
+            k = get(d | low)
+            if k is None:
+                raise PosetError(f"the downset {d | low:#x} is missing")
+            lows.append(i)
+            highs.append(k)
+            free ^= low
     lower = {}
     for j, b in enumerate(below):
         if not b >> j & 1 or b not in index or b ^ 1 << j not in index:
             raise PosetError(f"below is not an order at point {j}")
         lower[index[b]] = index[b ^ 1 << j]
-    order = _Inclusion(downsets, width)
-    poset = _poset_with_above(labels, list(map(order.within, downsets)),
-                              list(map(order.containing, downsets)))
     codes = tuple(downsets)
-    lat = Lattice(poset, codes, codes, index, index, index[0], index[(1 << width) - 1])
+    lat = Lattice(_CodedPoset(labels, codes, width), codes, codes, index, index,
+                  index[0], index[(1 << width) - 1])
+    lat.covers, lat.points = (lows, highs), tuple(below)
     members = tuple(sorted(lower))
     atoms = tuple(j for j in members if lower[j] == lat.bottom)
     lat.ji = JoinIrreducibles(members, lower, atoms, mask_of(members))
@@ -300,6 +320,20 @@ def preserves_order(source: "Lattice", target: "Lattice", iso: Sequence[int]) ->
     every x, one containing() each."""
     order, codes = pulled_back(target, iso), target.meet_codes
     return all(order.containing(codes[ix]) == up for ix, up in zip(iso, source.poset.above))
+
+
+def codes_within(lows: Iterable[int], highs: Iterable[int], codes: Sequence[int]) -> bool:
+    """Whether codes[lo] ⊆ codes[hi] for every pair (lo, hi) of lows and
+    highs taken in step, in one C-level pass.
+
+    With lat.covers as (lows, highs), this says that x -> codes[x] is
+    monotone into inclusion, since the order of a finite lattice is the
+    reflexive transitive closure of its covering pairs; with (highs, lows)
+    it says the map is antitone.  Each is one subset test per covering
+    pair, on the codes, with no P-bit row.
+    """
+    get = codes.__getitem__
+    return not any(map(and_, map(get, lows), map(invert, map(get, highs))))
 
 
 def downsets(below: Sequence[int]) -> list:
@@ -409,11 +443,11 @@ class Poset:
     __slots__ = ("n", "labels", "below", "above")
 
     def __init__(self, labels: Sequence[str], below: Sequence[int]):
-        self._set_order(labels, below)
+        self._set_labels(labels, len(below))
+        self.below = tuple(below)
         self.above = tuple(transpose(self.below, self.n))
 
-    def _set_order(self, labels: Sequence[str], below: Sequence[int]):
-        n = len(below)
+    def _set_labels(self, labels: Sequence[str], n: int):
         labels = tuple(labels)
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} elements")
@@ -421,7 +455,6 @@ class Poset:
             raise ValueError("labels must be pairwise distinct")
         self.n = n
         self.labels = labels
-        self.below = tuple(below)
 
     @classmethod
     def from_leq(cls, labels: Sequence[str], rows: Sequence[Sequence[int]]) -> "Poset":
@@ -490,9 +523,51 @@ def _poset_with_above(labels: Sequence[str], below: Sequence[int], above: Sequen
     same sets) and Poset.from_leq (the columns and rows of one matrix).
     """
     p = Poset.__new__(Poset)
-    p._set_order(labels, below)
+    p._set_labels(labels, len(below))
+    p.below = tuple(below)
     p.above = tuple(above)
     return p
+
+
+class _CodedPoset(Poset):
+    """The order of a downset lattice: inclusion of its codes, distinct
+    masks over width points.
+
+    leq is one subset test of two codes.  below and above, P masks of P
+    bits each, are built together on first read (_build_rows, bit-sliced)
+    and kept: the witness scans, check, dot and the fold oracles read them,
+    and the represent and verify builds of an algebra read none.
+    """
+
+    __slots__ = ("codes", "width", "_rows")
+
+    def __init__(self, labels: Sequence[str], codes: tuple, width: int):
+        self._set_labels(labels, len(codes))
+        self.codes, self.width, self._rows = codes, width, None
+
+    def _build_rows(self) -> tuple:
+        order = _Inclusion(self.codes, self.width)
+        return tuple(map(order.within, self.codes)), tuple(map(order.containing, self.codes))
+
+    @property
+    def below(self):
+        if self._rows is None:
+            self._rows = self._build_rows()
+        return self._rows[0]
+
+    @property
+    def above(self):
+        if self._rows is None:
+            self._rows = self._build_rows()
+        return self._rows[1]
+
+    def leq(self, i: int, j: int) -> bool:
+        return not self.codes[i] & ~self.codes[j]
+
+    def __reduce__(self):
+        # below and above are read-only properties, so the default slot
+        # state cannot be restored; the codes rebuild them on first read
+        return _CodedPoset, (self.labels, self.codes, self.width)
 
 
 class Lattice:
@@ -510,11 +585,14 @@ class Lattice:
     sets as both codes, from_poset with ↓x and L∖↑x).  Each then sets ji,
     the JoinIrreducibles of the lattice, and distributive, once per
     lattice: downset_lattice reads both from J, and _keyed_lattice folds
-    (join_irreducibles, is_distributive).
+    (join_irreducibles, is_distributive).  downset_lattice also sets
+    covers, its covering pairs as (lower ids, upper ids), and points, the
+    masks ↓p of J over which its codes run; both are None on a keyed
+    lattice.
     """
 
     __slots__ = ("poset", "meet_codes", "join_codes", "meets", "joins", "bottom", "top",
-                 "ji", "distributive")
+                 "ji", "distributive", "covers", "points")
 
     def __init__(self, poset: Poset, meet_codes, join_codes, meets: dict, joins: dict,
                  bottom: int, top: int):
@@ -525,6 +603,7 @@ class Lattice:
         self.joins = joins
         self.bottom = bottom
         self.top = top
+        self.covers = self.points = None
 
     @classmethod
     def from_poset(cls, p: Poset) -> "Lattice":
@@ -548,7 +627,7 @@ class Lattice:
         return self.poset.labels
 
     def leq(self, i: int, j: int) -> bool:
-        return self.poset.leq(i, j)
+        return not self.meet_codes[i] & ~self.meet_codes[j]
 
     def meet(self, i: int, j: int) -> int:
         return self.meets[self.meet_codes[i] & self.meet_codes[j]]
@@ -670,16 +749,19 @@ def is_join_prime(lat: Lattice, x: int) -> bool:
 def first_not_below(lat: Lattice, los: Sequence[int], his: Sequence[int]):
     """The lexicographically first (x, y) with los[x] not<= his[y], or None.
 
-    The his values are gathered into one mask, so each x costs one mask
-    test against ↑los[x]; only the first failing x is scanned for its y.
+    lo <= hi for every hi exactly when the code of lo lies in the
+    intersection of the codes of the his, so that intersection is taken
+    once and each x costs one subset test, in one C-level pass; only the
+    first failing x is scanned for its y.
     """
-    above = lat.poset.above
-    hmask = mask_of(his)
-    for x, lo in enumerate(los):
-        up = above[lo]
-        if hmask & ~up:
-            return x, next(y for y, hi in enumerate(his) if not up >> hi & 1)
-    return None
+    codes = lat.meet_codes
+    get = codes.__getitem__
+    common = reduce(and_, map(get, his), codes[lat.top])
+    x = next(compress(count(), map(and_, map(get, los), repeat(~common))), None)
+    if x is None:
+        return None
+    code = codes[los[x]]
+    return x, next(y for y, hi in enumerate(his) if code & ~codes[hi])
 
 
 def first_bad_triple(lat: Lattice):
@@ -702,15 +784,16 @@ def has_two_levels(lat: Lattice):
 
     For finite (hence spatial) lattices this is the same as the
     join-irreducibles containing no 3-element chain.  Witness is the
-    lexicographically first violating pair (j, k).
+    lexicographically first violating pair (j, k).  j <= k is a subset
+    test of two codes (Lattice.leq), with no P-bit row: each j costs one
+    C-level pass over the complements of the codes of J, which holds one
+    zero for j itself and one more for each k above it.
     """
-    ji = lat.ji
+    ji, codes = lat.ji, lat.meet_codes
     amask = mask_of(ji.atoms)
-    p = lat.poset
+    outside = [~codes[k] for k in ji.members]
     for j in ji.members:
-        if amask >> j & 1:
-            continue
-        higher = p.above[j] & ji.member_mask & ~(1 << j)
-        if higher:
-            return False, (j, next(bits(higher)))
+        code = codes[j]
+        if not amask >> j & 1 and list(map(and_, repeat(code), outside)).count(0) > 1:
+            return False, (j, next(k for k in ji.members if k != j and not code & ~codes[k]))
     return True, None

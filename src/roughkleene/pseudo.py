@@ -21,9 +21,11 @@ from .posets import (
     Lattice,
     bits,
     first_not_below,
+    codes_within,
     has_two_levels,
     is_join_prime,
     mask_of,
+    transpose,
 )
 
 
@@ -79,27 +81,36 @@ def _j_pseudocomplements(lat: Lattice):
     A finite distributive lattice is D(J) by x -> S_x = ↓x ∩ J (Birkhoff),
     and in D(J) the pseudocomplement of a downset D is J ∖ ↑D, its dual
     ↓(J ∖ D) (Davey & Priestley, ch. 5).  ↑D is the union of the ↑a over
-    the minimal members of D, which are atoms, and ↓(J ∖ D) the union of
-    the ↓m over the maximal members m of J outside D.  So each element
-    costs one OR per atom below it and one per maximal m not below it,
-    and one lookup in {S_x: x}, with no fold.
+    the minimal members a of D, which are minimal in J, and ↓(J ∖ D) the
+    union of the ↓m over the maximal members m of J outside D.  So each
+    element costs one OR per minimal point in S_x and one per maximal
+    point outside it, and one lookup in {S_x: x}, with no fold.
+
+    A lattice built as D(J) (lat.points) gives S_x as its code, ↓p as the
+    point masks of J and {S_x: x} as its index map, so no P-bit row is
+    read; any other gives them as ↓x ∩ J, masks of the ids of J.
     """
-    below, above, atoms = lat.poset.below, lat.poset.above, lat.ji.atoms
-    jmask = lat.ji.member_mask
-    jsets = [b & jmask for b in below]
-    element = {s: x for x, s in enumerate(jsets)}
-    maximal = [m for m in lat.ji.members if above[m] & jmask == 1 << m]
+    if lat.points is None:
+        down, up, jmask = lat.poset.below, lat.poset.above, lat.ji.member_mask
+        jsets = [b & jmask for b in down]
+        element = {s: x for x, s in enumerate(jsets)}
+    else:
+        down, jsets, element = lat.points, lat.meet_codes, lat.meets
+        jmask = (1 << len(down)) - 1
+        up = transpose(down, len(down))
+    minimal = [p for p in bits(jmask) if down[p] & jmask == 1 << p]
+    maximal = [p for p in bits(jmask) if up[p] & jmask == 1 << p]
     star, plus = [], []
     for s in jsets:
         meets = 0
-        for a in atoms:
+        for a in minimal:
             if s >> a & 1:
-                meets |= above[a]
+                meets |= up[a]
         star.append(element[jmask & ~meets])
         joins = 0
         for m in maximal:
             if not s >> m & 1:
-                joins |= below[m]
+                joins |= down[m]
         plus.append(element[jmask & joins])
     return star, plus
 
@@ -150,10 +161,49 @@ def _check_p_laws(dp: DoubleP):
     gives (a v b)* <= z and a* v b* <= (a ^ b)*.  So the pairs are scanned
     only when a premise fails somewhere, and then row by row, as the full
     scan runs, until the first failure: at the latest the first row where a
-    premise fails.  Antitonicity at a is one mask test: ↑a must lie inside
-    the b with star[b] <= star[a].
+    premise fails.  When every law holds, that is decided in C-level
+    passes with no scan: a <= a** and a++ <= a are subset tests of codes
+    (posets.codes_within), and antitonicity is one subset test per covering
+    pair on a lattice that has them, and else one mask test per element:
+    ↑a must lie inside the b with star[b] <= star[a].
     """
     lat, star, plus = dp.lattice, dp.star, dp.plus
+    n, codes, leq = lat.n, lat.meet_codes, lat.leq
+    star2, plus2 = [star[s] for s in star], [plus[p] for p in plus]
+    premises = codes_within(range(n), star2, codes) and _star_antitone(lat, star)
+    if (premises and tuple(map(star.__getitem__, star2)) == star
+            and tuple(map(plus.__getitem__, plus2)) == plus and codes_within(plus2, range(n), codes)):
+        return
+    for a in range(n):
+        sa = star[a]
+        if star[star[sa]] != sa:
+            raise PseudoError(f"a* != a*** at {a}")
+        if not leq(a, star[sa]):
+            raise PseudoError(f"a <= a** fails at {a}")
+        if plus[plus[plus[a]]] != plus[a]:
+            raise PseudoError(f"a+ != a+++ at {a}")
+        if not leq(plus[plus[a]], a):
+            raise PseudoError(f"a++ <= a fails at {a}")
+        if premises:
+            continue
+        below = lat.poset.below
+        for b in range(lat.n):
+            sb = star[b]
+            if below[b] >> a & 1 and not below[sa] >> sb & 1:
+                raise PseudoError(f"star not antitone at ({a},{b})")
+            if star[lat.join(a, b)] != lat.meet(sa, sb):
+                raise PseudoError(f"(a v b)* != a* ^ b* at ({a},{b})")
+            if not below[star[lat.meet(a, b)]] >> lat.join(sa, sb) & 1:
+                raise PseudoError(f"(a ^ b)* >= a* v b* fails at ({a},{b})")
+
+
+def _star_antitone(lat: Lattice, star) -> bool:
+    """Whether a <= b implies star[b] <= star[a]: on the covering pairs of a
+    lattice that has them, else by one mask test per a."""
+    if lat.covers is not None:
+        lows, highs = lat.covers
+        codes = lat.meet_codes
+        return codes_within(highs, lows, [codes[s] for s in star])
     below, above = lat.poset.below, lat.poset.above
     # star_le[s] is the mask of the b with star[b] <= s, for each value s of
     # star, gathered from the preimages of the values below s
@@ -165,29 +215,7 @@ def _check_p_laws(dp: DoubleP):
     for s in star_le:
         for e in bits(below[s] & image):
             star_le[s] |= preimage[e]
-    premises = all(
-        above[a] & ~star_le[sa] == 0 and below[star[sa]] >> a & 1 for a, sa in enumerate(star)
-    )
-    for a in range(lat.n):
-        sa = star[a]
-        if star[star[sa]] != sa:
-            raise PseudoError(f"a* != a*** at {a}")
-        if not below[star[sa]] >> a & 1:
-            raise PseudoError(f"a <= a** fails at {a}")
-        if plus[plus[plus[a]]] != plus[a]:
-            raise PseudoError(f"a+ != a+++ at {a}")
-        if not below[a] >> plus[plus[a]] & 1:
-            raise PseudoError(f"a++ <= a fails at {a}")
-        if premises:
-            continue
-        for b in range(lat.n):
-            sb = star[b]
-            if below[b] >> a & 1 and not below[sa] >> sb & 1:
-                raise PseudoError(f"star not antitone at ({a},{b})")
-            if star[lat.join(a, b)] != lat.meet(sa, sb):
-                raise PseudoError(f"(a v b)* != a* ^ b* at ({a},{b})")
-            if not below[star[lat.meet(a, b)]] >> lat.join(sa, sb) & 1:
-                raise PseudoError(f"(a ^ b)* >= a* v b* fails at ({a},{b})")
+    return all(above[a] & ~star_le[sa] == 0 for a, sa in enumerate(star))
 
 
 @dataclass(frozen=True)

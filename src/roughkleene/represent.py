@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .demorgan import DeMorgan, compute_g, is_kleene
-from .posets import bits, has_two_levels, mask_of, preserves_order
+from .posets import Lattice, bits, codes_within, has_two_levels, mask_of, preserves_order
 from .pseudo import DoubleP, compute_pseudocomplements
 from .rough import (
     Covering,
@@ -97,7 +97,7 @@ def build_similarity(dm: DeMorgan) -> SimilaritySpace:
     g = compute_g(dm)
     atoms = ji.atoms
     low = tuple(x for x in ji.members if lat.leq(x, g[x]))
-    high = tuple(x for x in ji.members if lat.poset.leq(g[x], x) and g[x] != x)
+    high = tuple(x for x in ji.members if lat.leq(g[x], x) and g[x] != x)
     if low != atoms or set(high) != set(ji.members) - set(atoms):
         raise RepresentError("gmap does not separate atoms from upper join-irreducibles")
     simeq = frozenset((x, y) for x in atoms for y in atoms if lat.leq(x, g[y]))
@@ -200,33 +200,69 @@ def build_phi(dm: DeMorgan, sim: SimilaritySpace, universe, tol: Tolerance,
     return phi
 
 
-def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
-    """Extend phi to the whole lattice by joins and verify, pair by pair,
-    that every operation is preserved.
+def join_extension(lat: Lattice, target: Lattice, phi: dict) -> tuple:
+    """iso(x) = the join in target of phi(j) over the join-irreducibles j
+    <= x of lat, for every x.
 
-    The order test (posets.preserves_order) pulls the target's order back
-    along iso, bit-sliced: ↑iso(x) must pull back to ↑x for every x, as
-    iso is a bijection.  If every row passes, iso is an order
-    isomorphism of lattices, which preserves meet and join (Davey &
-    Priestley, Introduction to Lattices and Order, 2.19), so the pairs are
-    scanned only when some row fails, and then row by row, as the full scan
-    of x, then y, runs, until the first failure: at the latest the first
-    row that fails the order test.  Every ordered pair is still verified,
-    and the checks count each one.
+    When both lattices are D(J) (they have points), the join of downsets
+    is their union: iso(x) is the target element whose code is the OR of
+    the target codes of phi(↓p) over the points p of x's code, one OR per
+    point and one index lookup.  Otherwise it is a join fold over the
+    join-irreducibles below x (Lattice.join_all).
+    """
+    if lat.points is None or target.points is None:
+        below = lat.poset.below
+        return tuple(target.join_all(phi[j] for j in bits(below[x] & lat.ji.member_mask))
+                     for x in range(lat.n))
+    tcodes, ids = target.join_codes, lat.meets
+    point_codes = [tcodes[phi[ids[down]]] for down in lat.points]
+    out = []
+    for code in lat.meet_codes:
+        union = 0
+        for p in bits(code):
+            union |= point_codes[p]
+        out.append(target.joins[union])
+    return tuple(out)
+
+
+def _order_isomorphism(lat: Lattice, target: Lattice, iso: tuple) -> bool:
+    """Whether the bijection iso is an order isomorphism of lat onto target.
+
+    When both have covering pairs, iso and its inverse are each tested
+    monotone on their source's covers (posets.codes_within), which is the
+    whole order; a failure there, or a lattice without covers, runs the
+    row test of the pulled-back order (posets.preserves_order)."""
+    if lat.covers is not None and target.covers is not None:
+        inverse = sorted(range(len(iso)), key=iso.__getitem__)
+        tcodes, codes = target.meet_codes, lat.meet_codes
+        if (codes_within(*lat.covers, [tcodes[ix] for ix in iso])
+                and codes_within(*target.covers, [codes[x] for x in inverse])):
+            return True
+    return preserves_order(lat, target, iso)
+
+
+def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
+    """Extend phi to the whole lattice by joins (join_extension) and verify,
+    pair by pair, that every operation is preserved.
+
+    The order test (_order_isomorphism) reads the covering pairs of both
+    lattices, or pulls the target's order back along iso.  If it passes,
+    iso is an order isomorphism of lattices, which preserves meet and join
+    (Davey & Priestley, Introduction to Lattices and Order, 2.19), so the
+    pairs are scanned only when it fails, and then row by row, as the full
+    scan of x, then y, runs, until the first failure: at the latest the
+    first row where ↑iso(x) does not pull back to ↑x.  Every ordered pair
+    is still verified, and the checks count each one.
     """
     lat, target = dm.lattice, rs.lattice
     n = lat.n
-    below, rs_below = lat.poset.below, target.poset.below
-    iso = tuple(
-        target.join_all(phi[j] for j in bits(below[x] & lat.ji.member_mask))
-        for x in range(n)
-    )
+    iso = join_extension(lat, target, phi)
     if sorted(iso) != list(range(rs.n)):
         raise IsoCheckFailed("bijectivity", {"image_size": len(set(iso)), "target": rs.n})
     if iso[lat.bottom] != rs.lattice.bottom or iso[lat.top] != rs.lattice.top:
         raise IsoCheckFailed("bounds", {})
     checks = {"meet": 0, "join": 0, "neg": 0, "star": 0, "plus": 0, "order": 0}
-    ordered = preserves_order(lat, target, iso)
+    ordered = _order_isomorphism(lat, target, iso)
     for x in range(n):
         if rs.neg[iso[x]] != iso[dm.neg[x]]:
             raise IsoCheckFailed("neg", {"x": x})
@@ -239,6 +275,7 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
         checks["plus"] += 1
         ix = iso[x]
         if not ordered:
+            below, rs_below = lat.poset.below, target.poset.below
             for y in range(n):
                 iy = iso[y]
                 if iso[lat.meet(x, y)] != target.meet(ix, iy):

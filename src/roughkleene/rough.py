@@ -92,10 +92,6 @@ def _fmt_set(mask, labels):
     return "{" + ",".join(labels[i] for i in bits(mask)) + "}"
 
 
-def fmt_pair(pair, labels):
-    return f"({_fmt_set(pair[0], labels)},{_fmt_set(pair[1], labels)})"
-
-
 class Tolerance:
     """Reflexive symmetric relation; nbr[x] is the bitmask of R(x)."""
 
@@ -317,7 +313,8 @@ class RoughSetAlgebra:
     the complement-approximation maps.  For tolerances induced by an
     irredundant covering the full Kleene/regularity battery has been run
     and demorgan/doublep are populated, and ji is lattice.ji.  The
-    label of element i, lattice.labels[i], is fmt_pair of pairs[i].
+    label of element i, lattice.labels[i], is "(lower,upper)" of pairs[i],
+    each set formatted by _fmt_set.
     """
 
     __slots__ = (
@@ -533,9 +530,14 @@ def _closed_forms_hold(tol: Tolerance, pairs, lattice) -> bool:
     filter ↑k, and k is then the lowest of them; dually f keeps ∨ exactly
     when the ids whose f-value lacks u are none or ↓k of the highest of
     them.  So each map costs one transpose and one mask test per point,
-    O(P·U) in all.
+    O(P·U) in all.  Only the rows ↑k and ↓k of those k are read, each one
+    containing() or within() of the lattice's order on its codes
+    (posets.pulled_back along the ids), so no P-bit row of any other
+    element is built.
     """
-    below, above = lattice.poset.below, lattice.poset.above
+    order, codes = pulled_back(lattice, range(len(pairs))), lattice.meet_codes
+    above = Memo(lambda k: order.containing(codes[k]))
+    below = Memo(lambda k: order.within(codes[k]))
     full, U = (1 << len(pairs)) - 1, tol.n
     lows, ups = [lo for lo, _ in pairs], [up for _, up in pairs]
     lower, upper = Memo(tol.lower), Memo(tol.upper)
@@ -547,8 +549,8 @@ def _closed_forms_hold(tol: Tolerance, pairs, lattice) -> bool:
         return all(c == 0 or c == below[c.bit_length() - 1]
                    for c in (full ^ h for h in transpose(values, U)))
 
-    return (all(tol.interior(up) == up for up in set(ups))
-            and all(tol.closure(lo) == lo for lo in set(lows))
+    return (all(upper[lower[up]] == up for up in set(ups))
+            and all(lower[upper[lo]] == lo for lo in set(lows))
             and keeps_meets(lows) and keeps_meets([lower[up] for up in ups])
             and keeps_joins(ups) and keeps_joins([upper[lo] for lo in lows]))
 
@@ -577,7 +579,8 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
     induced_irredundant_covering(tol), found once by the caller; the
     algebra carries it as rs.covering.
     """
-    labels = [fmt_pair(pr, tol.labels) for pr in pairs]
+    fmt = Memo(lambda mask: _fmt_set(mask, tol.labels))
+    labels = [f"({fmt[lo]},{fmt[up]})" for lo, up in pairs]
     if downsets is None:
         lattice = rough_lattice(labels, pairs, tol.n)
         holds = _keys_hold(tol, pairs, lattice)
@@ -588,11 +591,14 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
         _name_failure(tol, pairs, lattice)
     index = {pr: i for i, pr in enumerate(pairs)}
     full = (1 << tol.n) - 1
+    # star reads only the upper set of a pair and plus only the lower one
+    star_of = Memo(lambda up: approximations(tol, full & ~up))
+    plus_of = Memo(lambda lo: approximations(tol, full & ~lo))
     neg, star, plus = [], [], []
     for lo, up in pairs:
         for target, source in ((neg, (full & ~up, full & ~lo)),
-                               (star, approximations(tol, full & ~up)),
-                               (plus, approximations(tol, full & ~lo))):
+                               (star, star_of[up]),
+                               (plus, plus_of[lo])):
             i = index.get(source)
             if i is None:
                 raise FormulaMismatch("unary operation leaves the pair set", {"value": source})

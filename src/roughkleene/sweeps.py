@@ -225,6 +225,26 @@ def _eval_tolerance(seq, n, enc, deep, want_witness, report: EnumerationReport):
     _step(report, seq, "irredundantIffDistributiveRsLattice", doc, irr_iff_dist)
 
 
+def _once(fn, *args):
+    """A function of no arguments that returns fn(*args), run on its first
+    call alone.  An exception it raised is raised again on every call, so
+    each check that shares the value records the same failure."""
+    outcome = []
+
+    def value():
+        if not outcome:
+            try:
+                outcome.append((fn(*args), None))
+            except Exception as exc:  # noqa: BLE001 - raised again to each caller
+                outcome.append((None, exc))
+        result, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return result
+
+    return value
+
+
 def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
     from .pseudo import NoPseudocomplement
 
@@ -252,16 +272,16 @@ def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
         if dm is None:
             continue
 
+        g = _once(compute_g, dm)
+
         def g_round_trip():
-            g = compute_g(dm)
-            return neg_from_g(lat, g) == dm.neg
+            return neg_from_g(lat, g()) == dm.neg
 
         _step(report, seq, "gmapRoundTrip", ndoc, g_round_trip)
 
         def j3_iff_kleene():
-            g = compute_g(dm)
-            p = lat.poset
-            j3 = all(p.leq(j, g[j]) or p.leq(g[j], j) for j in lat.ji.members)
+            gmap = g()
+            j3 = all(lat.leq(j, gmap[j]) or lat.leq(gmap[j], j) for j in lat.ji.members)
             return j3 == is_kleene(dm)[0]
 
         _step(report, seq, "comparabilityIffKleene", ndoc, j3_iff_kleene)

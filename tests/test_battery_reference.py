@@ -215,8 +215,12 @@ def test_check_M_D_N_picks_the_smallest_first_index():
 
 
 def test_validate_demorgan_antitone_witness(cases):
+    """The cases, and every involution of the downset lattices of
+    all_distributive_lattices(7), which decide antitonicity on their
+    covering pairs before the row scan names the witness."""
     antitone_failures = 0
-    for lat, neg in cases:
+    downset_cases = [(lat, neg) for lat in all_distributive_lattices(7) for neg in involutions(lat.n)]
+    for lat, neg in cases + downset_cases:
         triple = ref_first_bad_triple(lat)
         if triple is not None:
             with pytest.raises(NotDistributive) as err:
@@ -293,10 +297,11 @@ def ref_compute_g(dm):
 
 def test_compute_g_against_the_meet_of_the_list():
     """Every involution of the distributive lattices of all_lattices(7),
-    antitone or not: the same gmap up to its first value, and the same
-    GNotJoinIrreducible witness."""
+    which fold, and of all_distributive_lattices(7), which read g from the
+    points of J, antitone or not: the same gmap up to its first value, and
+    the same GNotJoinIrreducible witness."""
     outcomes = set()
-    for lat in all_lattices(7):
+    for lat in [*all_lattices(7), *all_distributive_lattices(7)]:
         if not is_distributive(lat):
             continue
         for neg in involutions(lat.n):

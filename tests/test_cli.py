@@ -371,6 +371,25 @@ class TestRoutes:
         monkeypatch.setattr(posets, "_keyed_lattice", refuse)
         assert top_rung_digest(rung) == digest
 
+    @pytest.mark.parametrize("rung, digest, builds", [
+        (*TOP_RUNGS[0], 1), (*TOP_RUNGS[1], 0),
+    ])
+    def test_top_rung_builds_no_order_rows(self, monkeypatch, rung, digest, builds):
+        """Both top rungs keep their bytes while their D(J) lattices decide
+        every order fact on codes and covers: represent builds the P-bit
+        rows below and above of no lattice, and verify builds them once,
+        for the join-fold oracle of rs_join_irreducibles."""
+        real = posets._CodedPoset._build_rows
+        built = []
+
+        def counted(self):
+            built.append(self.n)
+            return real(self)
+
+        monkeypatch.setattr(posets._CodedPoset, "_build_rows", counted)
+        assert top_rung_digest(rung) == digest
+        assert built == [2187] * builds
+
     @pytest.mark.parametrize("rung, digest", TOP_RUNGS)
     def test_top_rung_runs_no_element_battery(self, monkeypatch, rung, digest):
         """Both top rungs keep their bytes with the element battery and the

@@ -22,6 +22,7 @@ from roughkleene.posets import (
     is_distributive,
     join_irreducibles,
     mask_of,
+    transpose,
     validate_order,
 )
 
@@ -65,6 +66,64 @@ def _near_order(rng):
         i, j = rng.randrange(n), rng.randrange(n)
         rows[i][j] ^= 1
     return rows
+
+
+def reference_transpose(sets, width):
+    """The bit loop transpose replaced: one step per bit of each set."""
+    out = [0] * width
+    for k, m in enumerate(sets):
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= 1 << k
+            m ^= low
+    return out
+
+
+def seeded_sets(rng, count, width):
+    """count sets of width points at a seeded density, the first third of
+    them empty."""
+    density = rng.random()
+    sets = [sum(1 << u for u in range(width) if rng.random() < density) for _ in range(count)]
+    sets[:count // 3] = [0] * (count // 3)
+    return sets
+
+
+class TestTranspose:
+    @pytest.mark.parametrize("count, width", [(0, 0), (3, 0), (0, 5), (16, 5), (2187, 14)])
+    def test_against_the_bit_loop(self, count, width):
+        """Width 0, no sets, the smallest shape and the 2187 × 14 shape of
+        the largest downset codes."""
+        sets = seeded_sets(random.Random(count + width), count, width)
+        assert transpose(sets, width) == reference_transpose(sets, width)
+
+    def test_every_width_up_to_seventy(self):
+        """Widths 1..70, most of them no multiple of 8, with 1, 9 and 40
+        seeded sets each."""
+        rng = random.Random(70)
+        for width in range(1, 71):
+            for count in (1, 9, 40):
+                sets = seeded_sets(rng, count, width)
+                assert transpose(sets, width) == reference_transpose(sets, width)
+
+    def test_zero_masks_and_full_masks(self):
+        for width in (1, 7, 8, 9, 64, 65):
+            full = (1 << width) - 1
+            assert transpose([0] * 5, width) == [0] * width
+            assert transpose([full] * 5, width) == [0b11111] * width
+
+
+def test_a_downset_lattice_pickles_without_its_rows():
+    """A D(J) lattice crosses a process boundary with its codes, and its
+    order rows are rebuilt on first read."""
+    import pickle
+
+    from roughkleene.generators import all_distributive_lattices
+
+    for lat in all_distributive_lattices(6):
+        copy = pickle.loads(pickle.dumps(lat))
+        assert copy.poset._rows is None
+        assert (copy.poset.below, copy.poset.above) == (lat.poset.below, lat.poset.above)
+        assert (copy.covers, copy.points, copy.ji) == (lat.covers, lat.points, lat.ji)
 
 
 class TestValidateOrder:

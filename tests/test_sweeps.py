@@ -148,3 +148,38 @@ def test_covering_battery_sweeps_the_powerset_once_per_algebra(monkeypatch):
     swept.clear()
     report = sweep_coverings(3, workers=1)
     assert len(swept) == report.properties["dualRouteEqual"].checked == 11
+
+
+def test_the_lattice_sweep_computes_g_once_per_structure(monkeypatch):
+    """gmapRoundTrip and comparabilityIffKleene share one compute_g per De
+    Morgan structure.  When it raises, both still record the structure as
+    checked and failed, with the same error as their first witness."""
+    from roughkleene import demorgan, sweeps
+
+    calls = []
+    real = demorgan.compute_g
+
+    def counted(dm):
+        calls.append(dm.n)
+        return real(dm)
+
+    monkeypatch.setattr(sweeps, "compute_g", counted)
+    passing = sweep_demorgan(4, workers=1).properties
+    structures = passing["deMorganValidates"].checked
+    assert len(calls) == structures > 0
+    for name in ("gmapRoundTrip", "comparabilityIffKleene"):
+        assert (passing[name].checked, passing[name].failures) == (structures, 0)
+
+    def broken(dm):
+        calls.append(dm.n)
+        raise demorgan.GNotJoinIrreducible(0, 1)
+
+    calls.clear()
+    monkeypatch.setattr(sweeps, "compute_g", broken)
+    failing = sweep_demorgan(4, workers=1).properties
+    assert len(calls) == structures
+    error = "GNotJoinIrreducible: gmap(0) = 1 is not join-irreducible"
+    for name in ("gmapRoundTrip", "comparabilityIffKleene"):
+        outcome = failing[name]
+        assert (outcome.checked, outcome.failures) == (structures, structures)
+        assert outcome.first_witness[1]["error"] == error

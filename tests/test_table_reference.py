@@ -13,6 +13,7 @@ per-pair scan it replaced.  The rows the references index
 are read pair by pair (conftest.rows).
 """
 
+import importlib
 import random
 import tracemalloc
 
@@ -20,8 +21,12 @@ import pytest
 from conftest import rows, two_level_fixture, two_level_jposet
 
 from roughkleene.demorgan import (
+    DeMorgan,
+    DeMorganError,
     antitone_involutions,
     build_kleene_from_jposet,
+    compute_g,
+    is_kleene,
     neg_from_g,
     validate_demorgan,
 )
@@ -39,8 +44,10 @@ from roughkleene.posets import (
     Poset,
     PosetError,
     bits,
+    codes_within,
     downset_lattice,
     downsets,
+    first_not_below,
     has_two_levels,
     inclusion_below,
     inclusion_lattice,
@@ -55,6 +62,7 @@ from roughkleene.pseudo import (
     _check_p_laws,
     _fold_pseudocomplements,
     _j_pseudocomplements,
+    _star_antitone,
     compute_pseudocomplements,
     demorgan_pseudo_report,
     is_regular,
@@ -63,6 +71,7 @@ from roughkleene.represent import (
     IsoCheckFailed,
     NotKleene,
     NotRegular,
+    _order_isomorphism,
     extend_iso,
     represent,
 )
@@ -157,16 +166,18 @@ def p_laws(dp):
     return None
 
 
-def ref_extend_iso(dm, dp, phi, rs):
-    """(iso, checks), or (operation, witness) of the first failing check."""
+def ref_extend_iso(dm, dp, phi, rs, swap=None):
+    """(iso, checks), or (operation, witness) of the first failing check.
+    swap, a dict of target ids, is applied to every value of the join
+    extension, to model a wrong one."""
     lat, target = dm.lattice, rs.lattice
     ji = lat.ji
     n = lat.n
+    swap = swap or {}
     (meet, join), (target_meet, target_join) = rows(lat), rows(target)
-    iso = tuple(
-        target.join_all(phi[j] for j in range(n) if j in ji and lat.leq(j, x))
-        for x in range(n)
-    )
+    joins = (target.join_all(phi[j] for j in range(n) if j in ji and lat.leq(j, x))
+             for x in range(n))
+    iso = tuple(swap.get(v, v) for v in joins)
     if sorted(iso) != list(range(rs.n)):
         return "bijectivity", {"image_size": len(set(iso)), "target": rs.n}
     if iso[lat.bottom] != target.bottom or iso[lat.top] != target.top:
@@ -616,7 +627,9 @@ class TestExtendIso:
         """Compose the join extension with a swap of two inner target
         elements (all swaps, or 150 seeded ones on larger algebras); the
         first failing check must be the reference's."""
-        real_join_all = Lattice.join_all
+        # the package exports the function represent under the module's name
+        represent_module = importlib.import_module("roughkleene.represent")
+        real_extension = represent_module.join_extension
         rng = random.Random(2)
         outcomes = set()
         for dm in regular_kleene_algebras():
@@ -636,15 +649,13 @@ class TestExtendIso:
             for u, v in swaps:
                 swap = {u: v, v: u}
 
-                def wrong(self, ids, swap=swap):
-                    value = real_join_all(self, ids)
-                    return swap.get(value, value) if self is target else value
+                def wrong(*args, swap=swap):
+                    return tuple(swap.get(value, value) for value in real_extension(*args))
 
-                monkeypatch.setattr(Lattice, "join_all", wrong)
+                monkeypatch.setattr(represent_module, "join_extension", wrong)
                 got = iso_outcome(dm, dp, result.phi, rs)
-                want = ref_extend_iso(dm, dp, result.phi, rs)
-                monkeypatch.setattr(Lattice, "join_all", real_join_all)
-                assert got == want
+                monkeypatch.setattr(represent_module, "join_extension", real_extension)
+                assert got == ref_extend_iso(dm, dp, result.phi, rs, swap)
                 outcomes.add(got[0] if isinstance(got[0], str) else "ok")
         assert {"neg", "star", "meet", "join", "ok"} <= outcomes
 
@@ -702,18 +713,11 @@ class TestDownsetLattice:
         assert count == 522
 
     def test_the_j_route_of_g_documents(self):
-        """The two-level fixture, 200 seeded random two-level structures and
-        the jposet of seven pairs a_i < b_i with g swapping each pair: the
-        join-irreducibles that downset_lattice reads from J are the fold
-        route's, the lattice is distributive by is_distributive, and the
-        negation J ∖ g(D) is neg_from_g of g on the principal downsets."""
-        rng = random.Random(17)
-        labels = [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(7)]
-        documents = [two_level_jposet(),
-                     *(random_two_level_structure(rng, max_atoms=7, max_ji=14) for _ in range(200)),
-                     (Poset.from_covers(labels, [(i, 7 + i) for i in range(7)]),
-                      {i: (i + 7) % 14 for i in range(14)})]
-        for jposet, g in documents:
+        """The 202 g documents: the join-irreducibles that downset_lattice
+        reads from J are the fold route's, the lattice is distributive by
+        is_distributive, and the negation J ∖ g(D) is neg_from_g of g on
+        the principal downsets."""
+        for jposet, g in g_documents():
             dm = build_kleene_from_jposet(jposet, g)
             lat, principal = dm.lattice, dm.lattice.meets
             g_l = {principal[jposet.below[j]]: principal[jposet.below[g[j]]] for j in range(jposet.n)}
@@ -739,6 +743,19 @@ class TestDownsetLattice:
         cycle 0 <= 1 <= 0, whose ↓0∖{0} is no downset."""
         with pytest.raises(PosetError, match=f"^{message}$"):
             downset_lattice([str(d) for d in range(len(family))], family, below)
+
+
+def g_documents():
+    """The two-level fixture, 200 seeded random two-level structures and the
+    jposet of seven pairs a_i < b_i with g swapping each pair (P = 3^7), as
+    (jposet, g)."""
+    rng = random.Random(17)
+    labels = [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(7)]
+    yield two_level_jposet()
+    for _ in range(200):
+        yield random_two_level_structure(rng, max_atoms=7, max_ji=14)
+    yield (Poset.from_covers(labels, [(i, 7 + i) for i in range(7)]),
+           {i: (i + 7) % 14 for i in range(14)})
 
 
 def formulas_hold(tol, pairs, lattice):
@@ -877,8 +894,9 @@ class TestPreservesOrder:
     def test_represented_algebras(self):
         """The acceptance suite's represented algebras, the two-level
         fixture and 50 seeded two-level structures: represent's iso passes
-        both order tests, and with two of its values swapped (20 seeded
-        swaps each) the pull-back gives the walk's verdict."""
+        every order test, and with two of its values swapped (20 seeded
+        swaps each) the pull-back and the covering pairs of both lattices
+        (_order_isomorphism) give the walk's verdict."""
         rng, swap_rng = random.Random(5309), random.Random(3)
         algebras = [two_level_fixture()]
         while len(algebras) < 51:
@@ -888,14 +906,26 @@ class TestPreservesOrder:
             result = represent(dm)
             lat, target, iso = dm.lattice, result.rs.lattice, result.iso
             assert preserves_order(lat, target, iso) and ref_ordered(lat, target, iso)
+            assert lat.covers is not None and target.covers is not None
+            assert _order_isomorphism(lat, target, iso)
             for _ in range(20):
                 x, y = swap_rng.sample(range(lat.n), 2)
                 bent = list(iso)
                 bent[x], bent[y] = bent[y], bent[x]
                 ordered = preserves_order(lat, target, bent)
                 assert ordered == ref_ordered(lat, target, bent)
+                assert _order_isomorphism(lat, target, bent) == ordered
+                assert on_covers(lat, target, bent) == ordered
                 verdicts[ordered] += 1
         assert verdicts[False] > 500
+
+
+def on_covers(lat, target, iso):
+    """_order_isomorphism's decision on the covering pairs alone: iso and its
+    inverse are monotone on the covers of their sources."""
+    inverse = sorted(range(len(iso)), key=iso.__getitem__)
+    return (codes_within(*lat.covers, [target.meet_codes[ix] for ix in iso])
+            and codes_within(*target.covers, [lat.meet_codes[x] for x in inverse]))
 
 
 def seven_pairs():
@@ -959,3 +989,138 @@ class TestJRoute:
             seen.add(two)
             count += 1
         assert (count, seen) == (size, verdicts)
+
+
+def masked(lat):
+    """lat without its covering pairs and the point masks of its J: on it
+    every reader takes its mask route, which reads the P-bit rows."""
+    twin = Lattice(lat.poset, lat.meet_codes, lat.join_codes, lat.meets, lat.joins,
+                   lat.bottom, lat.top)
+    twin.ji, twin.distributive = lat.ji, lat.distributive
+    return twin
+
+
+def ref_two_levels(lat):
+    """has_two_levels before the codes: ↑j among J, read off the rows."""
+    ji, above = lat.ji, lat.poset.above
+    for j in ji.members:
+        if j not in ji.atoms:
+            higher = above[j] & ji.member_mask & ~(1 << j)
+            if higher:
+                return False, (j, next(bits(higher)))
+    return True, None
+
+
+def ref_first_not_below(lat, los, his):
+    """first_not_below before the codes: a scan of every pair on the rows."""
+    above = lat.poset.above
+    return next(((x, y) for x, lo in enumerate(los) for y, hi in enumerate(his)
+                 if not above[lo] >> hi & 1), None)
+
+
+def outcome(fn, *args):
+    """("ok", the value fn returned), or the type and witness of the
+    De Morgan or pseudocomplement error it raised."""
+    try:
+        return "ok", fn(*args)
+    except (DeMorganError, PseudoError) as exc:
+        return type(exc).__name__, getattr(exc, "witness", str(exc))
+
+
+def negation(lat, neg):
+    return validate_demorgan(lat, neg).neg
+
+
+# (D(J) lattice, its De Morgan structure or None), by corpus
+CODE_ROUTE_CORPUS = {
+    "distributive-10": lambda: [(lat, None) for lat in all_distributive_lattices(10)],
+    "coverings": lambda: [
+        (rs.lattice, rs.demorgan) for rs in (build_rs(tol) for tol, *_ in covering_algebras())
+    ],
+    "g-documents": lambda: [
+        (dm.lattice, dm) for dm in (build_kleene_from_jposet(*doc) for doc in g_documents())
+    ],
+}
+
+
+class TestCodeRoutes:
+    """A D(J) lattice decides its order facts on its |J|-bit codes and its
+    covering pairs, and builds no P-bit row.  Its masked twin, with the
+    same rows and no covers or points, takes the mask routes, which stay
+    as the oracle: every decision and every first witness must agree."""
+
+    @pytest.mark.parametrize("corpus, size", [
+        ("distributive-10", 109), ("coverings", 522), ("g-documents", 202),
+    ])
+    def test_decisions_equal_the_mask_routes(self, corpus, size):
+        rng = random.Random(20)
+        count = 0
+        for lat, dm in CODE_ROUTE_CORPUS[corpus]():
+            assert lat.covers is not None and lat.points is not None
+            twin = masked(lat)
+            assert sorted(zip(*lat.covers)) == lat.poset.covers()
+            below = lat.poset.below
+            pairs = ([(i, j) for i in range(lat.n) for j in range(lat.n)] if lat.n <= 100
+                     else [(rng.randrange(lat.n), rng.randrange(lat.n)) for _ in range(5000)])
+            assert all(lat.leq(i, j) == bool(below[j] >> i & 1) for i, j in pairs)
+            star, plus = _j_pseudocomplements(lat)
+            assert (star, plus) == _j_pseudocomplements(twin)
+            assert _star_antitone(lat, star) and _star_antitone(twin, star)
+            assert has_two_levels(lat) == ref_two_levels(lat)
+            los = [lat.meet(x, plus[x]) for x in range(lat.n)]
+            his = [lat.join(y, star[y]) for y in range(lat.n)]
+            assert first_not_below(lat, los, his) == ref_first_not_below(lat, los, his)
+            if dm is not None:
+                assert negation(lat, dm.neg) == negation(twin, dm.neg) == dm.neg
+                assert compute_g(dm) == compute_g(DeMorgan(twin, dm.neg))
+                assert is_kleene(dm)[0]
+            count += 1
+        assert count == size
+
+    def test_swapped_neg_values(self):
+        """Each negation conjugated by seeded transpositions of two elements,
+        which keeps it an involution: validate_demorgan and compute_g give
+        the mask route's verdict and first witness."""
+        rng = random.Random(2020)
+        seen = {}
+        for corpus in ("coverings", "g-documents"):
+            for lat, dm in CODE_ROUTE_CORPUS[corpus]():
+                if lat.n < 3 or lat.n > 500:
+                    continue
+                twin = masked(lat)
+                for _ in range(3):
+                    u, v = rng.sample(range(lat.n), 2)
+                    swap = {u: v, v: u}
+                    neg = [swap.get(dm.neg[swap.get(x, x)], dm.neg[swap.get(x, x)])
+                           for x in range(lat.n)]
+                    got = outcome(negation, lat, neg)
+                    assert got == outcome(negation, twin, neg)
+                    lows, highs = lat.covers
+                    antitone = codes_within(highs, lows, [lat.meet_codes[v] for v in neg])
+                    assert antitone == (got[0] == "ok")
+                    assert (outcome(compute_g, DeMorgan(lat, neg))
+                            == outcome(compute_g, DeMorgan(twin, neg)))
+                    seen[got[0]] = seen.get(got[0], 0) + 1
+        assert seen["NotAntitone"] > 500 and seen["ok"] > 50
+
+    def test_bent_star(self):
+        """star[u] set to a seeded other value: antitonicity on the covers is
+        the rows' verdict, and _check_p_laws names the reference scan's first
+        failing law on the lattice and on its twin."""
+        rng = random.Random(2021)
+        messages = set()
+        for corpus in ("coverings", "g-documents"):
+            for lat, _ in CODE_ROUTE_CORPUS[corpus]():
+                if lat.n < 2 or lat.n > 200:
+                    continue
+                dp = compute_pseudocomplements(lat)
+                for _ in range(3):
+                    u = rng.randrange(lat.n)
+                    star = list(dp.star)
+                    star[u] = rng.choice([v for v in range(lat.n) if v != star[u]])
+                    assert _star_antitone(lat, star) == _star_antitone(masked(lat), star)
+                    message = p_laws(DoubleP(lat, star, dp.plus))
+                    assert message == p_laws(DoubleP(masked(lat), star, dp.plus))
+                    assert message == ref_p_laws(DoubleP(lat, star, dp.plus))
+                    messages.add(message and message.split(" at ")[0])
+        assert {None, "star not antitone", "a <= a** fails"} <= messages
