@@ -7,12 +7,11 @@ can be rebuilt:  neg(x) = join of {j | gmap(j) not<= x}.
 
 A jposet's algebra is the downset lattice of its join-irreducibles
 (posets.downset_lattice), built with no pair lookups, and its negation is
-read from g on J with no fold: neg(D) = J ∖ g(D).  On such a lattice every
-order fact is read from the |J|-bit codes: antitonicity of neg is one
-subset test per covering pair (posets.codes_within), and g(j) is the
-intersection of the ↓p of J outside neg(j).  Any other lattice decides
-antitonicity on its order pulled back along neg (posets.pulled_back),
-bit-sliced, which also names the first witness when the covers fail.
+read from g on J with no fold: neg(D) = J ∖ g(D).  On every lattice
+antitonicity of neg is one subset test per covering pair
+(posets.codes_within); only when that fails is the order pulled back along
+neg (posets.pulled_back), bit-sliced, to name the first witness.  On D(J)
+g(j) is the intersection of the ↓p of J outside neg(j).
 """
 
 from __future__ import annotations
@@ -92,9 +91,9 @@ def validate_demorgan(lat: Lattice, neg) -> DeMorgan:
 
     Antitonicity, x <= y exactly when neg(y) <= neg(x), needs only its
     forward half once neg is an involution (apply it to neg(y) <= neg(x)).
-    On a lattice with covering pairs that half is decided on the covers
-    (codes_within); a failure there, or a lattice without covers, runs the
-    row scan of the pulled-back order, which names the first witness.
+    That half is decided on the covering pairs (codes_within); only a
+    failure there runs the row scan of the pulled-back order, which names
+    the first witness.
     """
     if not lat.distributive:
         raise NotDistributive(first_bad_triple(lat))
@@ -106,10 +105,9 @@ def validate_demorgan(lat: Lattice, neg) -> DeMorgan:
         if neg[neg[x]] != x:
             raise NotInvolution(x)
     codes = lat.meet_codes
-    if lat.covers is not None:
-        lows, highs = lat.covers
-        if codes_within(highs, lows, [codes[v] for v in neg]):
-            return DeMorgan(lat, neg)
+    lows, highs = lat.covers
+    if codes_within(highs, lows, [codes[v] for v in neg]):
+        return DeMorgan(lat, neg)
     # antitonicity at x says {y | neg(y) <= neg(x)} is exactly ↑x; the order
     # pulled back along neg gives that set in one within(), and the lowest
     # bit of the difference is the first failing y

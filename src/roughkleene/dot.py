@@ -23,7 +23,7 @@ def hasse_dot(lat: Lattice, name="lattice", neg=None) -> str:
             label = f"{label} | ~{lat.labels[neg[i]]}"
         style = ' style=filled fillcolor=black fontcolor=white' if i in lat.ji else ""
         lines.append(f"  n{i} [label={_quote(label)}{style}];")
-    for i, j in lat.poset.covers():
+    for i, j in sorted(zip(*lat.covers)):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

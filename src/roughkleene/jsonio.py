@@ -203,7 +203,7 @@ def covering_doc(cov: Covering) -> dict:
 def lattice_doc(lat: Lattice, neg=None) -> dict:
     doc = {
         "labels": list(lat.labels),
-        "covers": [list(c) for c in lat.poset.covers()],
+        "covers": [list(c) for c in sorted(zip(*lat.covers))],
     }
     if neg is not None:
         doc["neg"] = list(neg)

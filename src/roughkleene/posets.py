@@ -7,25 +7,27 @@ operation is deterministic, so values can be shared freely across threads.
 A Lattice is an order given twice as inclusion of sets, its meet codes and
 its join codes: meet is looked up by the intersection of two meet codes and
 join by the union of two join codes, and i <= j is one subset test of two
-meet codes (Lattice.leq).  No P×P table is stored.  Two builders make every
-Lattice:
+meet codes (Lattice.leq).  No P×P table is stored.  Every Lattice carries
+its covering pairs (lat.covers), which generate its order, so each monotone
+or antitone fact is one pass over them (codes_within).  Two builders make
+every Lattice:
 
 - downset_lattice, for the lattice D(J) of all downsets of a poset J
   (Birkhoff): each element's code is its downset, a |J|-bit mask, so one
   index map answers both meet and join, and the builder proves in
   O(P·|J|) that its family is all of D(J) instead of looking up any pair.
-  It keeps the covering pairs d ⋖ d ∪ {j} that proof walks (lat.covers)
+  It keeps the covering pairs d ⋖ d ∪ {j} that proof walks as lat.covers
   and the point masks ↓p of J (lat.points), reads the join-irreducibles
   from J, the principal downsets, and knows it distributive.  Its poset
   holds the codes and builds the P-bit rows below and above only on first
-  read, for the witness scans, check, dot and the fold oracles; the hot
-  readers decide order facts on the codes and the covers instead
-  (codes_within);
+  read, for the witness scans, check and the fold oracles; the hot readers
+  decide order facts on the codes and the covers instead;
 - _keyed_lattice, for orders not known to be lattices (inclusion_lattice,
   Lattice.from_poset): it streams the meet and join keys of the P²/2 pairs
   into its key maps while it proves the order a lattice, then finds the
   join-irreducibles and decides distributivity by join folds
-  (join_irreducibles, is_distributive).  Its poset holds below and above.
+  (join_irreducibles, is_distributive).  Its poset holds below and above,
+  and lat.covers is read from them (Poset.covers) on first use.
 
 Either way each is found once per lattice: every reader takes lat.ji and
 lat.distributive.  The fold routes also stay callable on any lattice, as
@@ -294,7 +296,7 @@ def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Seque
     codes = tuple(downsets)
     lat = Lattice(_CodedPoset(labels, codes, width), codes, codes, index, index,
                   index[0], index[(1 << width) - 1])
-    lat.covers, lat.points = (lows, highs), tuple(below)
+    lat._covers, lat.points = (lows, highs), tuple(below)
     members = tuple(sorted(lower))
     atoms = tuple(j for j in members if lower[j] == lat.bottom)
     lat.ji = JoinIrreducibles(members, lower, atoms, mask_of(members))
@@ -314,14 +316,6 @@ def pulled_back(lat: "Lattice", perm: Sequence[int]) -> _Inclusion:
     return _Inclusion([codes[v] for v in perm], codes[lat.top].bit_length())
 
 
-def preserves_order(source: "Lattice", target: "Lattice", iso: Sequence[int]) -> bool:
-    """Whether a bijection iso from the ids of source onto those of target
-    is an order isomorphism: ↑iso(x) pulls back (pulled_back) to ↑x for
-    every x, one containing() each."""
-    order, codes = pulled_back(target, iso), target.meet_codes
-    return all(order.containing(codes[ix]) == up for ix, up in zip(iso, source.poset.above))
-
-
 def codes_within(lows: Iterable[int], highs: Iterable[int], codes: Sequence[int]) -> bool:
     """Whether codes[lo] ⊆ codes[hi] for every pair (lo, hi) of lows and
     highs taken in step, in one C-level pass.
@@ -330,7 +324,8 @@ def codes_within(lows: Iterable[int], highs: Iterable[int], codes: Sequence[int]
     monotone into inclusion, since the order of a finite lattice is the
     reflexive transitive closure of its covering pairs; with (highs, lows)
     it says the map is antitone.  Each is one subset test per covering
-    pair, on the codes, with no P-bit row.
+    pair, on the codes, with no P-bit row: every order check of the
+    package decides this way.
     """
     get = codes.__getitem__
     return not any(map(and_, map(get, lows), map(invert, map(get, highs))))
@@ -497,13 +492,25 @@ class Poset:
         return bool(self.below[j] >> i & 1)
 
     def covers(self) -> list:
-        """All covering pairs (i, j) with i covered by j, in lex order."""
+        """All covering pairs (i, j) with i covered by j, in lex order.
+
+        The lower covers of j are the maximal elements of ↓j∖{j}.  With the
+        ids ranked in a linear extension, the highest-ranked element of a
+        set is maximal in it, so each lower cover is found by taking the
+        highest rank left and clearing its whole ↓: one step per covering
+        pair and one per element, on the rows ↓x written over ranks (the
+        transpose of above in rank order).
+        """
+        order = sorted(range(self.n), key=lambda i: self.below[i].bit_count())
+        ranked = transpose([self.above[i] for i in order], self.n)
         out = []
-        for j in range(self.n):
-            strict = self.below[j] ^ (1 << j)
-            for i in bits(strict):
-                if self.above[i] & strict == 1 << i:
-                    out.append((i, j))
+        for j, down in enumerate(ranked):
+            # j has the highest rank in ↓j: all else in it is strictly below
+            strict = down ^ 1 << down.bit_length() - 1
+            while strict:
+                i = order[strict.bit_length() - 1]
+                out.append((i, j))
+                strict &= ~ranked[i]
         out.sort()
         return out
 
@@ -535,8 +542,9 @@ class _CodedPoset(Poset):
 
     leq is one subset test of two codes.  below and above, P masks of P
     bits each, are built together on first read (_build_rows, bit-sliced)
-    and kept: the witness scans, check, dot and the fold oracles read them,
-    and the represent and verify builds of an algebra read none.
+    and kept: the witness scans, check and the fold oracles read them; the
+    represent build of an algebra and its Hasse diagram (lat.covers) read
+    none.
     """
 
     __slots__ = ("codes", "width", "_rows")
@@ -585,14 +593,17 @@ class Lattice:
     sets as both codes, from_poset with ↓x and L∖↑x).  Each then sets ji,
     the JoinIrreducibles of the lattice, and distributive, once per
     lattice: downset_lattice reads both from J, and _keyed_lattice folds
-    (join_irreducibles, is_distributive).  downset_lattice also sets
-    covers, its covering pairs as (lower ids, upper ids), and points, the
-    masks ↓p of J over which its codes run; both are None on a keyed
-    lattice.
+    (join_irreducibles, is_distributive).
+
+    covers holds the covering pairs as (lower ids, upper ids):
+    downset_lattice sets them from its family proof, and any other lattice
+    reads them from its poset (Poset.covers) on first use and keeps them.
+    points, the masks ↓p of J over which the codes of a D(J) lattice run,
+    is None on a keyed lattice.
     """
 
     __slots__ = ("poset", "meet_codes", "join_codes", "meets", "joins", "bottom", "top",
-                 "ji", "distributive", "covers", "points")
+                 "ji", "distributive", "_covers", "points")
 
     def __init__(self, poset: Poset, meet_codes, join_codes, meets: dict, joins: dict,
                  bottom: int, top: int):
@@ -603,7 +614,14 @@ class Lattice:
         self.joins = joins
         self.bottom = bottom
         self.top = top
-        self.covers = self.points = None
+        self._covers = self.points = None
+
+    @property
+    def covers(self) -> tuple:
+        if self._covers is None:
+            pairs = self.poset.covers()
+            self._covers = [i for i, _ in pairs], [j for _, j in pairs]
+        return self._covers
 
     @classmethod
     def from_poset(cls, p: Poset) -> "Lattice":

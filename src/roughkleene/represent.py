@@ -14,15 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .demorgan import DeMorgan, compute_g, is_kleene
-from .posets import Lattice, bits, codes_within, has_two_levels, mask_of, preserves_order
+from .posets import Lattice, bits, codes_within, has_two_levels, mask_of
 from .pseudo import DoubleP, compute_pseudocomplements
 from .rough import (
     Covering,
     RoughSetAlgebra,
     Tolerance,
+    ToleranceError,
     approximations,
     build_rs,
-    induced_irredundant_covering,
+    build_rs_spatial,
     is_irredundant,
     rs_g_map,
     tolerance_from_covering,
@@ -226,19 +227,13 @@ def join_extension(lat: Lattice, target: Lattice, phi: dict) -> tuple:
 
 
 def _order_isomorphism(lat: Lattice, target: Lattice, iso: tuple) -> bool:
-    """Whether the bijection iso is an order isomorphism of lat onto target.
-
-    When both have covering pairs, iso and its inverse are each tested
-    monotone on their source's covers (posets.codes_within), which is the
-    whole order; a failure there, or a lattice without covers, runs the
-    row test of the pulled-back order (posets.preserves_order)."""
-    if lat.covers is not None and target.covers is not None:
-        inverse = sorted(range(len(iso)), key=iso.__getitem__)
-        tcodes, codes = target.meet_codes, lat.meet_codes
-        if (codes_within(*lat.covers, [tcodes[ix] for ix in iso])
-                and codes_within(*target.covers, [codes[x] for x in inverse])):
-            return True
-    return preserves_order(lat, target, iso)
+    """Whether the bijection iso is an order isomorphism of lat onto target:
+    iso and its inverse are each monotone on the covering pairs of their
+    source (posets.codes_within), which generate the whole order."""
+    inverse = sorted(range(len(iso)), key=iso.__getitem__)
+    tcodes, codes = target.meet_codes, lat.meet_codes
+    return (codes_within(*lat.covers, [tcodes[ix] for ix in iso])
+            and codes_within(*target.covers, [codes[x] for x in inverse]))
 
 
 def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
@@ -246,13 +241,13 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
     pair by pair, that every operation is preserved.
 
     The order test (_order_isomorphism) reads the covering pairs of both
-    lattices, or pulls the target's order back along iso.  If it passes,
-    iso is an order isomorphism of lattices, which preserves meet and join
-    (Davey & Priestley, Introduction to Lattices and Order, 2.19), so the
-    pairs are scanned only when it fails, and then row by row, as the full
-    scan of x, then y, runs, until the first failure: at the latest the
-    first row where ↑iso(x) does not pull back to ↑x.  Every ordered pair
-    is still verified, and the checks count each one.
+    lattices.  If it passes, iso is an order isomorphism of lattices, which
+    preserves meet and join (Davey & Priestley, Introduction to Lattices
+    and Order, 2.19), so the pairs are scanned only when it fails, and then
+    row by row, as the full scan of x, then y, runs, until the first
+    failure: at the latest the first row where the image of ↑x is not
+    ↑iso(x).  Every ordered pair is still verified, and the checks count
+    each one.
     """
     lat, target = dm.lattice, rs.lattice
     n = lat.n
@@ -328,11 +323,15 @@ def represent(dm: DeMorgan) -> RepresentationResult:
 def roundtrip_check(tol: Tolerance) -> dict:
     """Build the rough algebra of an irredundant-covering tolerance, run the
     pipeline on it, and confirm the result is again that algebra up to the
-    verified isomorphism.  Any other tolerance is refused before its
-    algebra is built, so build_rs takes its downset route."""
-    if induced_irredundant_covering(tol) is None:
-        raise RepresentError("round trip needs an irredundant covering")
-    rs = build_rs(tol)
+    verified isomorphism.  The algebra takes the downset route alone
+    (build_rs_spatial), so any other tolerance is refused before its 2^U
+    sweep, and the inducing covering is searched for once."""
+    try:
+        rs = build_rs_spatial(tol)
+    except ToleranceError as exc:
+        if type(exc) is not ToleranceError:  # FormulaMismatch is a defect, not a refusal
+            raise
+        raise RepresentError("round trip needs an irredundant covering") from None
     result = represent(rs.demorgan)
     return {
         "rsSize": rs.n,

@@ -642,9 +642,8 @@ def build_rs(tol: Tolerance) -> RoughSetAlgebra:
 
 def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
     """The downset route of build_rs alone: any tolerance that no
-    irredundant covering induces raises ToleranceError.  No builder of the
-    package calls it; it stays as the name the benchmark's tracer wraps.
-    """
+    irredundant covering induces raises ToleranceError before a 2^U sweep.
+    represent.roundtrip_check builds its algebra this way."""
     cov = induced_irredundant_covering(tol)
     pairs, downsets, below = join_closure_pairs(tol, cov)
     return _assemble(tol, pairs, cov, downsets, below)

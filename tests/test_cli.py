@@ -390,6 +390,40 @@ class TestRoutes:
         assert top_rung_digest(rung) == digest
         assert built == [2187] * builds
 
+    def test_top_rung_diagrams_build_no_order_rows(self, capsys, tmp_path, monkeypatch):
+        """render of the covering by seven 2-point blocks, and represent
+        --dot of the jposet of seven pairs a_i < b_i with g swapping each
+        pair, keep their bytes while every Hasse diagram reads the covering
+        pairs of its D(J) lattice: no P-bit row of any lattice is built."""
+        import hashlib
+
+        built = []
+        real = posets._CodedPoset._build_rows
+
+        def counted(self):
+            built.append(self.n)
+            return real(self)
+
+        def digest(data):
+            return hashlib.sha256(data).hexdigest()[:16]
+
+        monkeypatch.setattr(posets._CodedPoset, "_build_rows", counted)
+        labels = [f"a{i}" for i in range(7)] + [f"b{i}" for i in range(7)]
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"labels": [f"p{i}" for i in range(14)],
+                                         "blocks": [[2 * i, 2 * i + 1] for i in range(7)]}))
+        jposet = tmp_path / "jposet.json"
+        jposet.write_text(json.dumps({"labels": labels, "covers": [[i, 7 + i] for i in range(7)],
+                                      "g": {labels[i]: labels[(i + 7) % 14] for i in range(14)}}))
+        code, out, _ = run_cli(capsys, "render", str(partition))
+        assert (code, digest(out.encode())) == (0, "83cff16789f31e86")
+        dots = tmp_path / "dot"
+        code, out, _ = run_cli(capsys, "represent", str(jposet), "--dot", str(dots))
+        assert (code, digest(out.encode())) == (0, TOP_RUNGS[1][1])
+        assert digest((dots / "source.dot").read_bytes()) == "245a084b0af6cef0"
+        assert digest((dots / "roughsets.dot").read_bytes()) == "a95b401329eaf763"
+        assert built == []
+
     @pytest.mark.parametrize("rung, digest", TOP_RUNGS)
     def test_top_rung_runs_no_element_battery(self, monkeypatch, rung, digest):
         """Both top rungs keep their bytes with the element battery and the

@@ -173,6 +173,28 @@ class TestRoundTrip:
         assert rep["sizesAgree"] and rep["verified"]
         assert rep["rsSize"] == 6
 
+    def test_the_inducing_covering_is_searched_for_once(self, monkeypatch):
+        """The round trip of the covering {1,2},{2,3} searches for an
+        inducing irredundant covering once for the algebra it builds and
+        once for the algebra represent builds back, wherever a module of
+        the package holds the search."""
+        import sys
+
+        from roughkleene import rough
+
+        real, calls = rough.induced_irredundant_covering, []
+
+        def counted(tol):
+            calls.append(tol.n)
+            return real(tol)
+
+        for key, module in list(sys.modules.items()):
+            if key.startswith("roughkleene.") and getattr(module, "induced_irredundant_covering", None) is real:
+                monkeypatch.setattr(module, "induced_irredundant_covering", counted)
+        rep = roundtrip_check(tolerance_from_covering(Covering(["1", "2", "3"], [3, 6])))
+        assert rep["sizesAgree"] and rep["verified"]
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("n", [5, 16, 17])
     def test_path_tolerance_is_refused_before_its_algebra_is_built(self, n):
         """No irredundant covering induces a path tolerance, whose rough

@@ -38,6 +38,7 @@ from roughkleene.generators import (
     random_two_level_structure,
 )
 from roughkleene.generators import _grow_posets_bounded
+from roughkleene.isomorph import isomorphisms
 from roughkleene.posets import (
     Lattice,
     NotALattice,
@@ -54,10 +55,11 @@ from roughkleene.posets import (
     is_distributive,
     join_irreducibles,
     mask_of,
-    preserves_order,
+    pulled_back,
 )
 from roughkleene.pseudo import (
     DoubleP,
+    NoPseudocomplement,
     PseudoError,
     _check_p_laws,
     _fold_pseudocomplements,
@@ -883,6 +885,13 @@ class TestReversalWitness:
         assert verdicts == {True: 1158, False: 3018}
 
 
+def preserves_order(source, target, iso):
+    """extend_iso's order test before the covers: ↑iso(x) pulls back
+    (pulled_back) to ↑x for every x, one containing() each."""
+    order, codes = pulled_back(target, iso), target.meet_codes
+    return all(order.containing(codes[ix]) == up for ix, up in zip(iso, source.poset.above))
+
+
 def ref_ordered(lat, target, iso):
     """extend_iso's order test before the pull-back: the image of each ↑x,
     walked bit by bit, is ↑iso(x)."""
@@ -906,7 +915,6 @@ class TestPreservesOrder:
             result = represent(dm)
             lat, target, iso = dm.lattice, result.rs.lattice, result.iso
             assert preserves_order(lat, target, iso) and ref_ordered(lat, target, iso)
-            assert lat.covers is not None and target.covers is not None
             assert _order_isomorphism(lat, target, iso)
             for _ in range(20):
                 x, y = swap_rng.sample(range(lat.n), 2)
@@ -915,17 +923,8 @@ class TestPreservesOrder:
                 ordered = preserves_order(lat, target, bent)
                 assert ordered == ref_ordered(lat, target, bent)
                 assert _order_isomorphism(lat, target, bent) == ordered
-                assert on_covers(lat, target, bent) == ordered
                 verdicts[ordered] += 1
         assert verdicts[False] > 500
-
-
-def on_covers(lat, target, iso):
-    """_order_isomorphism's decision on the covering pairs alone: iso and its
-    inverse are monotone on the covers of their sources."""
-    inverse = sorted(range(len(iso)), key=iso.__getitem__)
-    return (codes_within(*lat.covers, [target.meet_codes[ix] for ix in iso])
-            and codes_within(*target.covers, [lat.meet_codes[x] for x in inverse]))
 
 
 def seven_pairs():
@@ -992,12 +991,51 @@ class TestJRoute:
 
 
 def masked(lat):
-    """lat without its covering pairs and the point masks of its J: on it
-    every reader takes its mask route, which reads the P-bit rows."""
+    """lat without the point masks of its J, and with covers it reads from
+    its P-bit rows (Poset.covers) instead of those its builder walked: on
+    it every reader takes its mask route, and on D(J) its covers are a
+    second route to the builder's."""
     twin = Lattice(lat.poset, lat.meet_codes, lat.join_codes, lat.meets, lat.joins,
                    lat.bottom, lat.top)
     twin.ji, twin.distributive = lat.ji, lat.distributive
     return twin
+
+
+def ref_covers(poset):
+    """Poset.covers before the ranked walk: i ⋖ j when i is the only
+    element of ↓j∖{j} below i, for every pair of the relation."""
+    out = []
+    for j in range(poset.n):
+        strict = poset.below[j] ^ (1 << j)
+        for i in bits(strict):
+            if poset.above[i] & strict == 1 << i:
+                out.append((i, j))
+    out.sort()
+    return out
+
+
+def ref_star_antitone(lat, star):
+    """_star_antitone before the covers: ↑a must lie inside the b with
+    star[b] <= star[a], one mask test per a."""
+    below, above = lat.poset.below, lat.poset.above
+    # star_le[s] is the mask of the b with star[b] <= s, for each value s of
+    # star, gathered from the preimages of the values below s
+    preimage = [0] * lat.n
+    for b, sb in enumerate(star):
+        preimage[sb] |= 1 << b
+    image = mask_of(star)
+    star_le = dict.fromkeys(star, 0)
+    for s in star_le:
+        for e in bits(below[s] & image):
+            star_le[s] |= preimage[e]
+    return all(above[a] & ~star_le[sa] == 0 for a, sa in enumerate(star))
+
+
+def ref_antitone(lat, neg):
+    """The first (x, y) of a row-major scan with x <= y differing from
+    neg(y) <= neg(x), or None: validate_demorgan's pulled-back witness."""
+    return next(((x, y) for x in range(lat.n) for y in range(lat.n)
+                 if lat.leq(x, y) != lat.leq(neg[y], neg[x])), None)
 
 
 def ref_two_levels(lat):
@@ -1046,8 +1084,13 @@ CODE_ROUTE_CORPUS = {
 class TestCodeRoutes:
     """A D(J) lattice decides its order facts on its |J|-bit codes and its
     covering pairs, and builds no P-bit row.  Its masked twin, with the
-    same rows and no covers or points, takes the mask routes, which stay
-    as the oracle: every decision and every first witness must agree."""
+    same rows, no points and covers read from the rows, takes the mask
+    routes, which stay as the oracle with the moved mask route of star
+    antitonicity (ref_star_antitone) and the pair scan of antitonicity
+    (ref_antitone): every decision and every first witness must agree.  A
+    keyed lattice (every lattice up to 8 elements, in both id orders)
+    reads its covers from its rows, and its cover decisions must agree
+    with the same oracles."""
 
     @pytest.mark.parametrize("corpus, size", [
         ("distributive-10", 109), ("coverings", 522), ("g-documents", 202),
@@ -1058,14 +1101,14 @@ class TestCodeRoutes:
         for lat, dm in CODE_ROUTE_CORPUS[corpus]():
             assert lat.covers is not None and lat.points is not None
             twin = masked(lat)
-            assert sorted(zip(*lat.covers)) == lat.poset.covers()
+            assert sorted(zip(*lat.covers)) == sorted(zip(*twin.covers)) == ref_covers(lat.poset)
             below = lat.poset.below
             pairs = ([(i, j) for i in range(lat.n) for j in range(lat.n)] if lat.n <= 100
                      else [(rng.randrange(lat.n), rng.randrange(lat.n)) for _ in range(5000)])
             assert all(lat.leq(i, j) == bool(below[j] >> i & 1) for i, j in pairs)
             star, plus = _j_pseudocomplements(lat)
             assert (star, plus) == _j_pseudocomplements(twin)
-            assert _star_antitone(lat, star) and _star_antitone(twin, star)
+            assert _star_antitone(lat, star) and ref_star_antitone(lat, star)
             assert has_two_levels(lat) == ref_two_levels(lat)
             los = [lat.meet(x, plus[x]) for x in range(lat.n)]
             his = [lat.join(y, star[y]) for y in range(lat.n)]
@@ -1095,6 +1138,8 @@ class TestCodeRoutes:
                            for x in range(lat.n)]
                     got = outcome(negation, lat, neg)
                     assert got == outcome(negation, twin, neg)
+                    witness = ref_antitone(lat, neg)
+                    assert got == (("ok", tuple(neg)) if witness is None else ("NotAntitone", witness))
                     lows, highs = lat.covers
                     antitone = codes_within(highs, lows, [lat.meet_codes[v] for v in neg])
                     assert antitone == (got[0] == "ok")
@@ -1118,9 +1163,128 @@ class TestCodeRoutes:
                     u = rng.randrange(lat.n)
                     star = list(dp.star)
                     star[u] = rng.choice([v for v in range(lat.n) if v != star[u]])
-                    assert _star_antitone(lat, star) == _star_antitone(masked(lat), star)
+                    assert _star_antitone(lat, star) == ref_star_antitone(lat, star)
                     message = p_laws(DoubleP(lat, star, dp.plus))
                     assert message == p_laws(DoubleP(masked(lat), star, dp.plus))
                     assert message == ref_p_laws(DoubleP(lat, star, dp.plus))
                     messages.add(message and message.split(" at ")[0])
         assert {None, "star not antitone", "a <= a** fails"} <= messages
+
+    def test_keyed_covers(self):
+        """A keyed lattice has no points and reads its covering pairs from
+        its rows on first use, as the old pair loop finds them."""
+        count = 0
+        for lat in keyed_lattices():
+            assert lat.points is None and lat._covers is None
+            assert sorted(zip(*lat.covers)) == ref_covers(lat.poset)
+            count += 1
+        assert count == 600
+
+    def test_keyed_star_antitone(self):
+        """Star antitonicity on the covers of a keyed lattice is the mask
+        route's verdict: on the folded star, where the lattice has one, and
+        on three seeded bent stars per lattice."""
+        rng = random.Random(2122)
+        verdicts = {True: 0, False: 0}
+        for lat in keyed_lattices():
+            try:
+                star = list(_fold_pseudocomplements(lat)[0])
+            except NoPseudocomplement:
+                star = [rng.randrange(lat.n) for _ in range(lat.n)]
+            stars = [star]
+            for _ in range(3):
+                bent = list(star)
+                bent[rng.randrange(lat.n)] = rng.randrange(lat.n)
+                stars.append(bent)
+            for star in stars:
+                antitone = _star_antitone(lat, star)
+                assert antitone == ref_star_antitone(lat, star)
+                verdicts[antitone] += 1
+        assert verdicts == {True: 462, False: 1938}
+
+    def test_keyed_negations(self):
+        """validate_demorgan on a keyed distributive lattice gives the pair
+        scan's verdict and first witness on every antitone involution and
+        on each conjugated by three seeded transpositions of two elements,
+        which keeps it an involution."""
+        rng = random.Random(2123)
+        seen = {}
+        for lat in keyed_lattices():
+            if not lat.distributive or lat.n < 2:
+                continue
+            for neg in antitone_involutions(lat):
+                negs = [neg]
+                for _ in range(3):
+                    u, v = rng.sample(range(lat.n), 2)
+                    swap = {u: v, v: u}
+                    negs.append([swap.get(neg[swap.get(x, x)], neg[swap.get(x, x)])
+                                 for x in range(lat.n)])
+                for neg in negs:
+                    got = outcome(negation, lat, neg)
+                    witness = ref_antitone(lat, neg)
+                    assert got == (("ok", tuple(neg)) if witness is None else ("NotAntitone", witness))
+                    seen[got[0]] = seen.get(got[0], 0) + 1
+        assert seen == {"ok": 87, "NotAntitone": 113}
+
+    def test_keyed_order_isomorphisms(self):
+        """_order_isomorphism is the pull-back's verdict (preserves_order)
+        on every automorphism of a keyed lattice, on the id reversal onto
+        its reversed twin, and on each with two seeded values swapped."""
+        rng = random.Random(2124)
+        verdicts = {True: 0, False: 0}
+        for lat in all_lattices(8):
+            flipped = reversed_ids(lat)
+            for source, target in ((lat, lat), (flipped, flipped), (lat, flipped)):
+                n, above = lat.n, target.poset.above
+                isos = list(isomorphisms(n, source.poset.above, n, above))
+                assert isos
+                for iso in isos:
+                    maps = [iso]
+                    if n >= 2:
+                        x, y = rng.sample(range(n), 2)
+                        bent = list(iso)
+                        bent[x], bent[y] = bent[y], bent[x]
+                        maps.append(bent)
+                    for f in maps:
+                        ordered = _order_isomorphism(source, target, f)
+                        assert ordered == preserves_order(source, target, f)
+                        verdicts[ordered] += 1
+        assert verdicts == {True: 7812, False: 4077}
+
+
+def keyed_lattices():
+    """Every lattice up to 8 elements, built by Lattice.from_poset, and the
+    same lattice with its ids reversed."""
+    for lat in all_lattices(8):
+        yield lat
+        yield reversed_ids(lat)
+
+
+def random_poset(rng, n):
+    """The order closed from seeded edges that run up a random linear order
+    of n ids, so that the ids follow no linear extension."""
+    ranks = rng.sample(range(n), n)
+    edges = [(ranks[a], ranks[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.15]
+    return Poset.from_covers([str(i) for i in range(n)], edges)
+
+
+class TestPosetCovers:
+    """Poset.covers, one step per covering pair and per element, against
+    the pair loop it replaced (ref_covers); keyed_lattices covers every
+    lattice up to 8 elements."""
+
+    def test_long_chain(self):
+        n = 2000
+        chain_poset = Poset([str(i) for i in range(n)], [(1 << i + 1) - 1 for i in range(n)])
+        assert chain_poset.covers() == ref_covers(chain_poset) == [(i, i + 1) for i in range(n - 1)]
+
+    def test_seven_pairs(self):
+        poset = build_rs(partition(7)).lattice.poset
+        assert poset.n == 2187
+        assert poset.covers() == ref_covers(poset)
+
+    def test_seeded_posets(self):
+        rng = random.Random(2125)
+        for n in [0, 1, 2, *(rng.randrange(3, 40) for _ in range(200))]:
+            poset = random_poset(rng, n)
+            assert poset.covers() == ref_covers(poset)
