@@ -196,9 +196,5 @@ def isomorphisms(n_a, rows_a, n_b, rows_b, respecting=()):
     yield from place(0)
 
 
-def find_isomorphism(n_a, rows_a, n_b, rows_b, respecting=()):
-    return next(isomorphisms(n_a, rows_a, n_b, rows_b, respecting), None)
-
-
 def lattice_key(lat):
     return canonical_key(lat.n, lat.poset.above)

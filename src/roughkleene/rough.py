@@ -12,10 +12,13 @@ lattice, and the downset route joins each downset of the block-derived
 join-irreducibles J (Birkhoff).  Its downsets come from posets.downsets, so
 it costs time linear in the number of pairs and stops once they pass the
 table cap.  Any other tolerance takes the powerset sweep, the defining
-construction: 2^|U| subsets, capped at POWERSET_CAP points.  On every
-covering-induced algebra that verify and the sweeps check, the powerset
-sweep is the independent oracle (dualRouteEqual); the algebra sweeps it
-once for both of its checks (RoughSetAlgebra.powerset_table).
+construction: 2^|U| subsets, capped at POWERSET_CAP points.  The sweep
+(_approximation_table) works in columns, one big int per point with a
+byte per subset, so it costs O(U) big-int operations on 2^U bytes and no
+Python step per subset.  On every covering-induced algebra that verify
+and the sweeps check, the powerset sweep is the independent oracle
+(dualRouteEqual); the algebra sweeps it once for both of its checks
+(RoughSetAlgebra.powerset_table).
 
 A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
 so the coordinatewise order is inclusion of codes.  _assemble decides once,
@@ -36,10 +39,11 @@ order differs and else the first failing (pair, formula).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from itertools import count, repeat
-from operator import and_, eq, invert, or_, xor
+from functools import reduce
+from operator import and_, or_
 
 from .demorgan import compute_g, is_kleene, validate_demorgan
 from .posets import (
@@ -127,19 +131,25 @@ class Tolerance:
     def related(self, x, y):
         return bool(self.nbr[x] >> y & 1)
 
-    def lower(self, X: int) -> int:
-        out = 0
-        for x in range(self.n):
-            if self.nbr[x] & ~X == 0:
-                out |= 1 << x
+    def _union(self, mask: int) -> int:
+        """The union of R(u) over the points u of mask, one OR per point."""
+        nbr, out = self.nbr, 0
+        while mask:
+            low = mask & -mask
+            out |= nbr[low.bit_length() - 1]
+            mask ^= low
         return out
 
+    def lower(self, X: int) -> int:
+        """The x with R(x) ⊆ X: since R is symmetric, U minus the union of
+        R(u) over the u outside X."""
+        full = (1 << self.n) - 1
+        return full & ~self._union(full & ~X)
+
     def upper(self, X: int) -> int:
-        out = 0
-        for x in range(self.n):
-            if self.nbr[x] & X:
-                out |= 1 << x
-        return out
+        """The x with R(x) ∩ X ≠ ∅: since R is symmetric, the union of R(u)
+        over the u in X."""
+        return self._union(X & (1 << self.n) - 1)
 
     def interior(self, X: int) -> int:
         """upper(lower(X)): the upper half of the rough pair of lower(X)."""
@@ -359,34 +369,52 @@ def _approximation_table(tol: Tolerance):
     """lower(X) and upper(X) for every subset X of U, as two arrays indexed
     by the mask X, with the checks of approximations run for every X.
 
-    The table grows point by point: the X whose highest point is y extend
-    X' = X∖{y}, which come before them.  upper(X) is upper(X') ∪ R(y), since
-    R is symmetric.  lower(X) follows its definition: it is lower(X') plus
-    the x ∈ R(y) with R(x) ⊆ X, because an x outside R(y) has y ∉ R(x), and
-    then R(x) ⊆ X iff R(x) ⊆ X'.  So each new half of the table is one pass
-    over the half before it, with no loop over U per subset.  Raises
-    BoundsExceeded past POWERSET_CAP points.
+    The sweep works in columns, one big int per point, never one Python
+    step per subset.  A column gives each of the 2^U subsets one byte, at
+    byte X, holding 0 or 1.  The column of point i holds the X that contain
+    i; it is a repeated byte pattern.  The lower column of x is the AND of
+    the columns of R(x), by definition; the upper column of x is the OR of
+    the columns of the u whose R(u) holds x (transpose), which is upper's
+    definition only when R is symmetric, so the duality check below can
+    fail.  The columns of the points 8k..8k+7, each shifted by its offset
+    in the group, OR into one lane whose byte X is byte k of the row: its
+    bytes go into the arrays at stride 8.  Per lane, three big-int tests
+    decide the checks for every X at once:
+      duality, full ^ lower(X) = upper(full ^ X): the complement of the
+        lower lane, in bytes, is the upper lane's bytes reversed;
+      sandwich, lower(X) ⊆ X ⊆ upper(X): against the lane of X itself.
+    Only when a test fails does a scan over the rows name the first X that
+    fails either check.  Raises BoundsExceeded past POWERSET_CAP points.
     """
-    if tol.n > POWERSET_CAP:
-        raise BoundsExceeded(tol.n, POWERSET_CAP)
-    nbr = tol.nbr
-    los, ups = array("Q", [0]), array("Q", [0])
-    for y in range(tol.n):
-        ups.extend(array("Q", map(or_, ups, repeat(nbr[y]))))
-        # only an x whose R(x) lies within the points 0..y can have R(x) ⊆ X
-        ext = array("Q", los)
-        for x in bits(nbr[y]):
-            need = nbr[x] & ~(1 << y)
-            if need >> y == 0:
-                ext = array("Q", [lo | 1 << x if X & need == need else lo for X, lo in enumerate(ext)])
-        los.extend(ext)
-    full = (1 << tol.n) - 1
-    # duality: full ^ lower(X) = upper(full ^ X), where full ^ X runs through
-    # the masks backwards as X runs forwards; sandwich: lower(X) ⊆ X ⊆ upper(X)
-    if (not all(map(eq, map(xor, los, repeat(full)), reversed(ups)))
-            or any(map(and_, los, map(invert, count())))
-            or any(map(and_, count(), map(invert, ups)))):
-        for X in range(full + 1):
+    n = tol.n
+    if n > POWERSET_CAP:
+        raise BoundsExceeded(n, POWERSET_CAP)
+    size = 1 << n
+    ones = int.from_bytes(b"\x01" * size, "little")
+    points = [int.from_bytes((bytes(1 << i) + b"\x01" * (1 << i)) * (size >> i + 1), "little")
+              for i in range(n)]
+    lanes = (n + 7) >> 3
+    lo_lanes, up_lanes, x_lanes = [0] * lanes, [0] * lanes, [0] * lanes
+    for x, (r, holders) in enumerate(zip(tol.nbr, transpose(tol.nbr, n))):
+        k, shift = x >> 3, x & 7
+        lo_lanes[k] |= reduce(and_, map(points.__getitem__, bits(r)), ones) << shift
+        up_lanes[k] |= reduce(or_, map(points.__getitem__, bits(holders)), 0) << shift
+        x_lanes[k] |= points[x] << shift
+    los, ups = array("Q", [0]) * size, array("Q", [0]) * size
+    holds = True
+    with memoryview(los).cast("B") as lo_rows, memoryview(ups).cast("B") as up_rows:
+        for k, (lo, up, xs) in enumerate(zip(lo_lanes, up_lanes, x_lanes)):
+            up_bytes = up.to_bytes(size, "little")
+            lane_full = ones * ((1 << min(8, n - 8 * k)) - 1)
+            holds = (holds and (lo ^ lane_full).to_bytes(size, "little") == up_bytes[::-1]
+                     and lo & xs == lo and xs & up == xs)
+            lo_rows[k::8], up_rows[k::8] = lo.to_bytes(size, "little"), up_bytes
+    if sys.byteorder == "big":
+        los.byteswap()
+        ups.byteswap()
+    if not holds:
+        full = size - 1
+        for X in range(size):
             if los[X] ^ full != ups[X ^ full]:
                 raise FormulaMismatch("approximation duality", {"X": X})
             if los[X] & ~X or X & ~ups[X]:
@@ -753,11 +781,11 @@ def powerset_image_report(tol: Tolerance, cov: Covering | None, table=None):
     full = (1 << tol.n) - 1
     lo_atoms = sorted({tol.lower(b) for b in cov.blocks})
     up_atoms = sorted(cov.blocks)
-    for image, atoms, closure in (
-        (los, lo_atoms, tol.closure),
-        (ups, up_atoms, tol.interior),
+    lo_members, up_members = set(los), set(ups)
+    for image, members, atoms, closure in (
+        (los, lo_members, lo_atoms, tol.closure),
+        (ups, up_members, up_atoms, tol.interior),
     ):
-        members = set(image)
         for a in atoms:
             if a not in members:
                 raise FormulaMismatch("atom missing from image", {"atom": a})
@@ -770,11 +798,11 @@ def powerset_image_report(tol: Tolerance, cov: Covering | None, table=None):
                 raise FormulaMismatch("image not atomistic", {"element": s})
     for s in los:
         comp = tol.lower(full & ~s)
-        if comp not in set(los) or s & comp or tol.lower(tol.upper(s | comp)) != tol.lower(full):
+        if comp not in lo_members or s & comp or tol.lower(tol.upper(s | comp)) != tol.lower(full):
             raise FormulaMismatch("lower-image complement", {"element": s})
     for s in ups:
         comp = tol.upper(full & ~s)
-        if comp not in set(ups) or s | comp != tol.upper(full) or tol.upper(tol.lower(s & comp)) != 0:
+        if comp not in up_members or s | comp != tol.upper(full) or tol.upper(tol.lower(s & comp)) != 0:
             raise FormulaMismatch("upper-image complement", {"element": s})
     return los, ups
 

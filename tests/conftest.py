@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 
 from roughkleene.demorgan import DeMorgan, build_kleene_from_jposet, validate_demorgan
+from roughkleene.isomorph import isomorphisms
 from roughkleene.posets import Lattice, Poset, mask_of
 from roughkleene.rough import Covering, Tolerance, tolerance_from_covering
 
@@ -22,6 +23,11 @@ def rows(lat: Lattice):
     ids = range(lat.n)
     return (tuple(tuple(lat.meet(i, j) for j in ids) for i in ids),
             tuple(tuple(lat.join(i, j) for j in ids) for i in ids))
+
+
+def find_isomorphism(n_a, rows_a, n_b, rows_b):
+    """The first isomorphism of the two orders, or None."""
+    return next(isomorphisms(n_a, rows_a, n_b, rows_b), None)
 
 
 def chain(n: int) -> Lattice:

@@ -5,11 +5,18 @@ import sys
 import textwrap
 
 import pytest
-from conftest import boolean_lattice, chain, diamond_m3, pentagon_n5, rows, two_level_fixture
+from conftest import (
+    boolean_lattice,
+    chain,
+    diamond_m3,
+    find_isomorphism,
+    pentagon_n5,
+    rows,
+    two_level_fixture,
+)
 
 import roughkleene
 from roughkleene.generators import all_lattices
-from roughkleene.isomorph import find_isomorphism
 from roughkleene.posets import (
     Lattice,
     NotALattice,

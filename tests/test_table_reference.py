@@ -3,7 +3,7 @@
 Each reference function below is the plain loop the library used to run:
 every ordered pair in ascending order, stopping at the first failure.  The
 library now answers meet and join by the keys of each pair, builds the
-coordinatewise order bit-sliced and the 2^U sweep by recurrence, and must
+coordinatewise order bit-sliced and the 2^U sweep in columns, and must
 return the same cells, verdicts and first witnesses.  Every lattice is
 built from the keys of its pairs, one lookup per distinct intersection or
 union of codes, by inclusion_lattice or Lattice.from_poset, and is
@@ -16,6 +16,7 @@ are read pair by pair (conftest.rows).
 import importlib
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from conftest import rows, two_level_fixture, two_level_jposet
@@ -603,15 +604,70 @@ class Unreadable:
         raise AssertionError(f"key {key} was read")
 
 
+def ref_approximations(tol, X):
+    """(lower(X), upper(X)) by their definitions, one step per point: the x
+    with R(x) ⊆ X, and the x with R(x) ∩ X ≠ ∅."""
+    lo = up = 0
+    for x, r in enumerate(tol.nbr):
+        if r & ~X == 0:
+            lo |= 1 << x
+        if r & X:
+            up |= 1 << x
+    return lo, up
+
+
+def path_and_singleton():
+    """The 7-block path plus the singleton block {15}: 16 points, at
+    POWERSET_CAP."""
+    return tolerance_from_covering(
+        Covering([str(i) for i in range(16)], [7 << 2 * i for i in range(7)] + [1 << 15])
+    )
+
+
+def mutated(tol, x, y):
+    """tol with y toggled in R(x), past the checks of the constructor."""
+    nbr = list(tol.nbr)
+    nbr[x] ^= 1 << y
+    tol.nbr = tuple(nbr)
+    return tol
+
+
 class TestPowerset:
     def test_against_per_subset_approximations(self):
-        for tol in [*small_tolerances(), *seeded_tolerances()]:
-            subsets = [approximations(tol, X) for X in range(1 << tol.n)]
+        """The table, its pairs and its images against the definitions,
+        from U = 0 to the verify-large ladder and one covering at the cap."""
+        ladder = [*map(partition, (4, 5, 6)), *map(path, (4, 5, 6, 7)), path_and_singleton()]
+        counts = []
+        for tol in [Tolerance([], []), *small_tolerances(), *seeded_tolerances(), *ladder]:
+            subsets = [ref_approximations(tol, X) for X in range(1 << tol.n)]
             assert list(zip(*_approximation_table(tol))) == subsets
-            assert _powerset_pairs(tol) == sorted(set(subsets))
+            pairs = _powerset_pairs(tol)
+            assert pairs == sorted(set(subsets))
             assert powerset_images(tol) == (
                 sorted({lo for lo, _ in subsets}), sorted({up for _, up in subsets})
             )
+            counts.append(len(pairs))
+        assert _approximation_table(Tolerance([], [])) == (array("Q", [0]), array("Q", [0]))
+        assert counts[-len(ladder):] == [81, 243, 729, 41, 99, 239, 577, 1154]
+
+    def test_lower_and_upper_against_definitions(self):
+        for tol in [*small_tolerances(), *seeded_tolerances()]:
+            for X in range(1 << tol.n):
+                assert (tol.lower(X), tol.upper(X)) == ref_approximations(tol, X)
+
+    @pytest.mark.parametrize("blocks, x, y, what, X", [
+        (2, 0, 1, "approximation duality", 5),
+        (7, 12, 13, "approximation duality", 23552),
+        (2, 2, 2, "reflexive sandwich", 4),
+        (7, 12, 12, "reflexive sandwich", 4096),
+    ])
+    def test_a_broken_relation_fails_its_check(self, blocks, x, y, what, X):
+        """Dropping y from R(x) makes the relation asymmetric (x != y) or
+        not reflexive (x == y); the sweep names the first bad subset."""
+        with pytest.raises(FormulaMismatch) as info:
+            _approximation_table(mutated(path(blocks), x, y))
+        assert str(info.value) == f"{what}: {{'X': {X}}}"
+        assert info.value.details == {"X": X}
 
 
 def regular_kleene_algebras():
