@@ -30,6 +30,22 @@ def _fail(message, code):
     return code
 
 
+class StructureInvalid(Exception):
+    """An algebra document that parsed but whose order is no lattice, or
+    whose negation fails its checks, distributivity among them: exit 1."""
+
+
+def _parse_algebra(doc):
+    """jsonio.parse_algebra, with a DeMorganError or PosetError raised as
+    StructureInvalid; ParseError and TableCapExceeded pass through."""
+    try:
+        return jsonio.parse_algebra(doc)
+    except TableCapExceeded:
+        raise
+    except (DeMorganError, PosetError) as exc:
+        raise StructureInvalid(exc) from None
+
+
 def _emit(text, out_path=None):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -39,25 +55,13 @@ def _emit(text, out_path=None):
 
 
 def cmd_check(args) -> int:
-    doc = jsonio.load_document(args.input)
-    try:
-        lat, dm = jsonio.parse_algebra(doc)
-    except (jsonio.ParseError, TableCapExceeded):
-        raise
-    except (DeMorganError, PosetError) as exc:
-        return _fail(f"structure invalid: {exc}", 1)
+    lat, dm = _parse_algebra(jsonio.load_document(args.input))
     _emit(jsonio.dumps(check_report(lat, dm)), args.out)
     return 0
 
 
 def cmd_represent(args) -> int:
-    doc = jsonio.load_document(args.input)
-    try:
-        lat, dm = jsonio.parse_algebra(doc)
-    except (jsonio.ParseError, TableCapExceeded):
-        raise
-    except (DeMorganError, PosetError) as exc:
-        return _fail(f"structure invalid: {exc}", 1)
+    _, dm = _parse_algebra(jsonio.load_document(args.input))
     if dm is None:
         raise jsonio.ParseError("representation needs a negation: provide 'neg' or 'g'")
     try:
@@ -141,12 +145,7 @@ def cmd_render(args) -> int:
     elif "blocks" in doc:
         text = rs_dot(build_rs(tolerance_from_covering(jsonio.parse_covering(doc))))
     else:
-        try:
-            lat, dm = jsonio.parse_algebra(doc)
-        except (jsonio.ParseError, TableCapExceeded):
-            raise
-        except (DeMorganError, PosetError) as exc:
-            return _fail(f"structure invalid: {exc}", 1)
+        lat, dm = _parse_algebra(doc)
         text = hasse_dot(lat, neg=dm.neg if dm is not None and args.neg_labels else None)
     _emit(text, args.out)
     return 0
@@ -202,6 +201,8 @@ def main(argv=None) -> int:
         return _fail(f"input error: {exc}", 2)
     except (BoundsExceeded, TableCapExceeded) as exc:
         return _fail(str(exc), 2)
+    except StructureInvalid as exc:
+        return _fail(f"structure invalid: {exc}", 1)
     except (ToleranceError, PosetError, DeMorganError) as exc:
         return _fail(f"verification failed: {exc}", 1)
 

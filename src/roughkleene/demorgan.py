@@ -141,20 +141,17 @@ def compute_g(dm: DeMorgan) -> dict:
     join-irreducibles, rs_g_map's block closed form, and the sweep that J3
     holds exactly when is_kleene does.
 
-    On D(J) (lat.points) a downset lies outside ↓D exactly when it holds
-    some p ∉ D, and then holds ↓p, so the least one is ∩{↓p : p ∉ D}: one
-    AND per point outside the code of neg(j), then one index lookup.  Any
-    other lattice folds the mask outside ↓neg(j) (Lattice.meet_of).
+    The lattice must be D(J) (lat.points), as every distributive lattice
+    of Lattice.from_poset and downset_lattice is: a downset lies outside ↓D
+    exactly when it holds some p ∉ D, and then holds ↓p, so the least one
+    is ∩{↓p : p ∉ D}: one AND per point outside the code of neg(j), then
+    one index lookup.
     """
     lat, neg = dm.lattice, dm.neg
     ji, points, codes = lat.ji, lat.points, lat.meet_codes
-    if points is None:
-        full, below = (1 << lat.n) - 1, lat.poset.below
-        least = [lat.meet_of(full & ~below[neg[j]]) for j in ji.members]
-    else:
-        full = (1 << len(points)) - 1
-        least = [lat.meets[reduce(and_, (points[p] for p in bits(full & ~codes[neg[j]])), full)]
-                 for j in ji.members]
+    full = (1 << len(points)) - 1
+    least = [lat.meets[reduce(and_, (points[p] for p in bits(full & ~codes[neg[j]])), full)]
+             for j in ji.members]
     g = {}
     for j, val in zip(ji.members, least):
         if val not in ji:

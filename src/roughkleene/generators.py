@@ -84,7 +84,13 @@ def irredundant_coverings(n):
             yield cov
 
 
-def _is_meet_semilattice(below):
+def _is_semilattice_with_bottom(below):
+    """Whether element 0 lies below the last element of the order below,
+    and every two elements have a meet in it: grown one maximal element at
+    a time from the one-point order, below is then a meet-semilattice with
+    bottom 0."""
+    if not below[-1] & 1:
+        return False
     index = set(below)
     n = len(below)
     for i in range(n):
@@ -94,30 +100,25 @@ def _is_meet_semilattice(below):
     return True
 
 
-def _grow_semilattices(max_size):
-    """All meet-semilattices with bottom, up to iso, with at most max_size
-    elements.  Grown by repeatedly adjoining a maximal element whose strict
-    lower set is a downset containing the bottom."""
-    if max_size < 1:
+def _grow(seed, max_size, accept):
+    """Every order up to iso with at most max_size elements that grows from
+    the order seed (below masks) by adjoining a maximal element at a time,
+    whose strict lower set is a downset, through orders that all pass
+    accept.  Level by level, each keeps the first order of each canonical
+    key; accept runs first, since it is cheaper than the key."""
+    if len(seed) > max_size or not accept(seed):
         return
-    seed = (1,)  # the one-point semilattice
-    level = {canonical_key(1, seed): seed}
+    level = [seed]
     yield seed
-    for size in range(2, max_size + 1):
+    for k in range(len(seed), max_size):
         nxt = {}
-        for below in level.values():
-            k = len(below)
+        for below in level:
             for d in downsets(below):
-                if not d & 1:
-                    continue  # must lie above the bottom (element 0)
                 cand = below + (d | 1 << k,)
-                if not _is_meet_semilattice(cand):
-                    continue
-                key = canonical_key(k + 1, cand)
-                if key not in nxt:
-                    nxt[key] = cand
-        level = nxt
-        yield from level.values()
+                if accept(cand):
+                    nxt.setdefault(canonical_key(k + 1, cand), cand)
+        level = list(nxt.values())
+        yield from level
 
 
 def all_lattices(max_size):
@@ -125,11 +126,12 @@ def all_lattices(max_size):
 
     A lattice minus its top is a meet-semilattice with bottom, and adjoining
     a fresh top to any such semilattice gives a lattice, so the two families
-    biject and no dedup across the adjunction is needed.
+    biject and no dedup across the adjunction is needed.  The semilattices
+    grow from the one-point one, each new element above the bottom.
     """
     if max_size >= 1:
         yield Lattice.from_poset(Poset(["0"], (1,)))
-    for below in _grow_semilattices(max_size - 1):
+    for below in _grow((1,), max_size - 1, _is_semilattice_with_bottom):
         k = len(below)
         labels = [f"e{i}" for i in range(k)] + ["top"]
         ext = tuple(below) + ((1 << (k + 1)) - 1,)
@@ -138,26 +140,7 @@ def all_lattices(max_size):
 
 def _grow_posets_bounded(max_points, max_downsets):
     """All posets, up to iso, whose downset count stays within max_downsets."""
-    empty = ()
-    if max_downsets >= 1:
-        yield empty
-    level = {(): empty}
-    for size in range(1, max_points + 1):
-        nxt = {}
-        for below in level.values():
-            k = len(below)
-            ds = downsets(below)
-            if len(ds) + 1 > max_downsets:
-                continue
-            for d in ds:
-                cand = below + (d | 1 << k,)
-                if len(downsets(cand)) > max_downsets:
-                    continue
-                key = canonical_key(k + 1, cand)
-                if key not in nxt:
-                    nxt[key] = cand
-        level = nxt
-        yield from level.values()
+    return _grow((), max_points, lambda below: len(downsets(below)) <= max_downsets)
 
 
 def all_distributive_lattices(max_size):

@@ -10,12 +10,15 @@ join by the union of two join codes, and i <= j is one subset test of two
 meet codes (Lattice.leq).  No P×P table is stored.  Every Lattice carries
 its covering pairs (lat.covers), which generate its order, so each monotone
 or antitone fact is one pass over them (codes_within).  Two builders make
-every Lattice:
+every Lattice, and a distributive lattice has one form, D(J), unless
+inclusion_lattice built it:
 
 - downset_lattice, for the lattice D(J) of all downsets of a poset J
-  (Birkhoff): each element's code is its downset, a |J|-bit mask, so one
-  index map answers both meet and join, and the builder proves in
-  O(P·|J|) that its family is all of D(J) instead of looking up any pair.
+  (Birkhoff), which Lattice.from_poset also returns for every
+  distributive lattice it builds: each element's code is its downset, a
+  |J|-bit mask, so one index map answers both meet and join, and the
+  builder proves in O(P·|J|) that its family is all of D(J) instead of
+  looking up any pair.
   It keeps the covering pairs d ⋖ d ∪ {j} that proof walks as lat.covers
   and the point masks ↓p of J (lat.points), reads the join-irreducibles
   from J, the principal downsets, and knows it distributive.  Its poset
@@ -27,7 +30,9 @@ every Lattice:
   into its key maps while it proves the order a lattice, then finds the
   join-irreducibles and decides distributivity by join folds
   (join_irreducibles, is_distributive).  Its poset holds below and above,
-  and lat.covers is read from them (Poset.covers) on first use.
+  and lat.covers is read from them (Poset.covers) on first use.  A keyed
+  lattice is kept only when it is not distributive, or built by
+  inclusion_lattice; lat.points is None exactly on a keyed lattice.
 
 Either way each is found once per lattice: every reader takes lat.ji and
 lat.distributive.  The fold routes also stay callable on any lattice, as
@@ -188,6 +193,8 @@ def inclusion_lattice(labels: Sequence[str], sets: Sequence[int], width: int) ->
 def _keyed_lattice(poset: "Poset", meet_codes: tuple, join_codes: tuple) -> "Lattice":
     """The Lattice of a poset whose order is inclusion of meet_codes and
     also inclusion of join_codes, or NotALattice at the first bad pair.
+    It sets no points (lat.points stays None); every other Lattice is a
+    D(J) lattice and has them.
 
     The common lower bounds of i and j are the k with meet_codes[k] ⊆
     meet_codes[i] & meet_codes[j], and the common upper bounds the k with
@@ -593,13 +600,14 @@ class Lattice:
     sets as both codes, from_poset with ↓x and L∖↑x).  Each then sets ji,
     the JoinIrreducibles of the lattice, and distributive, once per
     lattice: downset_lattice reads both from J, and _keyed_lattice folds
-    (join_irreducibles, is_distributive).
+    (join_irreducibles, is_distributive).  from_poset hands every
+    distributive lattice on to downset_lattice, so it is D(J).
 
     covers holds the covering pairs as (lower ids, upper ids):
     downset_lattice sets them from its family proof, and any other lattice
     reads them from its poset (Poset.covers) on first use and keeps them.
     points, the masks ↓p of J over which the codes of a D(J) lattice run,
-    is None on a keyed lattice.
+    is None exactly on a keyed lattice.
     """
 
     __slots__ = ("poset", "meet_codes", "join_codes", "meets", "joins", "bottom", "top",
@@ -626,15 +634,30 @@ class Lattice:
     @classmethod
     def from_poset(cls, p: Poset) -> "Lattice":
         """The lattice of a poset, or NotALattice at the first bad pair:
-        _keyed_lattice with the meet codes ↓x and the join codes L∖↑x.
+        _keyed_lattice with the meet codes ↓x and the join codes L∖↑x,
+        returned as it is when the folds find it not distributive.
 
         ↓i ∩ ↓j is the downset of the common lower bounds, and L∖↑i ∪ L∖↑j
         is the complement of the upset of the common upper bounds, so on a
         lattice these are ↓(i∧j) and L∖↑(i∨j): each map holds at most one
         key per element, however wide the lattice.
+
+        A distributive lattice is D(J) by x -> ↓x ∩ J (Birkhoff), so it is
+        returned as downset_lattice of those sets, written over the
+        positions of J, with the same ids and labels: every reader then
+        takes the one D(J) route.  downset_lattice proves the sets all of
+        D(J) again, so a PosetError there is a defect.  Its poset takes the
+        parsed rows below and above, so none is rebuilt.
         """
         full = (1 << p.n) - 1
-        return _keyed_lattice(p, p.below, tuple(full ^ up for up in p.above))
+        lat = _keyed_lattice(p, p.below, tuple(full ^ up for up in p.above))
+        if not lat.distributive:
+            return lat
+        members = lat.ji.members
+        codes = transpose([p.above[j] for j in members], p.n)
+        dj = downset_lattice(p.labels, codes, [codes[j] for j in members])
+        dj.poset._rows = p.below, p.above
+        return dj
 
     @property
     def n(self) -> int:

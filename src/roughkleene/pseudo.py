@@ -1,7 +1,8 @@
 """Pseudocomplements, dual pseudocomplements, and the regularity criteria.
 
 star(x) is the greatest z with x ∧ z = 0; plus(x) the least z with x ∨ z = 1.
-A distributive lattice reads both from its join-irreducibles, and any other
+A D(J) lattice, as every distributive lattice the package builds outside
+inclusion_lattice is, reads both from its join-irreducibles, and any other
 lattice folds them (compute_pseudocomplements).  Regularity of a
 distributive double p-structure is decided three independent ways
 (determination by star/plus pairs, prime-filter chains, two-level
@@ -62,41 +63,34 @@ class DoubleP:
 def compute_pseudocomplements(lat: Lattice) -> DoubleP:
     """Star and plus for every element, then check laws (i)-(v).
 
-    A distributive lattice reads both maps from J (_j_pseudocomplements);
-    any other lattice folds them (_fold_pseudocomplements), which raises
-    NoPseudocomplement when a map does not exist.  Non-distributive
-    lattices are accepted when both maps exist; the regularity machinery
-    refuses them by lat.distributive.
+    A lattice built as D(J) (lat.points), which every distributive
+    lattice of Lattice.from_poset and downset_lattice is, reads both maps
+    from J (_j_pseudocomplements); any other lattice folds them
+    (_fold_pseudocomplements), which raises NoPseudocomplement when a map
+    does not exist.  Non-distributive lattices are accepted when both maps
+    exist; the regularity machinery refuses them by lat.distributive.
     """
-    route = _j_pseudocomplements if lat.distributive else _fold_pseudocomplements
+    route = _fold_pseudocomplements if lat.points is None else _j_pseudocomplements
     dp = DoubleP(lat, *route(lat))
     _check_p_laws(dp)
     return dp
 
 
 def _j_pseudocomplements(lat: Lattice):
-    """Star and plus of a distributive lattice, read from its J.
+    """Star and plus of a lattice built as D(J) (lat.points), read from J.
 
-    A finite distributive lattice is D(J) by x -> S_x = ↓x ∩ J (Birkhoff),
-    and in D(J) the pseudocomplement of a downset D is J ∖ ↑D, its dual
+    In D(J) the pseudocomplement of a downset D is J ∖ ↑D, its dual
     ↓(J ∖ D) (Davey & Priestley, ch. 5).  ↑D is the union of the ↑a over
     the minimal members a of D, which are minimal in J, and ↓(J ∖ D) the
-    union of the ↓m over the maximal members m of J outside D.  So each
-    element costs one OR per minimal point in S_x and one per maximal
-    point outside it, and one lookup in {S_x: x}, with no fold.
-
-    A lattice built as D(J) (lat.points) gives S_x as its code, ↓p as the
-    point masks of J and {S_x: x} as its index map, so no P-bit row is
-    read; any other gives them as ↓x ∩ J, masks of the ids of J.
+    union of the ↓m over the maximal members m of J outside D.  The code
+    of x is its downset S_x, ↓p is the point mask of p and {S_x: x} is
+    the index map, so each element costs one OR per minimal point in S_x
+    and one per maximal point outside it, and one lookup, with no fold
+    and no P-bit row.
     """
-    if lat.points is None:
-        down, up, jmask = lat.poset.below, lat.poset.above, lat.ji.member_mask
-        jsets = [b & jmask for b in down]
-        element = {s: x for x, s in enumerate(jsets)}
-    else:
-        down, jsets, element = lat.points, lat.meet_codes, lat.meets
-        jmask = (1 << len(down)) - 1
-        up = transpose(down, len(down))
+    down, jsets, element = lat.points, lat.meet_codes, lat.meets
+    jmask = (1 << len(down)) - 1
+    up = transpose(down, len(down))
     minimal = [p for p in bits(jmask) if down[p] & jmask == 1 << p]
     maximal = [p for p in bits(jmask) if up[p] & jmask == 1 << p]
     star, plus = [], []

@@ -205,16 +205,12 @@ def join_extension(lat: Lattice, target: Lattice, phi: dict) -> tuple:
     """iso(x) = the join in target of phi(j) over the join-irreducibles j
     <= x of lat, for every x.
 
-    When both lattices are D(J) (they have points), the join of downsets
-    is their union: iso(x) is the target element whose code is the OR of
-    the target codes of phi(↓p) over the points p of x's code, one OR per
-    point and one index lookup.  Otherwise it is a join fold over the
-    join-irreducibles below x (Lattice.join_all).
+    Both lattices must be D(J) (they have points), as represent's source
+    and rough-set algebra are, and the join of downsets is their union:
+    iso(x) is the target element whose code is the OR of the target codes
+    of phi(↓p) over the points p of x's code, one OR per point and one
+    index lookup.
     """
-    if lat.points is None or target.points is None:
-        below = lat.poset.below
-        return tuple(target.join_all(phi[j] for j in bits(below[x] & lat.ji.member_mask))
-                     for x in range(lat.n))
     tcodes, ids = target.join_codes, lat.meets
     point_codes = [tcodes[phi[ids[down]]] for down in lat.points]
     out = []

@@ -297,8 +297,15 @@ def induced_irredundant_covering(tol: Tolerance):
     """The unique irredundant covering inducing tol, or None.
 
     Candidate: the neighborhoods that are blocks.  The tolerance is induced
-    by an irredundant covering exactly when that family covers U, induces
-    tol, and is irredundant.
+    by an irredundant covering exactly when that family F covers U, induces
+    tol, and is irredundant.  The last follows from the first two, so it is
+    not tested: take B = R(x) in F, and any C in F that holds x.  As F
+    induces tol, R(x) is the union of the members of F that hold x, so C
+    is a block inside the block B, and C = B since blocks are maximal.  So
+    x lies in B alone, and F without B does not cover U.  is_irredundant
+    still runs on a given covering (verify_report), on the spans
+    (build_tolerance_universe) and on every antichain covering of the
+    sweep (irredundanceCriteriaAgree).
     """
     blocks = set(blocks_of(tol))
     family = sorted({nb for nb in tol.nbr if nb in blocks})
@@ -308,11 +315,7 @@ def induced_irredundant_covering(tol: Tolerance):
     if union != (1 << tol.n) - 1:
         return None
     cov = Covering(tol.labels, family)
-    if tolerance_from_covering(cov).nbr != tol.nbr:
-        return None
-    if not is_irredundant(cov).irredundant:
-        return None
-    return cov
+    return cov if tolerance_from_covering(cov).nbr == tol.nbr else None
 
 
 class RoughSetAlgebra:

@@ -297,9 +297,10 @@ def ref_compute_g(dm):
 
 def test_compute_g_against_the_meet_of_the_list():
     """Every involution of the distributive lattices of all_lattices(7),
-    which fold, and of all_distributive_lattices(7), which read g from the
-    points of J, antitone or not: the same gmap up to its first value, and
-    the same GNotJoinIrreducible witness."""
+    which Lattice.from_poset returns as D(J), and of
+    all_distributive_lattices(7), both reading g from the points of J,
+    antitone or not: the same gmap up to its first value, and the same
+    GNotJoinIrreducible witness."""
     outcomes = set()
     for lat in [*all_lattices(7), *all_distributive_lattices(7)]:
         if not is_distributive(lat):

@@ -214,6 +214,23 @@ class TestMalformedDocuments:
         assert "input error" in err
 
 
+class TestStructureInvalid:
+    """An algebra document that parses but is no lattice, or whose neg is
+    no antitone involution, exits 1 with the structure's own error on
+    every algebra command."""
+
+    @pytest.mark.parametrize("command", ["check", "represent", "render"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"labels": ["a", "b"], "covers": []}, "no unique meet for elements (0, 1)"),
+        ({"labels": ["0", "m", "1"], "covers": [[0, 1], [1, 2]], "neg": [0, 1, 2]},
+         "0 <= 1 but neg(1) <= neg(0) fails"),
+    ])
+    def test_exit_one_with_the_witness(self, capsys, tmp_path, command, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli(capsys, command, str(path)) == (1, "", f"structure invalid: {message}\n")
+
+
 class TestVerify:
     def test_redundant_covering_flagged(self, capsys):
         code, out, _ = run_cli(capsys, "verify", fixture_path("redundant_covering.json"))
@@ -565,3 +582,53 @@ def test_check_runs_the_element_battery_once(capsys, monkeypatch):
     assert calls == {"is_regular": 1, "is_kleene": 1}
     report = json.loads(out)
     assert (report["regular"], report["primeChainMax"]) == (False, 3)
+
+
+@pytest.mark.parametrize("command, fixture, blocks", [
+    ("represent", "jposet_two_level.json", 2),
+    ("verify", "partition_2_3.json", 3),
+])
+def test_induced_covering_is_not_rechecked_for_irredundance(
+        capsys, monkeypatch, command, fixture, blocks):
+    """induced_irredundant_covering proves its family irredundant from
+    covering and inducing, so it runs blocks_of once and is_irredundant
+    never.  represent's other blocks_of is is_irredundant on the spans;
+    verify's are is_irredundant on the given covering and the report's
+    block list."""
+    from roughkleene import rough
+
+    calls = {"blocks_of": 0, "is_irredundant": 0}
+    wrap_everywhere(monkeypatch, rough.blocks_of, counting(calls))
+    wrap_everywhere(monkeypatch, rough.is_irredundant, counting(calls))
+    code, _, _ = run_cli(capsys, command, fixture_path(fixture))
+    assert code == 0
+    assert calls == {"blocks_of": blocks, "is_irredundant": 1}
+
+
+def test_small_lattice_corpus_keeps_its_bytes(capsys, tmp_path):
+    """check, represent, render and render --neg-labels on every lattice of
+    all_lattices(7) as a covers document, and on that document with "neg"
+    for each antitone involution of its distributive ones: 368 calls whose
+    exit codes, stdout and stderr keep one digest while from_poset returns
+    each distributive lattice as D(J)."""
+    import hashlib
+
+    from roughkleene.demorgan import antitone_involutions
+    from roughkleene.generators import all_lattices
+
+    docs = []
+    for lat in all_lattices(7):
+        doc = {"labels": list(lat.labels), "covers": sorted(zip(*lat.covers))}
+        docs.append(doc)
+        if lat.distributive:
+            docs += [dict(doc, neg=list(neg)) for neg in antitone_involutions(lat)]
+    digest, codes = hashlib.sha256(), {}
+    for k, doc in enumerate(docs):
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(json.dumps(doc))
+        for args in (["check"], ["represent"], ["render"], ["render", "--neg-labels"]):
+            code, out, err = run_cli(capsys, *args, str(path))
+            codes[code] = codes.get(code, 0) + 1
+            digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert codes == {0: 283, 1: 7, 2: 78}
+    assert digest.hexdigest()[:16] == "392c893eabb85220"

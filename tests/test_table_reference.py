@@ -21,9 +21,12 @@ from array import array
 import pytest
 from conftest import rows, two_level_fixture, two_level_jposet
 
+from roughkleene import posets
 from roughkleene.demorgan import (
     DeMorgan,
     DeMorganError,
+    GNotJoinIrreducible,
+    _check_j1_j2,
     antitone_involutions,
     build_kleene_from_jposet,
     compute_g,
@@ -36,6 +39,7 @@ from roughkleene.generators import (
     all_lattices,
     all_tolerances,
     irredundant_coverings,
+    product_of_chains,
     random_two_level_structure,
 )
 from roughkleene.generators import _grow_posets_bounded
@@ -1125,6 +1129,21 @@ def negation(lat, neg):
     return validate_demorgan(lat, neg).neg
 
 
+def ref_compute_g_by_folds(dm):
+    """compute_g by the fold it had for lattices without points: g(j) the
+    meet of the mask outside ↓neg(j) (Lattice.meet_of), then J1 and J2."""
+    lat, neg = dm.lattice, dm.neg
+    ji, full, below = lat.ji, (1 << lat.n) - 1, lat.poset.below
+    g = {}
+    for j in ji.members:
+        val = lat.meet_of(full & ~below[neg[j]])
+        if val not in ji:
+            raise GNotJoinIrreducible(j, val)
+        g[j] = val
+    _check_j1_j2(lat.meet_codes, ji.members, g)
+    return g
+
+
 # (D(J) lattice, its De Morgan structure or None), by corpus
 CODE_ROUTE_CORPUS = {
     "distributive-10": lambda: [(lat, None) for lat in all_distributive_lattices(10)],
@@ -1141,12 +1160,15 @@ class TestCodeRoutes:
     """A D(J) lattice decides its order facts on its |J|-bit codes and its
     covering pairs, and builds no P-bit row.  Its masked twin, with the
     same rows, no points and covers read from the rows, takes the mask
-    routes, which stay as the oracle with the moved mask route of star
-    antitonicity (ref_star_antitone) and the pair scan of antitonicity
-    (ref_antitone): every decision and every first witness must agree.  A
-    keyed lattice (every lattice up to 8 elements, in both id orders)
-    reads its covers from its rows, and its cover decisions must agree
-    with the same oracles."""
+    routes for covers and antitonicity, which stay as the oracle with the
+    moved mask route of star antitonicity (ref_star_antitone) and the pair
+    scan of antitonicity (ref_antitone); star and plus are compared with
+    the folds (_fold_pseudocomplements) and g with the deleted meet fold
+    (ref_compute_g_by_folds): every decision and every first witness must
+    agree.  Lattice.from_poset returns every distributive lattice as D(J)
+    and every other one keyed (every lattice up to 8 elements, in both id
+    orders); a keyed lattice reads its covers from its rows, and its cover
+    decisions must agree with the same oracles."""
 
     @pytest.mark.parametrize("corpus, size", [
         ("distributive-10", 109), ("coverings", 522), ("g-documents", 202),
@@ -1163,7 +1185,7 @@ class TestCodeRoutes:
                      else [(rng.randrange(lat.n), rng.randrange(lat.n)) for _ in range(5000)])
             assert all(lat.leq(i, j) == bool(below[j] >> i & 1) for i, j in pairs)
             star, plus = _j_pseudocomplements(lat)
-            assert (star, plus) == _j_pseudocomplements(twin)
+            assert (star, plus) == _fold_pseudocomplements(lat)
             assert _star_antitone(lat, star) and ref_star_antitone(lat, star)
             assert has_two_levels(lat) == ref_two_levels(lat)
             los = [lat.meet(x, plus[x]) for x in range(lat.n)]
@@ -1171,15 +1193,16 @@ class TestCodeRoutes:
             assert first_not_below(lat, los, his) == ref_first_not_below(lat, los, his)
             if dm is not None:
                 assert negation(lat, dm.neg) == negation(twin, dm.neg) == dm.neg
-                assert compute_g(dm) == compute_g(DeMorgan(twin, dm.neg))
+                assert compute_g(dm) == ref_compute_g_by_folds(DeMorgan(twin, dm.neg))
                 assert is_kleene(dm)[0]
             count += 1
         assert count == size
 
     def test_swapped_neg_values(self):
         """Each negation conjugated by seeded transpositions of two elements,
-        which keeps it an involution: validate_demorgan and compute_g give
-        the mask route's verdict and first witness."""
+        which keeps it an involution: validate_demorgan gives the mask
+        route's verdict and first witness, and compute_g the deleted meet
+        fold's."""
         rng = random.Random(2020)
         seen = {}
         for corpus in ("coverings", "g-documents"):
@@ -1200,7 +1223,7 @@ class TestCodeRoutes:
                     antitone = codes_within(highs, lows, [lat.meet_codes[v] for v in neg])
                     assert antitone == (got[0] == "ok")
                     assert (outcome(compute_g, DeMorgan(lat, neg))
-                            == outcome(compute_g, DeMorgan(twin, neg)))
+                            == outcome(ref_compute_g_by_folds, DeMorgan(twin, neg)))
                     seen[got[0]] = seen.get(got[0], 0) + 1
         assert seen["NotAntitone"] > 500 and seen["ok"] > 50
 
@@ -1227,18 +1250,53 @@ class TestCodeRoutes:
         assert {None, "star not antitone", "a <= a** fails"} <= messages
 
     def test_keyed_covers(self):
-        """A keyed lattice has no points and reads its covering pairs from
-        its rows on first use, as the old pair loop finds them."""
-        count = 0
+        """Lattice.from_poset keys exactly the lattices that are not
+        distributive: those have no points and read their covering pairs
+        from their rows on first use, as the old pair loop finds them; a
+        D(J) lattice has the covers its family proof walked."""
+        count, distributive = 0, 0
         for lat in keyed_lattices():
-            assert lat.points is None and lat._covers is None
+            assert (lat.points is None) == (not lat.distributive)
+            assert (lat._covers is None) == (lat.points is None)
             assert sorted(zip(*lat.covers)) == ref_covers(lat.poset)
             count += 1
-        assert count == 600
+            distributive += lat.distributive
+        assert (count, distributive) == (600, 72)
+
+    def test_from_poset_returns_D_of_J(self, monkeypatch):
+        """Every distributive lattice of keyed_lattices, the product of six
+        3-chains and the 2000-chain come out of Lattice.from_poset as D(J):
+        the input poset's labels and rows, the join-irreducibles the folds
+        of its keyed build found, and no P-bit row rebuilt."""
+        keyed, built = [], []
+        real_keyed, real_rows = posets._keyed_lattice, posets._CodedPoset._build_rows
+
+        def recorded(*args):
+            keyed.append(real_keyed(*args))
+            return keyed[-1]
+
+        def counted(self):
+            built.append(self.n)
+            return real_rows(self)
+
+        monkeypatch.setattr(posets, "_keyed_lattice", recorded)
+        monkeypatch.setattr(posets._CodedPoset, "_build_rows", counted)
+        inputs = [lat.poset for lat in keyed_lattices() if lat.distributive]
+        inputs.append(product_of_chains([3] * 6).poset)
+        inputs.append(Poset([f"c{i}" for i in range(2000)], [(2 << i) - 1 for i in range(2000)]))
+        for p in inputs:
+            keyed.clear()
+            lat = Lattice.from_poset(p)
+            assert lat.points is not None and lat.distributive
+            assert lat.labels == p.labels
+            assert (lat.poset.below, lat.poset.above) == (p.below, p.above)
+            assert len(keyed) == 1 and lat.ji == keyed[0].ji
+        assert [p.n for p in inputs[-2:]] == [729, 2000]
+        assert built == []
 
     def test_keyed_star_antitone(self):
-        """Star antitonicity on the covers of a keyed lattice is the mask
-        route's verdict: on the folded star, where the lattice has one, and
+        """Star antitonicity on the covers of every lattice of
+        keyed_lattices is the mask route's verdict: on the folded star, where the lattice has one, and
         on three seeded bent stars per lattice."""
         rng = random.Random(2122)
         verdicts = {True: 0, False: 0}
@@ -1259,10 +1317,11 @@ class TestCodeRoutes:
         assert verdicts == {True: 462, False: 1938}
 
     def test_keyed_negations(self):
-        """validate_demorgan on a keyed distributive lattice gives the pair
-        scan's verdict and first witness on every antitone involution and
-        on each conjugated by three seeded transpositions of two elements,
-        which keeps it an involution."""
+        """validate_demorgan on every distributive lattice of
+        keyed_lattices, each one D(J), gives the pair scan's verdict and
+        first witness on every antitone involution and on each conjugated
+        by three seeded transpositions of two elements, which keeps it an
+        involution."""
         rng = random.Random(2123)
         seen = {}
         for lat in keyed_lattices():
@@ -1284,8 +1343,9 @@ class TestCodeRoutes:
 
     def test_keyed_order_isomorphisms(self):
         """_order_isomorphism is the pull-back's verdict (preserves_order)
-        on every automorphism of a keyed lattice, on the id reversal onto
-        its reversed twin, and on each with two seeded values swapped."""
+        on every automorphism of a lattice up to 8 elements, on the id
+        reversal onto its reversed twin, and on each with two seeded values
+        swapped."""
         rng = random.Random(2124)
         verdicts = {True: 0, False: 0}
         for lat in all_lattices(8):
@@ -1310,7 +1370,8 @@ class TestCodeRoutes:
 
 def keyed_lattices():
     """Every lattice up to 8 elements, built by Lattice.from_poset, and the
-    same lattice with its ids reversed."""
+    same lattice with its ids reversed: keyed when it is not distributive,
+    D(J) when it is."""
     for lat in all_lattices(8):
         yield lat
         yield reversed_ids(lat)
