@@ -175,7 +175,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enumerate", help="sweep small instances and test the property suites")
-    p.add_argument("--universe-max", type=int, default=5)
+    p.add_argument("--universe-max", type=int, default=5,
+                   help="point bound of the covering and tolerance sweeps; "
+                        "above 5 gives the five-point report")
     p.add_argument("--lattice-max", type=int, default=8)
     p.add_argument("--canonical", action="store_true", help="dedup tolerances by isomorphism")
     p.add_argument("--force", action="store_true", help="lift the hard bounds")

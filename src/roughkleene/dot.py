@@ -29,6 +29,6 @@ def hasse_dot(lat: Lattice, name="lattice", neg=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def rs_dot(rs: RoughSetAlgebra, name="roughsets") -> str:
+def rs_dot(rs: RoughSetAlgebra) -> str:
     """Hasse diagram of a rough-set algebra, nodes labeled with their pairs."""
-    return hasse_dot(rs.lattice, name=name)
+    return hasse_dot(rs.lattice, name="roughsets")

@@ -18,15 +18,14 @@ def edge_list(n):
     return list(combinations(range(n), 2))
 
 
-def tolerance_from_encoding(n, enc, labels=None) -> Tolerance:
+def tolerance_from_encoding(n, enc) -> Tolerance:
     """Decode an edge-mask integer into a tolerance on n points."""
-    labels = labels or [str(i) for i in range(n)]
     nbr = [1 << x for x in range(n)]
     for b, (i, j) in enumerate(edge_list(n)):
         if enc >> b & 1:
             nbr[i] |= 1 << j
             nbr[j] |= 1 << i
-    return Tolerance(labels, nbr)
+    return Tolerance([str(i) for i in range(n)], nbr)
 
 
 def all_tolerances(n):

@@ -29,7 +29,8 @@ inclusion_lattice built it:
   Lattice.from_poset): it streams the meet and join keys of the P²/2 pairs
   into its key maps while it proves the order a lattice, then finds the
   join-irreducibles and decides distributivity by join folds
-  (join_irreducibles, is_distributive).  Its poset holds below and above,
+  (join_irreducibles, is_distributive).  Its poset holds below and above
+  (a _CodedPoset of the sets, for inclusion_lattice, builds both at once),
   and lat.covers is read from them (Poset.covers) on first use.  A keyed
   lattice is kept only when it is not distributive, or built by
   inclusion_lattice; lat.points is None exactly on a keyed lattice.
@@ -185,9 +186,8 @@ def inclusion_lattice(labels: Sequence[str], sets: Sequence[int], width: int) ->
     the first bad pair (_keyed_lattice)."""
     if len(set(sets)) != len(sets):
         raise ValueError("the sets of an inclusion order must be pairwise distinct")
-    order = _Inclusion(sets, width)
-    poset = _poset_with_above(labels, list(map(order.within, sets)), list(map(order.containing, sets)))
-    return _keyed_lattice(poset, tuple(sets), tuple(sets))
+    sets = tuple(sets)
+    return _keyed_lattice(_CodedPoset(labels, sets, width), sets, sets)
 
 
 def _keyed_lattice(poset: "Poset", meet_codes: tuple, join_codes: tuple) -> "Lattice":
@@ -463,11 +463,7 @@ class Poset:
         report = validate_order(rows)
         if not report.valid:
             raise PosetError(f"not a partial order: {report.violations()}")
-        return _poset_with_above(
-            labels,
-            [mask_of(compress(count(), column)) for column in zip(*rows)],
-            [mask_of(compress(count(), row)) for row in rows],
-        )
+        return cls(labels, [mask_of(compress(count(), column)) for column in zip(*rows)])
 
     @classmethod
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple]) -> "Poset":
@@ -521,37 +517,20 @@ class Poset:
         out.sort()
         return out
 
-    def dual(self) -> "Poset":
-        return Poset(self.labels, self.above)
-
     def downsets(self) -> list:
         """All down-closed subsets as bitmasks, ascending (posets.downsets)."""
         return downsets(self.below)
 
 
-def _poset_with_above(labels: Sequence[str], below: Sequence[int], above: Sequence[int]) -> Poset:
-    """A Poset that takes above as given instead of transposing below.
-
-    Only for builders that read both from one relation, so that above is
-    the transpose of below: inclusion_lattice (within and containing of the
-    same sets) and Poset.from_leq (the columns and rows of one matrix).
-    """
-    p = Poset.__new__(Poset)
-    p._set_labels(labels, len(below))
-    p.below = tuple(below)
-    p.above = tuple(above)
-    return p
-
-
 class _CodedPoset(Poset):
-    """The order of a downset lattice: inclusion of its codes, distinct
-    masks over width points.
+    """An order given by codes: inclusion of distinct masks over width
+    points, as in a downset lattice and in inclusion_lattice.
 
     leq is one subset test of two codes.  below and above, P masks of P
     bits each, are built together on first read (_build_rows, bit-sliced)
-    and kept: the witness scans, check and the fold oracles read them; the
-    represent build of an algebra and its Hasse diagram (lat.covers) read
-    none.
+    and kept: _keyed_lattice reads them at once, and on a downset lattice
+    the witness scans, check and the fold oracles read them; the represent
+    build of an algebra and its Hasse diagram (lat.covers) read none.
     """
 
     __slots__ = ("codes", "width", "_rows")

@@ -25,6 +25,7 @@ from .posets import (
     codes_within,
     has_two_levels,
     is_join_prime,
+    mask_of,
     transpose,
 )
 
@@ -359,11 +360,13 @@ def prime_filters(lat: Lattice) -> PrimeFilterFamily:
     gens = [x for x in range(lat.n) if is_join_prime(lat, x)]
     filters = tuple(p.above[x] for x in gens)
     maximal = tuple(p.below[x] == 1 << x | 1 << lat.bottom for x in gens)
-    # longest chain: filters ordered by inclusion mirror generators ordered by >=
+    # longest chain: filters ordered by inclusion mirror generators ordered
+    # by >=; each generator strictly above x comes first in the sort
+    gmask = mask_of(gens)
     depth = {}
     chain = 0
     for x in sorted(gens, key=lambda v: p.above[v].bit_count()):
-        depth[x] = 1 + max((depth[y] for y in gens if y != x and p.leq(x, y)), default=0)
+        depth[x] = 1 + max(map(depth.__getitem__, bits(p.above[x] & gmask & ~(1 << x))), default=0)
         chain = max(chain, depth[x])
     return PrimeFilterFamily(tuple(gens), filters, maximal, chain)
 
@@ -404,12 +407,13 @@ def is_regular(dp: DoubleP, neg=None) -> RegularityReport:
     if len(set(verdicts.values())) != 1:
         raise CriteriaDisagree(verdicts)
     # chains P < Q of prime filters must end in a maximal filter exactly
-    # when no chain of three exists
-    fact_b = True
-    for i, x in enumerate(family.generators):
-        for j, y in enumerate(family.generators):
-            if x != y and family.filters[i] & ~family.filters[j] == 0 and not family.maximal[j]:
-                fact_b = False
+    # when no chain of three exists: [x) ⊂ [y) for generators x != y is x
+    # in [y), so a filter that is not maximal may hold no other generator
+    gmask = mask_of(family.generators)
+    fact_b = not any(
+        up & gmask & ~(1 << y)
+        for y, up, maximal in zip(family.generators, family.filters, family.maximal) if not maximal
+    )
     if fact_b != (family.chain_max <= 2):
         raise CriteriaDisagree({"chainMax": family.chain_max, "properContainmentMaximal": fact_b})
     return RegularityReport(

@@ -3,8 +3,11 @@
 Three sweeps: coverings (antichain families, irredundant ones get the full
 rough-algebra battery), tolerances (lattice census plus the promised
 non-lattice witness), and De Morgan structures on small lattices (the
-regularity-criteria equivalences).  Instances carry sequence numbers so the
-first witness of any failure is deterministic, also under a worker pool.
+regularity-criteria equivalences).  Both point sweeps stop at five points,
+where the non-lattice witness is always found.  All three share one runner
+(_sweep), serial or over a worker pool.  Instances carry sequence numbers so
+the first witness of any failure is deterministic, also under a worker pool,
+and an instance's witness document is built only when a check on it fails.
 """
 
 from __future__ import annotations
@@ -22,10 +25,17 @@ from .generators import (
     product_of_chains,
     tolerance_from_encoding,
 )
-from .isomorph import lattice_key
+from .isomorph import canonical_key, lattice_key
 from .jsonio import covering_doc, lattice_doc, tolerance_doc
 from .posets import Lattice, NotALattice
-from .pseudo import compute_pseudocomplements, demorgan_pseudo_report, heyting_implications, is_regular, skeletons
+from .pseudo import (
+    NoPseudocomplement,
+    compute_pseudocomplements,
+    demorgan_pseudo_report,
+    heyting_implications,
+    is_regular,
+    skeletons,
+)
 from .rough import (
     RS_CHECKS,
     Covering,
@@ -41,6 +51,7 @@ from .rough import (
 )
 
 WORKERS_ENV = "ROUGHKLEENE_WORKERS"
+MAX_POINTS = 5  # the point sweeps' bound: the non-lattice witness lies on five points
 
 
 def worker_count() -> int:
@@ -121,13 +132,35 @@ class EnumerationReport:
 
 def _step(report, seq, name, witness_doc, fn, *args):
     """Run one property check (rough.run_check) and record its outcome;
-    return the check's value when it passed and None otherwise."""
+    return the check's value when it passed and None otherwise.
+    witness_doc, a function of no arguments, is called for the failure's
+    witness only."""
     value, err = run_check(fn, *args)
     ok = bool(value)
     report.outcome(name).record(
-        seq, ok, None if ok else {"instance": witness_doc, "error": err}
+        seq, ok, None if ok else {"instance": witness_doc(), "error": err}
     )
     return value if ok else None
+
+
+def _once(fn, *args):
+    """A function of no arguments that returns fn(*args), run on its first
+    call alone.  An exception it raised is raised again on every call, so
+    each check that shares the value records the same failure."""
+    outcome = []
+
+    def value():
+        if not outcome:
+            try:
+                outcome.append((fn(*args), None))
+            except Exception as exc:  # noqa: BLE001 - raised again to each caller
+                outcome.append((None, exc))
+        result, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return result
+
+    return value
 
 
 _CHAIN_KEYS = {}
@@ -141,8 +174,9 @@ def _chain_product_key(singles, multis):
     return _CHAIN_KEYS[(singles, multis)]
 
 
-def _eval_covering(seq, cov: Covering, report: EnumerationReport):
-    doc = covering_doc(cov)
+def _eval_covering(report: EnumerationReport, seq, blocks, n):
+    cov = Covering([str(i) for i in range(n)], blocks)
+    doc = _once(covering_doc, cov)
     rep = _step(report, seq, "irredundanceCriteriaAgree", doc, is_irredundant, cov)
     if rep is None or not rep.irredundant:
         return
@@ -176,8 +210,8 @@ def _eval_covering(seq, cov: Covering, report: EnumerationReport):
 
 
 def _rs_order_lattice_witness(tol):
-    """Pairs of the rough order by the powerset sweep, plus a non-lattice
-    witness, if any: the first bad pair rough_lattice finds, as rough pairs.
+    """The rough order by the powerset sweep as a lattice, or a non-lattice
+    witness: the first bad pair rough_lattice finds, as rough pairs.
 
     build_rs takes the same sweep and lattice on every tolerance that
     no irredundant covering induces, and only those can give a witness.
@@ -187,21 +221,19 @@ def _rs_order_lattice_witness(tol):
     try:
         lat = rough_lattice(lab, pairs, tol.n)
     except NotALattice as exc:
-        return pairs, None, exc.pair
-    return pairs, lat, None
+        return None, exc.pair
+    return lat, None
 
 
-def _eval_tolerance(seq, n, enc, deep, want_witness, report: EnumerationReport):
+def _eval_tolerance(report: EnumerationReport, seq, n, enc):
     tol = tolerance_from_encoding(n, enc)
-    doc = tolerance_doc(tol)
-    pairs, lat, witness = _rs_order_lattice_witness(tol)
-    if witness is not None and want_witness and "nonLatticeTolerance" not in report.findings:
+    doc = _once(tolerance_doc, tol)
+    lat, witness = _rs_order_lattice_witness(tol)
+    if witness is not None and "nonLatticeTolerance" not in report.findings:
         report.findings["nonLatticeTolerance"] = (
             seq,
-            {"tolerance": doc, "witnessPair": [list(witness[0]), list(witness[1])]},
+            {"tolerance": doc(), "witnessPair": [list(witness[0]), list(witness[1])]},
         )
-    if not deep:
-        return
     if n <= 4:
 
         def galois():
@@ -225,30 +257,8 @@ def _eval_tolerance(seq, n, enc, deep, want_witness, report: EnumerationReport):
     _step(report, seq, "irredundantIffDistributiveRsLattice", doc, irr_iff_dist)
 
 
-def _once(fn, *args):
-    """A function of no arguments that returns fn(*args), run on its first
-    call alone.  An exception it raised is raised again on every call, so
-    each check that shares the value records the same failure."""
-    outcome = []
-
-    def value():
-        if not outcome:
-            try:
-                outcome.append((fn(*args), None))
-            except Exception as exc:  # noqa: BLE001 - raised again to each caller
-                outcome.append((None, exc))
-        result, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return result
-
-    return value
-
-
-def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
-    from .pseudo import NoPseudocomplement
-
-    doc = lattice_doc(lat)
+def _eval_lattice(report: EnumerationReport, seq, lat: Lattice):
+    doc = _once(lattice_doc, lat)
     holder = {}
 
     def pseudo():
@@ -267,7 +277,7 @@ def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
     _step(report, seq, "heytingClosedForms", doc, lambda: heyting_implications(dp) is not None)
     _step(report, seq, "skeletonsBoolean", doc, lambda: skeletons(dp) is not None)
     for neg in antitone_involutions(lat):
-        ndoc = lattice_doc(lat, neg)
+        ndoc = _once(lattice_doc, lat, neg)
         dm = _step(report, seq, "deMorganValidates", ndoc, validate_demorgan, lat, neg)
         if dm is None:
             continue
@@ -291,111 +301,87 @@ def _eval_lattice(seq, lat: Lattice, report: EnumerationReport):
         )
 
 
-def _run_covering_chunk(args):
-    items = args
+def _run_chunk(task):
+    """Evaluate a chunk of (seq, *args) items into a new report, each as
+    evaluate(report, seq, *args): the unit of work of _sweep, in its own
+    process or in this one."""
+    evaluate, items = task
     report = EnumerationReport()
-    for seq, blocks, n in items:
-        cov = Covering([str(i) for i in range(n)], blocks)
-        _eval_covering(seq, cov, report)
+    for seq, *args in items:
+        evaluate(report, seq, *args)
         report.instances_tested += 1
     return report
 
 
-def _run_tolerance_chunk(args):
-    report = EnumerationReport()
-    for seq, n, enc, deep, want_witness in args:
-        _eval_tolerance(seq, n, enc, deep, want_witness, report)
-        report.instances_tested += 1
-    return report
-
-
-def _run_lattice_chunk(args):
-    report = EnumerationReport()
-    for seq, lat in args:
-        _eval_lattice(seq, lat, report)
-        report.instances_tested += 1
-    return report
-
-
-def _pooled(runner, items, workers):
-    merged = EnumerationReport()
-    if not items:
-        return merged
-    if workers <= 1:
-        return runner(items)
-    size = (len(items) + workers - 1) // workers
-    chunks = [items[i : i + size] for i in range(0, len(items), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(runner, chunks):
-            merged.merge(part)
-    return merged
-
-
-def sweep_coverings(max_universe=5, workers=None) -> EnumerationReport:
-    """All antichain coverings up to the bound (every irredundant covering is
-    one); irredundant ones get the full rough-algebra battery."""
+def _sweep(evaluate, items, workers) -> EnumerationReport:
+    """Evaluate the (seq, *args) items (_run_chunk), serially, or in one
+    chunk per worker over a process pool, the parts merged.  The items are
+    plain tuples, so the pool pickles them.  runtime_seconds is the wall
+    time of the whole sweep, building the items included."""
     workers = worker_count() if workers is None else workers
     start = time.perf_counter()
-    items = []
-    seq = 0
-    for n in range(1, max_universe + 1):
-        for cov in antichain_coverings(n):
-            items.append((seq, cov.blocks, n))
-            seq += 1
-    report = _pooled(_run_covering_chunk, items, workers)
+    items = list(items)
+    if workers <= 1 or not items:
+        report = _run_chunk((evaluate, items))
+    else:
+        size = (len(items) + workers - 1) // workers
+        chunks = [(evaluate, items[i : i + size]) for i in range(0, len(items), size)]
+        report = EnumerationReport()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_run_chunk, chunks):
+                report.merge(part)
     report.runtime_seconds = time.perf_counter() - start
     return report
 
 
-def sweep_tolerances(max_universe=5, workers=None, canonical=False) -> EnumerationReport:
-    """All tolerances up to the bound.  Deep checks run for universes of at
-    most five points; beyond that the sweep only hunts the promised
-    tolerance whose rough order is not a lattice, stopping when found.
-    canonical=True dedups tolerances by graph isomorphism first."""
-    from .isomorph import canonical_key
+def sweep_coverings(max_universe=MAX_POINTS, workers=None) -> EnumerationReport:
+    """All antichain coverings up to the bound (every irredundant covering is
+    one); irredundant ones get the full rough-algebra battery."""
+    coverings = (cov for n in range(1, max_universe + 1) for cov in antichain_coverings(n))
+    items = ((seq, cov.blocks, cov.n) for seq, cov in enumerate(coverings))
+    return _sweep(_eval_covering, items, workers)
 
-    workers = worker_count() if workers is None else workers
-    start = time.perf_counter()
-    report = EnumerationReport()
+
+def _tolerance_items(max_points, canonical):
+    """(seq, n, enc) for every tolerance on 1..max_points points, by edge
+    encoding; canonical=True keeps the first of each isomorphism class, and
+    the skipped ones still take their sequence numbers."""
+    encodings = ((n, enc) for n in range(1, max_points + 1) for enc in range(1 << len(edge_list(n))))
+    seen = set()
+    for seq, (n, enc) in enumerate(encodings):
+        if canonical:
+            key = n, canonical_key(n, tolerance_from_encoding(n, enc).nbr)
+            if key in seen:
+                continue
+            seen.add(key)
+        yield seq, n, enc
+
+
+def sweep_tolerances(max_universe=MAX_POINTS, workers=None, canonical=False) -> EnumerationReport:
+    """All tolerances on at most min(max_universe, 5) points: the galois
+    checks up to four points, the irredundance/distributivity equivalence
+    on all, and the promised tolerance whose rough order is not a lattice,
+    which five points always give.  canonical=True dedups tolerances by
+    graph isomorphism first."""
+    items = _tolerance_items(min(max_universe, MAX_POINTS), canonical)
+    report = _sweep(_eval_tolerance, items, workers)
     report.findings.setdefault("nonLatticeTolerance", None)
-    seq = 0
-    for n in range(1, max_universe + 1):
-        deep = n <= 5
-        if not deep and report.findings.get("nonLatticeTolerance"):
-            break
-        items = []
-        seen = set()
-        for enc in range(1 << len(edge_list(n))):
-            if canonical:
-                key = canonical_key(n, tolerance_from_encoding(n, enc).nbr)
-                if key in seen:
-                    seq += 1
-                    continue
-                seen.add(key)
-            items.append((seq, n, enc, deep, True))
-            seq += 1
-        part = _pooled(_run_tolerance_chunk, items, workers)
-        report.merge(part)
-        report.runtime_seconds = time.perf_counter() - start
     return report
 
 
 def sweep_demorgan(max_lattice=8, workers=None) -> EnumerationReport:
     """All lattices up to the size bound; each distributive one is checked
-    with every order-reversing involution it admits.  The runners take the
+    with every order-reversing involution it admits.  The runner takes the
     lattices all_lattices built, so each is built once."""
-    workers = worker_count() if workers is None else workers
-    start = time.perf_counter()
-    items = list(enumerate(all_lattices(max_lattice)))
-    report = _pooled(_run_lattice_chunk, items, workers)
-    report.runtime_seconds = time.perf_counter() - start
-    return report
+    return _sweep(_eval_lattice, enumerate(all_lattices(max_lattice)), workers)
 
 
-def run_enumeration(universe_max=5, lattice_max=8, workers=None, canonical=False) -> EnumerationReport:
+def run_enumeration(universe_max=MAX_POINTS, lattice_max=8, workers=None, canonical=False) -> EnumerationReport:
+    """The three sweeps, merged; both point sweeps stop at five points, so
+    a larger universe_max gives the five-point report."""
     report = EnumerationReport()
     for part in (
-        sweep_coverings(min(universe_max, 5), workers),
+        sweep_coverings(min(universe_max, MAX_POINTS), workers),
         sweep_tolerances(universe_max, workers, canonical),
         sweep_demorgan(lattice_max, workers),
     ):

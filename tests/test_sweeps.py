@@ -4,7 +4,7 @@ import pytest
 from conftest import fixture_path
 
 from roughkleene import jsonio, rough
-from roughkleene.generators import all_lattices
+from roughkleene.generators import all_lattices, antichain_coverings
 from roughkleene.reports import verify_report
 from roughkleene.sweeps import (
     EnumerationReport,
@@ -92,6 +92,34 @@ def test_verify_and_the_covering_sweep_run_one_check_registry(monkeypatch):
     outcome = sweep_coverings(2, workers=1).properties["gmapClosedForm"]
     assert outcome.checked == outcome.failures == 3  # the irredundant coverings on up to 2 points
     assert outcome.first_witness[1]["error"] == error
+    first = next(c for n in (1, 2) for c in antichain_coverings(n) if rough.is_irredundant(c).irredundant)
+    assert outcome.first_witness[1]["instance"] == jsonio.covering_doc(first)
+
+
+@pytest.mark.parametrize("universe_max", [6, 7])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_point_sweeps_stop_at_five_points(universe_max, workers):
+    """Five points always give the non-lattice tolerance, so a larger
+    universe bound gives the five-point report, serially and under a pool."""
+    five = run_enumeration(5, 3, workers=1).to_dict(include_runtime=False)
+    assert run_enumeration(universe_max, 3, workers=workers).to_dict(include_runtime=False) == five
+
+
+def test_witness_documents_are_built_for_failures_only(monkeypatch):
+    """A default run with every check passing builds no covering or lattice
+    document, and one tolerance document: the non-lattice finding's."""
+    from roughkleene import sweeps
+
+    built = {"covering_doc": 0, "tolerance_doc": 0, "lattice_doc": 0}
+    for name in built:
+        def counted(*args, _name=name, _real=getattr(sweeps, name)):
+            built[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(sweeps, name, counted)
+    report = run_enumeration(workers=1)
+    assert not report.failed and report.findings["nonLatticeTolerance"] is not None
+    assert built == {"covering_doc": 0, "tolerance_doc": 1, "lattice_doc": 0}
 
 
 @pytest.mark.parametrize("max_size, count", [(-1, 0), (0, 0), (1, 1), (2, 2), (3, 3), (8, 300)])
