@@ -18,10 +18,9 @@ from .dot import hasse_dot, rs_dot
 from .posets import PosetError, TableCapExceeded
 from .represent import NotKleene, NotRegular, RepresentError, represent
 from .reports import check_report, represent_bundle, verify_report
-from .rough import BoundsExceeded, ToleranceError, build_rs, tolerance_from_covering
+from .rough import BoundsExceeded, ToleranceError, build_rs
 from .sweeps import run_enumeration
 
-HARD_UNIVERSE_CAP = 6
 HARD_LATTICE_CAP = 8
 
 
@@ -94,11 +93,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.universe_max > HARD_UNIVERSE_CAP and not args.force:
-        return _fail(
-            f"--universe-max {args.universe_max} exceeds the cap {HARD_UNIVERSE_CAP}; pass --force",
-            2,
-        )
     if args.lattice_max > HARD_LATTICE_CAP and not args.force:
         return _fail(
             f"--lattice-max {args.lattice_max} exceeds the cap {HARD_LATTICE_CAP}; pass --force",
@@ -143,7 +137,7 @@ def cmd_render(args) -> int:
     if "pairs" in doc:
         text = rs_dot(build_rs(jsonio.parse_tolerance(doc)))
     elif "blocks" in doc:
-        text = rs_dot(build_rs(tolerance_from_covering(jsonio.parse_covering(doc))))
+        text = rs_dot(build_rs(jsonio.parse_covering(doc).tolerance))
     else:
         lat, dm = _parse_algebra(doc)
         text = hasse_dot(lat, neg=dm.neg if dm is not None and args.neg_labels else None)
@@ -176,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="sweep small instances and test the property suites")
     p.add_argument("--universe-max", type=int, default=5,
-                   help="point bound of the covering and tolerance sweeps; "
-                        "above 5 gives the five-point report")
+                   help="point bound of the covering and tolerance sweeps; any "
+                        "bound above 5 gives the five-point report")
     p.add_argument("--lattice-max", type=int, default=8)
     p.add_argument("--canonical", action="store_true", help="dedup tolerances by isomorphism")
-    p.add_argument("--force", action="store_true", help="lift the hard bounds")
+    p.add_argument("--force", action="store_true", help="lift the --lattice-max bound")
     p.add_argument("--workers", type=int, default=None,
                    help=f"worker pool size (default: ${'{'}ROUGHKLEENE_WORKERS{'}'} or 1)")
     p.add_argument("--witness-dir", help="write failing-property and finding witness files here")

@@ -36,8 +36,10 @@ inclusion_lattice built it:
   inclusion_lattice; lat.points is None exactly on a keyed lattice.
 
 Either way each is found once per lattice: every reader takes lat.ji and
-lat.distributive.  The fold routes also stay callable on any lattice, as
-the independent oracle of the block formulas (rough.rs_join_irreducibles).
+lat.distributive.  The fold routes also stay callable on any lattice: the
+tests run them as the oracle of every route that reads J, and
+rough.rs_join_irreducibles runs join_irreducibles only after its decision
+on the pairs has failed, to name the mismatch.
 """
 
 from __future__ import annotations
@@ -529,8 +531,8 @@ class _CodedPoset(Poset):
     leq is one subset test of two codes.  below and above, P masks of P
     bits each, are built together on first read (_build_rows, bit-sliced)
     and kept: _keyed_lattice reads them at once, and on a downset lattice
-    the witness scans, check and the fold oracles read them; the represent
-    build of an algebra and its Hasse diagram (lat.covers) read none.
+    the witness scans, check and the fold oracles read them; represent,
+    a passing verify and the Hasse diagrams (lat.covers) read none.
     """
 
     __slots__ = ("codes", "width", "_rows")

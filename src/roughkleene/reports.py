@@ -27,7 +27,6 @@ from .rough import (
     is_irredundant,
     isolated_blocks,
     run_check,
-    tolerance_from_covering,
 )
 
 
@@ -86,7 +85,7 @@ def verify_report(obj) -> dict:
     oracle (imageLatticesAtomisticBoolean, dualRouteEqual)."""
     if isinstance(obj, Covering):
         cov = obj
-        tol = tolerance_from_covering(cov)
+        tol = cov.tolerance
         given = is_irredundant(cov)
         report = {
             "input": "covering",

@@ -26,7 +26,6 @@ from .rough import (
     build_rs_spatial,
     is_irredundant,
     rs_g_map,
-    tolerance_from_covering,
 )
 
 
@@ -135,7 +134,7 @@ def build_tolerance_universe(dm: DeMorgan, sim: SimilaritySpace):
     cov = Covering(labels, [mask_of(pos[e] for e in sim.spans[x]) for x in sim.atoms])
     if not is_irredundant(cov).irredundant:
         raise RepresentError("spans do not form an irredundant covering")
-    tol = tolerance_from_covering(cov)
+    tol = cov.tolerance
     span_mask = {x: mask_of(pos[e] for e in sim.spans[x]) for x in sim.atoms}
     amask = mask_of(sim.atoms)
     for z in universe:

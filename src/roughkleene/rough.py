@@ -17,8 +17,9 @@ construction: 2^|U| subsets, capped at POWERSET_CAP points.  The sweep
 byte per subset, so it costs O(U) big-int operations on 2^U bytes and no
 Python step per subset.  On every covering-induced algebra that verify
 and the sweeps check, the powerset sweep is the independent oracle
-(dualRouteEqual); the algebra sweeps it once for both of its checks
-(RoughSetAlgebra.powerset_table).
+(dualRouteEqual); the algebra sweeps it once for both of its checks, and
+finds its distinct pairs once, over one int code per subset
+(RoughSetAlgebra.powerset_table, _powerset_table).
 
 A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
 so the coordinatewise order is inclusion of codes.  _assemble decides once,
@@ -35,6 +36,13 @@ way the lattice answers meet and join from what was decided, so the
 decision covers every pair the algebra is ever asked about.  A failed
 decision has one path, _name_failure, which names the first element whose
 order differs and else the first failing (pair, formula).
+
+The checks of a built covering algebra (RS_CHECKS) decide the same way, on
+the pairs and per point, with no join fold and no P-bit row: the block
+formulas are J exactly when no formula is the join of the pairs below it
+and every pair is the join of the formulas below it
+(_join_irreducible_atoms); only a failed decision folds, to name the
+mismatch.
 """
 
 from __future__ import annotations
@@ -220,9 +228,12 @@ def blocks_of(tol: Tolerance):
 
 
 class Covering:
-    """Family of distinct nonempty subsets whose union is the universe."""
+    """Family of distinct nonempty subsets whose union is the universe.
 
-    __slots__ = ("n", "labels", "blocks")
+    tolerance is the tolerance it induces, built by tolerance_from_covering
+    on first read and kept, so each covering builds it once."""
+
+    __slots__ = ("n", "labels", "blocks", "_tolerance")
 
     def __init__(self, labels, blocks):
         self.n = len(labels)
@@ -236,6 +247,13 @@ class Covering:
         if union != (1 << self.n) - 1:
             raise ToleranceError("blocks do not cover the universe")
         self.blocks = blocks
+        self._tolerance = None
+
+    @property
+    def tolerance(self) -> Tolerance:
+        if self._tolerance is None:
+            self._tolerance = tolerance_from_covering(self)
+        return self._tolerance
 
 
 def tolerance_from_covering(cov: Covering) -> Tolerance:
@@ -272,7 +290,7 @@ def is_irredundant(cov: Covering) -> IrredundanceReport:
         if rest == full:
             removable = b
             break
-    tol = tolerance_from_covering(cov)
+    tol = cov.tolerance
     nbrs = set(tol.nbr)
     missing = next((b for b in cov.blocks if b not in nbrs), None)
     if (removable is None) != (missing is None):
@@ -315,7 +333,7 @@ def induced_irredundant_covering(tol: Tolerance):
     if union != (1 << tol.n) - 1:
         return None
     cov = Covering(tol.labels, family)
-    return cov if tolerance_from_covering(cov).nbr == tol.nbr else None
+    return cov if cov.tolerance.nbr == tol.nbr else None
 
 
 class RoughSetAlgebra:
@@ -361,10 +379,11 @@ class RoughSetAlgebra:
 
     @property
     def powerset_table(self):
-        """_approximation_table of the tolerance, swept on first use and
-        kept with this algebra, so that its powerset checks share one sweep."""
+        """_powerset_table of the tolerance, swept on first use and kept
+        with this algebra, so that its two powerset checks share one sweep
+        and one pass over its distinct pairs."""
         if self._table is None:
-            self._table = _approximation_table(self.tolerance)
+            self._table = _powerset_table(self.tolerance)
         return self._table
 
 
@@ -425,11 +444,26 @@ def _approximation_table(tol: Tolerance):
     return los, ups
 
 
+def _powerset_table(tol: Tolerance):
+    """(los, ups, pairs): _approximation_table of tol and its distinct rough
+    pairs, sorted.
+
+    The pairs are found over one int code per subset, ups[X] | los[X] <<
+    32, with no tuple per subset: each array entry is 64 bits and each set
+    at most POWERSET_CAP bits, so the codes are one OR and one shift of the
+    two arrays read as big ints, and sorting them sorts the pairs."""
+    los, ups = _approximation_table(tol)
+    byteorder, size = sys.byteorder, 8 * len(los)
+    codes = array("Q")
+    codes.frombytes((int.from_bytes(ups, byteorder) | int.from_bytes(los, byteorder) << 32)
+                    .to_bytes(size, byteorder))
+    return los, ups, [(code >> 32, code & 0xFFFFFFFF) for code in sorted(set(codes))]
+
+
 def _powerset_pairs(tol: Tolerance, table=None):
     """The sorted rough pairs of every subset, from table, or from a fresh
-    _approximation_table when it is None."""
-    los, ups = _approximation_table(tol) if table is None else table
-    return sorted(set(zip(los, ups)))
+    _powerset_table when it is None."""
+    return (_powerset_table(tol) if table is None else table)[2]
 
 
 def formula_join_irreducibles(tol: Tolerance, cov: Covering):
@@ -686,32 +720,91 @@ class RSJoinIrreducibles:
     atoms: tuple         # pair values, sorted
 
 
-def rs_join_irreducibles(rs: RoughSetAlgebra) -> RSJoinIrreducibles:
-    """Join-irreducibles of the rough lattice, computed from the order and
-    from the block formulas, with both routes required to agree.
+def _join_irreducible_atoms(rs: RoughSetAlgebra, candidates):
+    """The atoms among candidates, sorted pair values, when candidates are
+    exactly the join-irreducibles of rs.lattice, else None.
 
-    The order's route is posets.join_irreducibles, the join folds, run here
-    on the built lattice: downset_lattice reads lattice.ji from the formula
-    J itself, so comparing with lattice.ji would prove nothing.
+    Decided on the pairs, with no join fold and no P-bit row: the join of
+    a set S of pairs is (closure(∪lo), ∪up), the closed form that _assemble
+    certified for every two pairs and that extends to any S, as closure is
+    a closure operator.  With ids read bit-sliced over the codes (_codes,
+    _Inclusion), candidates = J exactly when
+      (a) no candidate f is the join of the pairs strictly below it, one
+          within() per f and one column test per point of the codes;
+      (b) every pair x is the join of the candidates below it: for each
+          point of the codes, the OR of containing() of the candidates
+          that hold it is the mask of the x whose candidate union holds
+          it.  Its up columns must be the pairs' own.  Its lo columns
+          pass when they are the pairs' own too, and else, turned back to
+          one union per pair (transpose), each union must close to that
+          pair's lo, with one closure per distinct union that is not
+          already the lo (each lo is closed, as _assemble certified).
+    (a) makes each candidate join-irreducible and not the bottom, and (b)
+    makes the candidates join-dense, so each join-irreducible is the join
+    of some of them and is one of them.  A candidate's lower cover is the
+    join of the pairs strictly below it, so it is an atom when those are
+    the bottom alone.
+    """
+    pairs, tol = rs.pairs, rs.tolerance
+    ids = [rs.index.get(f) for f in candidates]
+    if None in ids:
+        return None
+    U = tol.n
+    codes = _codes(pairs, U)
+    order, closure, low = _Inclusion(codes, 2 * U), Memo(tol.closure), (1 << U) - 1
+    holders, bottom, atoms = order.holders, 1 << rs.lattice.bottom, []
+    for f, i in zip(candidates, ids):
+        strict = order.within(codes[i]) ^ 1 << i
+        union = sum(1 << v for v, column in enumerate(holders) if column & strict)
+        if union >> U == f[1] and closure[union & low] == f[0]:
+            return None
+        if strict == bottom:
+            atoms.append(f)
+    reached = [0] * (2 * U)
+    for i in ids:
+        above = order.containing(codes[i])
+        for v in bits(codes[i]):
+            reached[v] |= above
+    if reached[U:] != holders[U:]:
+        return None
+    if reached[:U] != holders[:U]:
+        unions = transpose(reached[:U], len(pairs))
+        if any(union != lo and closure[union] != lo for (lo, _), union in zip(pairs, unions)):
+            return None
+    return atoms
+
+
+def rs_join_irreducibles(rs: RoughSetAlgebra) -> RSJoinIrreducibles:
+    """Join-irreducibles of the rough lattice from the block formulas,
+    checked against the order.
+
+    The check is _join_irreducible_atoms, an exact decision on the pairs:
+    downset_lattice reads lattice.ji from the formula J itself, so
+    comparing with lattice.ji would prove nothing.  Only a failed decision
+    runs the order's route, posets.join_irreducibles, the join folds on
+    the built lattice, to name the mismatch of the members or the atoms;
+    a fold that finds none is a defect and raises too.
     """
     if rs.covering is None:
         raise ToleranceError("join-irreducible formulas need an irredundant covering")
     tol, cov = rs.tolerance, rs.covering
     formula = formula_join_irreducibles(tol, cov)
+    atom_formula = sorted(
+        {(b, b) for b in cov.blocks if b.bit_count() == 1}
+        | {(0, b) for b in cov.blocks if b.bit_count() >= 2}
+    )
+    if _join_irreducible_atoms(rs, formula) == atom_formula:
+        return RSJoinIrreducibles(tuple(formula), tuple(atom_formula))
     ji = join_irreducibles(rs.lattice)
     from_lattice = sorted(rs.pairs[j] for j in ji.members)
     if formula != from_lattice:
         raise FormulaMismatch(
             "join-irreducibles", {"formula": formula, "lattice": from_lattice}
         )
-    atom_formula = sorted(
-        {(b, b) for b in cov.blocks if b.bit_count() == 1}
-        | {(0, b) for b in cov.blocks if b.bit_count() >= 2}
-    )
     lattice_atoms = sorted(rs.pairs[a] for a in ji.atoms)
     if atom_formula != lattice_atoms:
         raise FormulaMismatch("atoms", {"formula": atom_formula, "lattice": lattice_atoms})
-    return RSJoinIrreducibles(tuple(formula), tuple(atom_formula))
+    raise FormulaMismatch("the pair decision disagrees with the join folds", {"formula": formula})
 
 
 def rs_g_map(rs: RoughSetAlgebra) -> dict:
@@ -766,10 +859,11 @@ def isolated_blocks(rs: RoughSetAlgebra):
 
 
 def powerset_images(tol: Tolerance, table=None):
-    """The sorted images of lower and upper over the whole powerset, from
-    table, or from a fresh _approximation_table when it is None."""
-    los, ups = _approximation_table(tol) if table is None else table
-    return sorted(set(los)), sorted(set(ups))
+    """The sorted images of lower and upper over the whole powerset: the two
+    projections of the distinct pairs of table, or of a fresh
+    _powerset_table when it is None."""
+    pairs = (_powerset_table(tol) if table is None else table)[2]
+    return sorted({lo for lo, _ in pairs}), sorted({up for _, up in pairs})
 
 
 def powerset_image_report(tol: Tolerance, cov: Covering | None, table=None):
@@ -777,17 +871,23 @@ def powerset_image_report(tol: Tolerance, cov: Covering | None, table=None):
     lattices with the block cores / blocks as atoms and the stated
     double-approximation complements.  cov is
     induced_irredundant_covering(tol); None raises ToleranceError.  table
-    is passed on to powerset_images."""
+    is a _powerset_table of tol, or None for a fresh one: the images are
+    powerset_images of it, and every lower, upper, closure and interior of
+    a subset X is read from its arrays, as lower[X], upper[X],
+    lower[upper[X]] and upper[lower[X]], with no Tolerance method called."""
     if cov is None:
         raise ToleranceError("image analysis needs an irredundant covering")
+    if table is None:
+        table = _powerset_table(tol)
+    lower, upper = table[0], table[1]
     los, ups = powerset_images(tol, table)
     full = (1 << tol.n) - 1
-    lo_atoms = sorted({tol.lower(b) for b in cov.blocks})
+    lo_atoms = sorted({lower[b] for b in cov.blocks})
     up_atoms = sorted(cov.blocks)
     lo_members, up_members = set(los), set(ups)
-    for image, members, atoms, closure in (
-        (los, lo_members, lo_atoms, tol.closure),
-        (ups, up_members, up_atoms, tol.interior),
+    for image, members, atoms, inner, outer in (
+        (los, lo_members, lo_atoms, upper, lower),
+        (ups, up_members, up_atoms, lower, upper),
     ):
         for a in atoms:
             if a not in members:
@@ -797,15 +897,15 @@ def powerset_image_report(tol: Tolerance, cov: Covering | None, table=None):
             joined = 0
             for a in span:
                 joined |= a
-            if closure(joined) != s:
+            if outer[inner[joined]] != s:
                 raise FormulaMismatch("image not atomistic", {"element": s})
     for s in los:
-        comp = tol.lower(full & ~s)
-        if comp not in lo_members or s & comp or tol.lower(tol.upper(s | comp)) != tol.lower(full):
+        comp = lower[full & ~s]
+        if comp not in lo_members or s & comp or lower[upper[s | comp]] != lower[full]:
             raise FormulaMismatch("lower-image complement", {"element": s})
     for s in ups:
-        comp = tol.upper(full & ~s)
-        if comp not in up_members or s | comp != tol.upper(full) or tol.upper(tol.lower(s & comp)) != 0:
+        comp = upper[full & ~s]
+        if comp not in up_members or s | comp != upper[full] or upper[lower[s & comp]] != 0:
             raise FormulaMismatch("upper-image complement", {"element": s})
     return los, ups
 
@@ -858,8 +958,10 @@ def skeleton_isomorphism_report(rs: RoughSetAlgebra):
 # The checks that verify and the covering sweep both run on a built algebra
 # whose tolerance an irredundant covering induces, by output name.  Each
 # looks its function up in this module when it runs, so a wrapper or a
-# patch installed here is what both outputs run.  The two powerset checks
-# share the algebra's one sweep, rs.powerset_table.
+# patch installed here is what both outputs run.  joinIrreducibleFormulas
+# decides on the pairs and folds only after a failure.  The two powerset
+# checks share the algebra's one sweep and its one list of distinct pairs,
+# rs.powerset_table.
 RS_CHECKS = (
     ("joinIrreducibleFormulas", lambda rs: rs_join_irreducibles(rs) is not None),
     ("gmapClosedForm", lambda rs: rs_g_map(rs) is not None),

@@ -47,7 +47,6 @@ from .rough import (
     isolated_blocks,
     rough_lattice,
     run_check,
-    tolerance_from_covering,
 )
 
 WORKERS_ENV = "ROUGHKLEENE_WORKERS"
@@ -180,7 +179,7 @@ def _eval_covering(report: EnumerationReport, seq, blocks, n):
     rep = _step(report, seq, "irredundanceCriteriaAgree", doc, is_irredundant, cov)
     if rep is None or not rep.irredundant:
         return
-    rs = _step(report, seq, "rsKleeneRegularBattery", doc, build_rs, tolerance_from_covering(cov))
+    rs = _step(report, seq, "rsKleeneRegularBattery", doc, build_rs, cov.tolerance)
     if rs is None:
         return
     for name, check in RS_CHECKS:

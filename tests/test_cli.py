@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import time
 
@@ -389,13 +390,14 @@ class TestRoutes:
         assert top_rung_digest(rung) == digest
 
     @pytest.mark.parametrize("rung, digest, builds", [
-        (*TOP_RUNGS[0], 1), (*TOP_RUNGS[1], 0),
+        (*TOP_RUNGS[0], 0), (*TOP_RUNGS[1], 0),
     ])
     def test_top_rung_builds_no_order_rows(self, monkeypatch, rung, digest, builds):
         """Both top rungs keep their bytes while their D(J) lattices decide
-        every order fact on codes and covers: represent builds the P-bit
-        rows below and above of no lattice, and verify builds them once,
-        for the join-fold oracle of rs_join_irreducibles."""
+        every order fact on codes and covers: neither represent nor verify
+        builds the P-bit rows below and above of any lattice, since
+        rs_join_irreducibles decides on the pairs and folds only after a
+        failed decision."""
         real = posets._CodedPoset._build_rows
         built = []
 
@@ -487,9 +489,20 @@ class TestEnumerate:
         assert all(p["failures"] == 0 for p in report["properties"])
 
     def test_bounds_need_force(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--universe-max", "9")
+        code, _, err = run_cli(capsys, "enumerate", "--lattice-max", "9")
         assert code == 2
         assert "--force" in err
+
+    def test_any_universe_bound_gives_the_five_point_report(self, capsys):
+        """Both point sweeps stop at five points, so --universe-max needs no
+        --force: 9 gives the bytes of 5, but for the measured runtime."""
+        def report(bound):
+            code, out, err = run_cli(capsys, "enumerate", "--universe-max", bound, "--lattice-max", "1")
+            return code, re.sub(r'"runtimeSeconds": [0-9.]+', "", out), err
+
+        five, nine = report("5"), report("9")
+        assert five[0] == 0
+        assert nine == five
 
     def test_canonical_dedup_shrinks_instance_count(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--universe-max", "3", "--lattice-max", "1")
@@ -551,7 +564,7 @@ class TestRender:
 
 @pytest.mark.parametrize("command, fixture, ji_folds, distributive_folds", [
     ("represent", "jposet_two_level.json", 0, 0),
-    ("verify", "partition_2_3.json", 1, 0),
+    ("verify", "partition_2_3.json", 0, 0),
     ("check", "four_chain.json", 1, 1),
 ])
 def test_join_irreducibles_and_distributivity_fold_at_most_once_never_on_D_of_J(
@@ -559,8 +572,9 @@ def test_join_irreducibles_and_distributivity_fold_at_most_once_never_on_D_of_J(
     """join_irreducibles and is_distributive run at most once per lattice,
     counted wherever a module of the package holds them, and never while a
     downset lattice D(J) is built: it reads both from J.  represent builds
-    two D(J) lattices and folds neither; verify's one fold is the
-    joinIrreducibleFormulas check; check builds one keyed lattice."""
+    two D(J) lattices and folds neither; verify folds neither, since its
+    joinIrreducibleFormulas check decides on the pairs; check builds one
+    keyed lattice."""
     calls = dict.fromkeys(("join_irreducibles", "is_distributive"), 0)
     for name in calls:
         wrap_everywhere(monkeypatch, getattr(posets, name), counting(calls))
@@ -594,15 +608,16 @@ def test_induced_covering_is_not_rechecked_for_irredundance(
     covering and inducing, so it runs blocks_of once and is_irredundant
     never.  represent's other blocks_of is is_irredundant on the spans;
     verify's are is_irredundant on the given covering and the report's
-    block list."""
+    block list.  Each covering builds its tolerance once (Covering.tolerance):
+    the spans or the given covering, and the induced covering."""
     from roughkleene import rough
 
-    calls = {"blocks_of": 0, "is_irredundant": 0}
-    wrap_everywhere(monkeypatch, rough.blocks_of, counting(calls))
-    wrap_everywhere(monkeypatch, rough.is_irredundant, counting(calls))
+    calls = {"blocks_of": 0, "is_irredundant": 0, "tolerance_from_covering": 0}
+    for name in calls:
+        wrap_everywhere(monkeypatch, getattr(rough, name), counting(calls))
     code, _, _ = run_cli(capsys, command, fixture_path(fixture))
     assert code == 0
-    assert calls == {"blocks_of": blocks, "is_irredundant": 1}
+    assert calls == {"blocks_of": blocks, "is_irredundant": 1, "tolerance_from_covering": 2}
 
 
 def test_small_lattice_corpus_keeps_its_bytes(capsys, tmp_path):

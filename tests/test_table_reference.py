@@ -83,6 +83,7 @@ from roughkleene.represent import (
     represent,
 )
 from roughkleene import rough
+from roughkleene.reports import verify_report
 from roughkleene.rough import (
     Covering,
     FormulaMismatch,
@@ -636,13 +637,28 @@ def mutated(tol, x, y):
     return tol
 
 
+def relabelled(tol, rng):
+    """tol with its points in a seeded order."""
+    perm = rng.sample(range(tol.n), tol.n)
+    nbr = [0] * tol.n
+    for x, r in enumerate(tol.nbr):
+        nbr[perm[x]] = mask_of(perm[y] for y in bits(r))
+    return Tolerance(tol.labels, nbr)
+
+
 class TestPowerset:
     def test_against_per_subset_approximations(self):
         """The table, its pairs and its images against the definitions,
-        from U = 0 to the verify-large ladder and one covering at the cap."""
+        from U = 0 to the verify-large ladder, in two seeded relabellings,
+        and one covering at the cap.  The distinct pairs are found over one
+        int code per subset (_powerset_table), the images are their
+        projections, and they equal the sets of the subsets' tuples."""
+        rng = random.Random(25)
         ladder = [*map(partition, (4, 5, 6)), *map(path, (4, 5, 6, 7)), path_and_singleton()]
+        relabellings = [relabelled(tol, rng) for tol in ladder[:-1] for _ in range(2)]
         counts = []
-        for tol in [Tolerance([], []), *small_tolerances(), *seeded_tolerances(), *ladder]:
+        for tol in [Tolerance([], []), *small_tolerances(), *seeded_tolerances(), *relabellings,
+                    *ladder]:
             subsets = [ref_approximations(tol, X) for X in range(1 << tol.n)]
             assert list(zip(*_approximation_table(tol))) == subsets
             pairs = _powerset_pairs(tol)
@@ -653,6 +669,25 @@ class TestPowerset:
             counts.append(len(pairs))
         assert _approximation_table(Tolerance([], [])) == (array("Q", [0]), array("Q", [0]))
         assert counts[-len(ladder):] == [81, 243, 729, 41, 99, 239, 577, 1154]
+
+    def test_image_report_calls_no_tolerance_method(self, monkeypatch):
+        """powerset_image_report reads every lower, upper, closure and
+        interior from the table: on the 522 coverings, with the Tolerance
+        methods refused, it returns the projections of the pairs."""
+        def refuse(self, X):
+            raise AssertionError("a Tolerance method ran")
+
+        count = 0
+        for n in range(1, 6):
+            for cov in irredundant_coverings(n):
+                pairs = build_rs(cov.tolerance).pairs
+                with monkeypatch.context() as patch:
+                    for name in ("lower", "upper", "closure", "interior"):
+                        patch.setattr(Tolerance, name, refuse)
+                    images = rough.powerset_image_report(cov.tolerance, cov)
+                assert images == (sorted({lo for lo, _ in pairs}), sorted({up for _, up in pairs}))
+                count += 1
+        assert count == 522
 
     def test_lower_and_upper_against_definitions(self):
         for tol in [*small_tolerances(), *seeded_tolerances()]:
@@ -1405,3 +1440,100 @@ class TestPosetCovers:
         for n in [0, 1, 2, *(rng.randrange(3, 40) for _ in range(200))]:
             poset = random_poset(rng, n)
             assert poset.covers() == ref_covers(poset)
+
+
+def decision_corpus():
+    """The algebra of each of the 522 irredundant coverings on up to 5
+    points, then of the partition into seven pairs (P = 2187) and of the
+    7-block path (P = 577)."""
+    for n in range(1, 6):
+        for cov in irredundant_coverings(n):
+            yield build_rs(cov.tolerance)
+    yield build_rs(partition(7))
+    yield build_rs(path(7))
+
+
+class TestPairDecision:
+    """rough._join_irreducible_atoms, the decision rs_join_irreducibles
+    makes on the pairs, against the join folds it replaced on the passing
+    path."""
+
+    def test_equals_the_folds(self):
+        """On the block formulas F, and on the folds' own members, the
+        decision gives the folds' atoms, and F is the folds' members."""
+        sizes = []
+        for rs in decision_corpus():
+            ji = join_irreducibles(rs.lattice)
+            members = sorted(rs.pairs[j] for j in ji.members)
+            atoms = sorted(rs.pairs[a] for a in ji.atoms)
+            formula = rough.formula_join_irreducibles(rs.tolerance, rs.covering)
+            assert formula == members
+            assert rough._join_irreducible_atoms(rs, formula) == atoms
+            assert rough._join_irreducible_atoms(rs, members) == atoms
+            sizes.append(rs.n)
+        assert len(sizes) == 524 and sizes[-2:] == [2187, 577]
+
+    def test_every_mutant_fails(self):
+        """On every covering, F without any one member, and F with one
+        seeded pair outside J, fail the decision: 3,240 mutants."""
+        rng = random.Random(25)
+        mutants = 0
+        for n in range(1, 6):
+            for cov in irredundant_coverings(n):
+                rs = build_rs(cov.tolerance)
+                formula = rough.formula_join_irreducibles(rs.tolerance, cov)
+                outside = [pair for pair in rs.pairs if pair not in formula]
+                for k in range(len(formula)):
+                    assert rough._join_irreducible_atoms(rs, formula[:k] + formula[k + 1:]) is None
+                    mutants += 1
+                added = sorted(formula + [rng.choice(outside)])
+                assert rough._join_irreducible_atoms(rs, added) is None
+                mutants += 1
+        assert mutants == 3240
+
+    def test_a_pair_outside_the_algebra_fails(self):
+        rs = build_rs(partition(2))
+        formula = rough.formula_join_irreducibles(rs.tolerance, rs.covering)
+        assert rough._join_irreducible_atoms(rs, formula) is not None
+        assert rough._join_irreducible_atoms(rs, sorted(formula + [(1, 3)])) is None
+
+    @pytest.mark.parametrize("blocks, mutate, error", [
+        ([3, 12, 48], lambda f: f[1:],
+         "join-irreducibles: {'formula': [(0, 12), (0, 48), (3, 3), (12, 12), (48, 48)], "
+         "'lattice': [(0, 3), (0, 12), (0, 48), (3, 3), (12, 12), (48, 48)]}"),
+        ([7, 28, 112], lambda f: f[:3] + f[4:],
+         "join-irreducibles: {'formula': [(0, 7), (0, 28), (0, 112), (8, 127), (96, 124)], "
+         "'lattice': [(0, 7), (0, 28), (0, 112), (3, 31), (8, 127), (96, 124)]}"),
+        ([7, 28, 112], lambda f: sorted(f + [(0, 31)]),
+         "join-irreducibles: {'formula': [(0, 7), (0, 28), (0, 31), (0, 112), (3, 31), (8, 127), "
+         "(96, 124)], 'lattice': [(0, 7), (0, 28), (0, 112), (3, 31), (8, 127), (96, 124)]}"),
+        ([7, 28, 112], lambda f: sorted(f + [(0, 0)]),
+         "join-irreducibles: {'formula': [(0, 0), (0, 7), (0, 28), (0, 112), (3, 31), (8, 127), "
+         "(96, 124)], 'lattice': [(0, 7), (0, 28), (0, 112), (3, 31), (8, 127), (96, 124)]}"),
+    ])
+    def test_a_failed_decision_keeps_the_fold_payload(self, monkeypatch, blocks, mutate, error):
+        """formula_join_irreducibles patched, after the call that builds
+        the algebra, to drop a member or to add a pair: verify reports the
+        folds' FormulaMismatch, with the bytes of the fold-only check."""
+        real = rough.formula_join_irreducibles
+        calls = []
+
+        def patched(tol, cov):
+            calls.append(cov)
+            return real(tol, cov) if len(calls) == 1 else mutate(real(tol, cov))
+
+        monkeypatch.setattr(rough, "formula_join_irreducibles", patched)
+        n = max(blocks).bit_length()
+        report = verify_report(Covering([str(i) for i in range(n)], blocks))
+        assert report["failures"] == [
+            {"check": "joinIrreducibleFormulas", "error": f"FormulaMismatch: {error}"}
+        ]
+        assert len(calls) == 2
+
+    def test_a_fold_that_finds_nothing_raises(self, monkeypatch):
+        """A failed decision whose folds agree with the formulas is a
+        defect: it raises, never passes."""
+        monkeypatch.setattr(rough, "_join_irreducible_atoms", lambda rs, candidates: None)
+        with pytest.raises(FormulaMismatch, match="^the pair decision disagrees with the join folds"):
+            rough.rs_join_irreducibles(build_rs(partition(2)))
+
