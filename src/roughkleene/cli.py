@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true", help="dedup tolerances by isomorphism")
     p.add_argument("--force", action="store_true", help="lift the --lattice-max bound")
     p.add_argument("--workers", type=int, default=None,
-                   help=f"worker pool size (default: ${'{'}ROUGHKLEENE_WORKERS{'}'} or 1)")
+                   help=f"worker pool size, at most one per CPU (default: ${'{'}ROUGHKLEENE_WORKERS{'}'} or 1)")
     p.add_argument("--witness-dir", help="write failing-property and finding witness files here")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_enumerate)

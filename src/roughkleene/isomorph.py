@@ -1,4 +1,5 @@
-"""Isomorphism search and canonical forms for small binary relations.
+"""Canonical forms for small binary relations: two are isomorphic exactly
+when their keys are equal.
 
 A relation on n points is given as row masks: rows[i] has bit j set iff
 i R j.  Posets pass their order relation, tolerance graphs their adjacency.
@@ -140,60 +141,6 @@ def canonical_key(n, rows):
 
     walk([], 0, _refine(n, outs, ins, (0,) * n), [])
     return (n,) + best
-
-
-def isomorphisms(n_a, rows_a, n_b, rows_b, respecting=()):
-    """Yield all bijections f with a R b iff f(a) R' f(b).
-
-    respecting: pairs of unary tables (op_a, op_b) that f must intertwine,
-    f(op_a[x]) == op_b[f(x)].
-    """
-    if n_a != n_b:
-        return
-    n = n_a
-    col_a = _refine(n, *_neighbours(n, rows_a), (0,) * n)
-    col_b = _refine(n, *_neighbours(n, rows_b), (0,) * n)
-    if sorted(col_a) != sorted(col_b):
-        return
-    order = sorted(range(n), key=lambda v: (col_a[v], v))
-    f = [-1] * n
-    used = 0
-
-    def ok(a, b):
-        if col_a[a] != col_b[b]:
-            return False
-        for a2 in order:
-            b2 = f[a2]
-            if b2 < 0:
-                continue
-            if (rows_a[a] >> a2 & 1) != (rows_b[b] >> b2 & 1):
-                return False
-            if (rows_a[a2] >> a & 1) != (rows_b[b2] >> b & 1):
-                return False
-        for op_a, op_b in respecting:
-            if f[op_a[a]] >= 0 and f[op_a[a]] != op_b[b]:
-                return False
-        return True
-
-    def place(k):
-        nonlocal used
-        if k == n:
-            for op_a, op_b in respecting:
-                if any(f[op_a[x]] != op_b[f[x]] for x in range(n)):
-                    return
-            yield tuple(f)
-            return
-        a = order[k]
-        for b in range(n):
-            if used >> b & 1 or not ok(a, b):
-                continue
-            f[a] = b
-            used |= 1 << b
-            yield from place(k + 1)
-            f[a] = -1
-            used ^= 1 << b
-
-    yield from place(0)
 
 
 def lattice_key(lat):

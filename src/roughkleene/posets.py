@@ -27,19 +27,16 @@ inclusion_lattice built it:
   decide order facts on the codes and the covers instead;
 - _keyed_lattice, for orders not known to be lattices (inclusion_lattice,
   Lattice.from_poset): it streams the meet and join keys of the P²/2 pairs
-  into its key maps while it proves the order a lattice, then finds the
-  join-irreducibles and decides distributivity by join folds
-  (join_irreducibles, is_distributive).  Its poset holds below and above
-  (a _CodedPoset of the sets, for inclusion_lattice, builds both at once),
-  and lat.covers is read from them (Poset.covers) on first use.  A keyed
-  lattice is kept only when it is not distributive, or built by
-  inclusion_lattice; lat.points is None exactly on a keyed lattice.
+  into its key maps while it proves the order a lattice, then reads the
+  join-irreducibles from the covers of its poset's rows (Poset.covers,
+  join_irreducibles) and decides distributivity by join folds
+  (is_distributive).  A keyed lattice is kept only when it is not
+  distributive, or built by inclusion_lattice; lat.points is None exactly
+  on a keyed lattice.
 
 Either way each is found once per lattice: every reader takes lat.ji and
-lat.distributive.  The fold routes also stay callable on any lattice: the
-tests run them as the oracle of every route that reads J, and
-rough.rs_join_irreducibles runs join_irreducibles only after its decision
-on the pairs has failed, to name the mismatch.
+lat.distributive.  rough.rs_join_irreducibles runs join_irreducibles only
+after its decision on the pairs has failed, to name the mismatch.
 """
 
 from __future__ import annotations
@@ -270,8 +267,8 @@ def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Seque
     below is then proved an order: each ↓j holds j, and ↓j and ↓j∖{j} are
     members, so down-closed (transitivity and antisymmetry); PosetError
     otherwise.  So J is known and nothing is folded: lat.points is below,
-    lat.ji is the ↓j, each covering ↓j∖{j} alone, its atoms the ↓j of the
-    minimal j, and lat.distributive is True.
+    lat.ji is the ↓j, its atoms the ↓j of the minimal j, and
+    lat.distributive is True.
     """
     check_table_size(len(downsets))
     index = {d: i for i, d in enumerate(downsets)}
@@ -297,18 +294,16 @@ def downset_lattice(labels: Sequence[str], downsets: Sequence[int], below: Seque
             lows.append(i)
             highs.append(k)
             free ^= low
-    lower = {}
     for j, b in enumerate(below):
         if not b >> j & 1 or b not in index or b ^ 1 << j not in index:
             raise PosetError(f"below is not an order at point {j}")
-        lower[index[b]] = index[b ^ 1 << j]
     codes = tuple(downsets)
     lat = Lattice(_CodedPoset(labels, codes, width), codes, codes, index, index,
                   index[0], index[(1 << width) - 1])
     lat._covers, lat.points = (lows, highs), tuple(below)
-    members = tuple(sorted(lower))
-    atoms = tuple(j for j in members if lower[j] == lat.bottom)
-    lat.ji = JoinIrreducibles(members, lower, atoms, mask_of(members))
+    members = tuple(sorted(index[b] for b in below))
+    atoms = tuple(i for i in members if codes[i].bit_count() == 1)
+    lat.ji = JoinIrreducibles(members, atoms, mask_of(members))
     lat.distributive = True
     return lat
 
@@ -361,17 +356,6 @@ def downsets(below: Sequence[int]) -> list:
             raise TableCapExceeded(f"more than {MAX_TABLE_ELEMENTS}")
     out.sort()
     return out
-
-
-class SpatialityFailure(PosetError):
-    """Some element is not the join of the join-irreducibles below it.
-
-    Impossible for a finite lattice; raised only to flag corrupted input.
-    """
-
-    def __init__(self, element):
-        self.element = element
-        super().__init__(f"element {element} is not a join of join-irreducibles")
 
 
 @dataclass(frozen=True)
@@ -580,13 +564,14 @@ class Lattice:
     lattice by looking up every pair's keys (inclusion_lattice with the
     sets as both codes, from_poset with ↓x and L∖↑x).  Each then sets ji,
     the JoinIrreducibles of the lattice, and distributive, once per
-    lattice: downset_lattice reads both from J, and _keyed_lattice folds
-    (join_irreducibles, is_distributive).  from_poset hands every
-    distributive lattice on to downset_lattice, so it is D(J).
+    lattice: downset_lattice reads both from J, and _keyed_lattice reads ji
+    from the covers (join_irreducibles) and folds (is_distributive).
+    from_poset hands every distributive lattice on to downset_lattice, so
+    it is D(J).
 
     covers holds the covering pairs as (lower ids, upper ids):
     downset_lattice sets them from its family proof, and any other lattice
-    reads them from its poset (Poset.covers) on first use and keeps them.
+    reads them from its poset (Poset.covers) and keeps them.
     points, the masks ↓p of J over which the codes of a D(J) lattice run,
     is None exactly on a keyed lattice.
     """
@@ -616,7 +601,7 @@ class Lattice:
     def from_poset(cls, p: Poset) -> "Lattice":
         """The lattice of a poset, or NotALattice at the first bad pair:
         _keyed_lattice with the meet codes ↓x and the join codes L∖↑x,
-        returned as it is when the folds find it not distributive.
+        returned as it is when it is not distributive.
 
         ↓i ∩ ↓j is the downset of the common lower bounds, and L∖↑i ∪ L∖↑j
         is the complement of the upset of the common upper bounds, so on a
@@ -708,8 +693,7 @@ class JoinIrreducibles:
     """Join-irreducible elements of a lattice: each covers exactly one element."""
 
     members: tuple          # ids, ascending
-    lower_cover: dict       # j -> its unique lower cover
-    atoms: tuple            # ids j with lower_cover[j] == bottom
+    atoms: tuple            # the members that cover the bottom
     member_mask: int
 
     def __contains__(self, j: int) -> bool:
@@ -717,28 +701,15 @@ class JoinIrreducibles:
 
 
 def join_irreducibles(lat: Lattice) -> JoinIrreducibles:
-    """Elements != bottom with exactly one lower cover; also checks spatiality.
-
-    j has one lower cover c iff c = ⋁(↓j∖{j}) is not j: if j covers c alone,
-    all of ↓j∖{j} lies below c; if j covers c and d, c < c v d <= j forces
-    c v d = j.  The bottom's join is the empty one, itself.  So each element
-    costs one join fold (Lattice.join_of), and so does its spatiality test,
-    x = ⋁(↓x ∩ J).
-    """
-    below = lat.poset.below
-    members, lower, atoms = [], {}, []
-    for j in range(lat.n):
-        c = lat.join_of(below[j] ^ (1 << j))
-        if c != j:
-            members.append(j)
-            lower[j] = c
-            if c == lat.bottom:
-                atoms.append(j)
-    jmask = mask_of(members)
-    for x in range(lat.n):
-        if lat.join_of(below[x] & jmask) != x:
-            raise SpatialityFailure(x)
-    return JoinIrreducibles(tuple(members), lower, tuple(atoms), jmask)
+    """The elements with exactly one lower cover (Davey & Priestley, ch. 2),
+    in one pass over lat.covers; the atoms are those whose cover is the
+    bottom, which has none."""
+    lower = {}
+    for lo, hi in zip(*lat.covers):
+        lower[hi] = None if hi in lower else lo
+    members = tuple(sorted(j for j, lo in lower.items() if lo is not None))
+    atoms = tuple(j for j in members if lower[j] == lat.bottom)
+    return JoinIrreducibles(members, atoms, mask_of(members))
 
 
 def is_distributive(lat: Lattice) -> bool:

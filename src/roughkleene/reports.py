@@ -22,7 +22,6 @@ from .rough import (
     RS_CHECKS,
     BoundsExceeded,
     Covering,
-    blocks_of,
     build_rs,
     is_irredundant,
     isolated_blocks,
@@ -102,7 +101,7 @@ def verify_report(obj) -> dict:
     if tol.n > POWERSET_CAP:
         raise BoundsExceeded(tol.n, POWERSET_CAP)
     labels = tol.labels
-    report["blocks"] = [_set_names(labels, b) for b in blocks_of(tol)]
+    report["blocks"] = [_set_names(labels, b) for b in tol.blocks]
     try:
         rs, bad = build_rs(tol), None
     except NotALattice as exc:

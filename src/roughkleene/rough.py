@@ -41,8 +41,8 @@ The checks of a built covering algebra (RS_CHECKS) decide the same way, on
 the pairs and per point, with no join fold and no P-bit row: the block
 formulas are J exactly when no formula is the join of the pairs below it
 and every pair is the join of the formulas below it
-(_join_irreducible_atoms); only a failed decision folds, to name the
-mismatch.
+(_join_irreducible_atoms); only a failed decision reads J from the
+lattice's covers, to name the mismatch.
 """
 
 from __future__ import annotations
@@ -105,9 +105,12 @@ def _fmt_set(mask, labels):
 
 
 class Tolerance:
-    """Reflexive symmetric relation; nbr[x] is the bitmask of R(x)."""
+    """Reflexive symmetric relation; nbr[x] is the bitmask of R(x).
 
-    __slots__ = ("n", "labels", "nbr")
+    blocks is blocks_of(self), built on first read and kept, so each
+    tolerance finds its blocks once."""
+
+    __slots__ = ("n", "labels", "nbr", "_blocks")
 
     def __init__(self, labels, nbr):
         n = len(nbr)
@@ -123,6 +126,13 @@ class Tolerance:
                 if not nbr[y] >> x & 1:
                     raise ToleranceError(f"relation not symmetric at ({x},{y})")
         self.nbr = nbr
+        self._blocks = None
+
+    @property
+    def blocks(self) -> tuple:
+        if self._blocks is None:
+            self._blocks = tuple(blocks_of(self))
+        return self._blocks
 
     @classmethod
     def from_pairs(cls, labels, pairs):
@@ -298,7 +308,7 @@ def is_irredundant(cov: Covering) -> IrredundanceReport:
             "irredundance criteria disagree", {"removable": removable, "missing": missing}
         )
     if removable is None:
-        blocks = set(blocks_of(tol))
+        blocks = set(tol.blocks)
         block_nbrs = {tol.nbr[x] for x in range(cov.n) if tol.nbr[x] in blocks}
         if block_nbrs != set(cov.blocks):
             raise FormulaMismatch(
@@ -325,7 +335,7 @@ def induced_irredundant_covering(tol: Tolerance):
     (build_tolerance_universe) and on every antichain covering of the
     sweep (irredundanceCriteriaAgree).
     """
-    blocks = set(blocks_of(tol))
+    blocks = set(tol.blocks)
     family = sorted({nb for nb in tol.nbr if nb in blocks})
     union = 0
     for b in family:
@@ -781,9 +791,9 @@ def rs_join_irreducibles(rs: RoughSetAlgebra) -> RSJoinIrreducibles:
     The check is _join_irreducible_atoms, an exact decision on the pairs:
     downset_lattice reads lattice.ji from the formula J itself, so
     comparing with lattice.ji would prove nothing.  Only a failed decision
-    runs the order's route, posets.join_irreducibles, the join folds on
-    the built lattice, to name the mismatch of the members or the atoms;
-    a fold that finds none is a defect and raises too.
+    runs the order's route, posets.join_irreducibles on the covers of the
+    built lattice, to name the mismatch of the members or the atoms; a
+    route that finds none is a defect and raises too.
     """
     if rs.covering is None:
         raise ToleranceError("join-irreducible formulas need an irredundant covering")

@@ -314,10 +314,11 @@ def _run_chunk(task):
 
 def _sweep(evaluate, items, workers) -> EnumerationReport:
     """Evaluate the (seq, *args) items (_run_chunk), serially, or in one
-    chunk per worker over a process pool, the parts merged.  The items are
-    plain tuples, so the pool pickles them.  runtime_seconds is the wall
-    time of the whole sweep, building the items included."""
-    workers = worker_count() if workers is None else workers
+    chunk per worker over a process pool of at most one process per CPU,
+    the parts merged.  The items are plain tuples, so the pool pickles
+    them.  runtime_seconds is the wall time of the whole sweep, building
+    the items included."""
+    workers = min(worker_count() if workers is None else workers, os.cpu_count() or 1)
     start = time.perf_counter()
     items = list(items)
     if workers <= 1 or not items:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 
 from roughkleene.demorgan import DeMorgan, build_kleene_from_jposet, validate_demorgan
-from roughkleene.isomorph import isomorphisms
+from roughkleene.isomorph import _neighbours, _refine
 from roughkleene.posets import Lattice, Poset, mask_of
 from roughkleene.rough import Covering, Tolerance, tolerance_from_covering
 
@@ -25,9 +25,72 @@ def rows(lat: Lattice):
             tuple(tuple(lat.join(i, j) for j in ids) for i in ids))
 
 
+def isomorphisms(n_a, rows_a, n_b, rows_b, respecting=()):
+    """Yield all bijections f with a R b iff f(a) R' f(b).
+
+    respecting: pairs of unary tables (op_a, op_b) that f must intertwine,
+    f(op_a[x]) == op_b[f(x)].
+    """
+    if n_a != n_b:
+        return
+    n = n_a
+    col_a = _refine(n, *_neighbours(n, rows_a), (0,) * n)
+    col_b = _refine(n, *_neighbours(n, rows_b), (0,) * n)
+    if sorted(col_a) != sorted(col_b):
+        return
+    order = sorted(range(n), key=lambda v: (col_a[v], v))
+    f = [-1] * n
+    used = 0
+
+    def ok(a, b):
+        if col_a[a] != col_b[b]:
+            return False
+        for a2 in order:
+            b2 = f[a2]
+            if b2 < 0:
+                continue
+            if (rows_a[a] >> a2 & 1) != (rows_b[b] >> b2 & 1):
+                return False
+            if (rows_a[a2] >> a & 1) != (rows_b[b2] >> b & 1):
+                return False
+        for op_a, op_b in respecting:
+            if f[op_a[a]] >= 0 and f[op_a[a]] != op_b[b]:
+                return False
+        return True
+
+    def place(k):
+        nonlocal used
+        if k == n:
+            for op_a, op_b in respecting:
+                if any(f[op_a[x]] != op_b[f[x]] for x in range(n)):
+                    return
+            yield tuple(f)
+            return
+        a = order[k]
+        for b in range(n):
+            if used >> b & 1 or not ok(a, b):
+                continue
+            f[a] = b
+            used |= 1 << b
+            yield from place(k + 1)
+            f[a] = -1
+            used ^= 1 << b
+
+    yield from place(0)
+
+
 def find_isomorphism(n_a, rows_a, n_b, rows_b):
     """The first isomorphism of the two orders, or None."""
     return next(isomorphisms(n_a, rows_a, n_b, rows_b), None)
+
+
+def reversed_ids(lat):
+    """The same lattice with element i renamed n-1-i, so that the ids run
+    against the order instead of along a linear extension."""
+    n = lat.n
+    flip = [n - 1 - i for i in range(n)]
+    below = [mask_of(flip[j] for j in range(n) if lat.poset.below[flip[i]] >> j & 1) for i in range(n)]
+    return Lattice.from_poset(Poset([lat.labels[flip[i]] for i in range(n)], below))
 
 
 def chain(n: int) -> Lattice:

@@ -9,7 +9,7 @@ is kept here as an oracle over the exhaustive corpus.
 """
 
 import pytest
-from conftest import diamond_m3, fixture_path, rows
+from conftest import chain, diamond_m3, fixture_path, reversed_ids, rows
 
 from roughkleene import jsonio
 from roughkleene.demorgan import (
@@ -28,7 +28,7 @@ from roughkleene.posets import (
     JoinIrreducibles,
     Lattice,
     Poset,
-    SpatialityFailure,
+    PosetError,
     bits,
     has_two_levels,
     is_distributive,
@@ -322,11 +322,40 @@ def test_compute_g_against_the_meet_of_the_list():
     assert outcomes == {"GNotJoinIrreducible", "J-law", "ok"}
 
 
+class SpatialityFailure(PosetError):
+    """Some element is not the join of the join-irreducibles below it:
+    impossible in a finite lattice, so only a bent table raises it."""
+
+    def __init__(self, element):
+        self.element = element
+        super().__init__(f"element {element} is not a join of join-irreducibles")
+
+
+def fold_join_irreducibles(lat):
+    """The join-fold route: j has one lower cover c iff c = ⋁(↓j∖{j}) is
+    not j, since if j covers c and d, c < c ∨ d <= j forces c ∨ d = j; the
+    bottom's join is the empty one, itself.  Then the spatiality pass:
+    each x is the join_of the join-irreducibles below it."""
+    below = lat.poset.below
+    members, atoms = [], []
+    for j in range(lat.n):
+        c = lat.join_of(below[j] ^ (1 << j))
+        if c != j:
+            members.append(j)
+            if c == lat.bottom:
+                atoms.append(j)
+    jmask = mask_of(members)
+    for x in range(lat.n):
+        if lat.join_of(below[x] & jmask) != x:
+            raise SpatialityFailure(x)
+    return JoinIrreducibles(tuple(members), tuple(atoms), jmask)
+
+
 def ref_join_irreducibles(lat):
     """The lower-covers walk: j != bottom with exactly one lower cover, and
     each element the join_all of the join-irreducibles below it."""
     p = lat.poset
-    members, lower, atoms = [], {}, []
+    members, atoms = [], []
     for j in range(p.n):
         if j == lat.bottom:
             continue
@@ -334,37 +363,64 @@ def ref_join_irreducibles(lat):
         covers = [i for i in bits(strict) if p.above[i] & strict == 1 << i]
         if len(covers) == 1:
             members.append(j)
-            lower[j] = covers[0]
             if covers[0] == lat.bottom:
                 atoms.append(j)
     jmask = mask_of(members)
     for x in range(p.n):
         if lat.join_all(bits(p.below[x] & jmask)) != x:
             raise SpatialityFailure(x)
-    return JoinIrreducibles(tuple(members), lower, tuple(atoms), jmask)
+    return JoinIrreducibles(tuple(members), tuple(atoms), jmask)
 
 
 @pytest.mark.parametrize("lattices", [
     pytest.param(lambda: all_lattices(8), id="all-lattices-8"),
+    pytest.param(lambda: map(reversed_ids, all_lattices(8)), id="all-lattices-8-reversed"),
     pytest.param(lambda: all_distributive_lattices(10), id="distributive-10"),
     pytest.param(lambda: [partition_lattice(5)], id="partition-5"),
 ])
 def test_join_irreducibles_against_the_lower_covers(lattices):
+    """Four routes to J agree: the one pass over lat.covers, lat.ji as the
+    builder set it, the lower-covers walk over the rows and the join fold;
+    all_lattices(8) also with its ids reversed, so that they are no linear
+    extension."""
     for lat in lattices():
-        assert join_irreducibles(lat) == lat.ji == ref_join_irreducibles(lat)
+        assert join_irreducibles(lat) == lat.ji == ref_join_irreducibles(lat) \
+            == fold_join_irreducibles(lat)
 
 
 def test_spatiality_failure_on_a_bent_join_table(monkeypatch):
     """0 < a, b < x < t with the join key of a and b bent from x to t: x
-    is then no join of join-irreducibles, on both routes."""
+    is then no join of join-irreducibles on the fold and the rows' walk,
+    while join_irreducibles reads the order's J from the covers."""
     lat = Lattice.from_poset(Poset(["0", "a", "b", "x", "t"], [1, 0b11, 0b101, 0b1111, 0b11111]))
     joins = dict(lat.joins)
     joins[lat.join_codes[1] | lat.join_codes[2]] = 4
     monkeypatch.setattr(lat, "joins", joins)
-    for route in (join_irreducibles, ref_join_irreducibles):
+    for route in (fold_join_irreducibles, ref_join_irreducibles):
         with pytest.raises(SpatialityFailure) as err:
             route(lat)
         assert err.value.element == 3
+    assert join_irreducibles(lat) == JoinIrreducibles((1, 2, 4), (1, 2), 0b10110)
+
+
+@pytest.mark.parametrize("lat, folds", [
+    pytest.param(lambda: chain(200), 199, id="200-chain"),
+    pytest.param(diamond_m3, 1, id="M3"),
+])
+def test_from_poset_folds_only_for_distributivity(monkeypatch, lat, folds):
+    """Lattice.from_poset reads J from the covers with no join fold, so
+    its folds are is_distributive's: one per join-prime member of J up to
+    the first that is not, 199 on the 200-chain and 1 on M3."""
+    calls = []
+    real = Lattice.join_of
+
+    def counted(self, mask):
+        calls.append(mask)
+        return real(self, mask)
+
+    monkeypatch.setattr(Lattice, "join_of", counted)
+    lat()
+    assert len(calls) == folds
 
 
 def _names(lat, ids):

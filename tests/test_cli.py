@@ -599,17 +599,19 @@ def test_check_runs_the_element_battery_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("command, fixture, blocks", [
-    ("represent", "jposet_two_level.json", 2),
-    ("verify", "partition_2_3.json", 3),
+    ("represent", "jposet_two_level.json", 1),
+    ("verify", "partition_2_3.json", 1),
 ])
 def test_induced_covering_is_not_rechecked_for_irredundance(
         capsys, monkeypatch, command, fixture, blocks):
     """induced_irredundant_covering proves its family irredundant from
-    covering and inducing, so it runs blocks_of once and is_irredundant
-    never.  represent's other blocks_of is is_irredundant on the spans;
-    verify's are is_irredundant on the given covering and the report's
-    block list.  Each covering builds its tolerance once (Covering.tolerance):
-    the spans or the given covering, and the induced covering."""
+    covering and inducing, so it runs is_irredundant never.  Each
+    tolerance finds its blocks once (Tolerance.blocks): represent's are
+    read by is_irredundant on the spans and by induced_irredundant_covering
+    on their tolerance; verify's by is_irredundant on the given covering,
+    the report's block list and induced_irredundant_covering.  Each
+    covering builds its tolerance once (Covering.tolerance): the spans or
+    the given covering, and the induced covering."""
     from roughkleene import rough
 
     calls = {"blocks_of": 0, "is_irredundant": 0, "tolerance_from_covering": 0}

@@ -1,9 +1,16 @@
 import random
 
-from conftest import boolean_lattice, chain, diamond_m3, find_isomorphism, pentagon_n5
+from conftest import (
+    boolean_lattice,
+    chain,
+    diamond_m3,
+    find_isomorphism,
+    isomorphisms,
+    pentagon_n5,
+)
 
 from roughkleene.generators import all_lattices, product_of_chains
-from roughkleene.isomorph import isomorphisms, lattice_key
+from roughkleene.isomorph import lattice_key
 from roughkleene.posets import Lattice, Poset
 
 

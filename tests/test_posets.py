@@ -308,10 +308,11 @@ class TestJoinIrreducibles:
         assert ji.members == ji.atoms == (1, 2, 4)
 
     def test_three_chain(self):
-        ji = join_irreducibles(chain(3))
+        lat = chain(3)
+        ji = join_irreducibles(lat)
         assert ji.members == (1, 2)
         assert ji.atoms == (1,)
-        assert ji.lower_cover[2] == 1
+        assert [lo for lo, hi in zip(*lat.covers) if hi == 2] == [1]
 
     def test_two_level_fixture_counts(self):
         dm = two_level_fixture()

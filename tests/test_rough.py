@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     full_tolerance,
     identity_tolerance,
+    isomorphisms,
     rows,
     two_level_covering,
     two_level_fixture,
@@ -19,7 +20,7 @@ from roughkleene.generators import (
     product_of_chains,
     tolerance_from_encoding,
 )
-from roughkleene.isomorph import isomorphisms, lattice_key
+from roughkleene.isomorph import lattice_key
 from roughkleene import rough
 from roughkleene.posets import NotALattice, TableCapExceeded, bits, mask_of
 from roughkleene.rough import (

@@ -1,9 +1,10 @@
 import json
+import os
 
 import pytest
 from conftest import fixture_path
 
-from roughkleene import jsonio, rough
+from roughkleene import jsonio, rough, sweeps
 from roughkleene.generators import all_lattices, antichain_coverings
 from roughkleene.reports import verify_report
 from roughkleene.sweeps import (
@@ -14,6 +15,14 @@ from roughkleene.sweeps import (
     sweep_tolerances,
     worker_count,
 )
+
+
+@pytest.fixture(autouse=True)
+def two_cpus_at_least(monkeypatch):
+    """The pool takes at most one process per CPU, so on a one-CPU host
+    the pooled tests would run serially; they keep a real 2-process pool."""
+    cpus = os.cpu_count() or 1
+    monkeypatch.setattr(os, "cpu_count", lambda: max(cpus, 2))
 
 
 class TestWorkerEnv:
@@ -211,3 +220,33 @@ def test_the_lattice_sweep_computes_g_once_per_structure(monkeypatch):
         outcome = failing[name]
         assert (outcome.checked, outcome.failures) == (structures, structures)
         assert outcome.first_witness[1]["error"] == error
+
+
+@pytest.mark.parametrize("cpus, pools", [(2, [2]), (3, [3]), (None, [])])
+def test_the_pool_takes_at_most_one_process_per_cpu(monkeypatch, cpus, pools):
+    """A worker count past the CPU count, from --workers or the environment,
+    makes a pool of one process per CPU, and none when the count is
+    unknown.  The pool is a stand-in that records its size and runs the
+    chunks in-process, so no process starts; the report is the serial one."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    serial = sweep_coverings(3, workers=1).to_dict(include_runtime=False)
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert sweep_coverings(3, workers=100_000).to_dict(include_runtime=False) == serial
+    monkeypatch.setenv("ROUGHKLEENE_WORKERS", "100000")
+    assert sweep_coverings(3).to_dict(include_runtime=False) == serial
+    assert sizes == pools * 2

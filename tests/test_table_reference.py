@@ -19,7 +19,7 @@ import tracemalloc
 from array import array
 
 import pytest
-from conftest import rows, two_level_fixture, two_level_jposet
+from conftest import isomorphisms, reversed_ids, rows, two_level_fixture, two_level_jposet
 
 from roughkleene import posets
 from roughkleene.demorgan import (
@@ -43,7 +43,6 @@ from roughkleene.generators import (
     random_two_level_structure,
 )
 from roughkleene.generators import _grow_posets_bounded
-from roughkleene.isomorph import isomorphisms
 from roughkleene.posets import (
     Lattice,
     NotALattice,
@@ -529,15 +528,6 @@ class TestFormulaKeys:
                     assert got == mismatch(ref_formula_scan, bent, pairs, lattice)
                     kinds.add(got[0].split(":")[0])
         assert kinds == {"meet", "join"}
-
-
-def reversed_ids(lat):
-    """The same lattice with element i renamed n-1-i, so that the ids run
-    against the order instead of along a linear extension."""
-    n = lat.n
-    flip = [n - 1 - i for i in range(n)]
-    below = [mask_of(flip[j] for j in range(n) if lat.poset.below[flip[i]] >> j & 1) for i in range(n)]
-    return Lattice.from_poset(Poset([lat.labels[flip[i]] for i in range(n)], below))
 
 
 class TestPLaws:
@@ -1286,13 +1276,13 @@ class TestCodeRoutes:
 
     def test_keyed_covers(self):
         """Lattice.from_poset keys exactly the lattices that are not
-        distributive: those have no points and read their covering pairs
-        from their rows on first use, as the old pair loop finds them; a
-        D(J) lattice has the covers its family proof walked."""
+        distributive: those have no points and hold the covering pairs
+        their join-irreducibles were read from, as the old pair loop finds
+        them; a D(J) lattice has the covers its family proof walked."""
         count, distributive = 0, 0
         for lat in keyed_lattices():
             assert (lat.points is None) == (not lat.distributive)
-            assert (lat._covers is None) == (lat.points is None)
+            assert lat._covers is not None
             assert sorted(zip(*lat.covers)) == ref_covers(lat.poset)
             count += 1
             distributive += lat.distributive
@@ -1301,8 +1291,8 @@ class TestCodeRoutes:
     def test_from_poset_returns_D_of_J(self, monkeypatch):
         """Every distributive lattice of keyed_lattices, the product of six
         3-chains and the 2000-chain come out of Lattice.from_poset as D(J):
-        the input poset's labels and rows, the join-irreducibles the folds
-        of its keyed build found, and no P-bit row rebuilt."""
+        the input poset's labels and rows, the join-irreducibles its keyed
+        build found, and no P-bit row rebuilt."""
         keyed, built = [], []
         real_keyed, real_rows = posets._keyed_lattice, posets._CodedPoset._build_rows
 
