@@ -42,11 +42,10 @@ after its decision on the pairs has failed, to name the mismatch.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations_with_replacement, compress, count, islice, repeat, starmap
 from operator import and_, invert, or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -358,8 +357,7 @@ def downsets(below: Sequence[int]) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     """Validation report for a would-be order relation.
 
     Each field holds the lexicographically first witness of a violation,
@@ -688,8 +686,7 @@ class Lattice:
         return out
 
 
-@dataclass(frozen=True)
-class JoinIrreducibles:
+class JoinIrreducibles(NamedTuple):
     """Join-irreducible elements of a lattice: each covers exactly one element."""
 
     members: tuple          # ids, ascending

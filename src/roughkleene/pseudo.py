@@ -15,7 +15,7 @@ Kleene law from demorgan.is_kleene.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .demorgan import DeMorgan, is_kleene
 from .posets import (
@@ -197,8 +197,7 @@ def _star_antitone(lat: Lattice, star) -> bool:
     return codes_within(highs, lows, [codes[s] for s in star])
 
 
-@dataclass(frozen=True)
-class MDNReport:
+class MDNReport(NamedTuple):
     m: bool
     m_witness: tuple | None
     d: bool
@@ -286,8 +285,7 @@ def heyting_implications(dp: DoubleP):
     return tuple(tuple(r) for r in imp), tuple(tuple(r) for r in dimp)
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     """Image of star (or plus): a Boolean algebra inside the lattice."""
 
     members: tuple          # ascending element ids
@@ -332,8 +330,7 @@ def skeletons(dp: DoubleP):
     return Skeleton(s_members, False), Skeleton(p_members, True)
 
 
-@dataclass(frozen=True)
-class PrimeFilterFamily:
+class PrimeFilterFamily(NamedTuple):
     """All prime filters of a finite lattice, as up-set masks.
 
     Every filter of a finite lattice is principal, so the scan runs over
@@ -371,8 +368,7 @@ def prime_filters(lat: Lattice) -> PrimeFilterFamily:
     return PrimeFilterFamily(tuple(gens), filters, maximal, chain)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(NamedTuple):
     m: bool
     d: bool
     m_witness: tuple | None
@@ -447,4 +443,4 @@ def demorgan_pseudo_report(dm: DeMorgan, dp: DoubleP):
     kleene, k_witness = is_kleene(dm)
     if report.regular and kleene != report.n:
         raise CriteriaDisagree({"K": kleene, "N": report.n, "regular": True})
-    return replace(report, k=kleene, k_witness=k_witness)
+    return report._replace(k=kleene, k_witness=k_witness)

@@ -11,7 +11,7 @@ and the isomorphism is verified exhaustively, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .demorgan import DeMorgan, compute_g, is_kleene
 from .posets import Lattice, bits, codes_within, has_two_levels, mask_of
@@ -60,8 +60,7 @@ class IsoCheckFailed(RepresentError):
         super().__init__(f"isomorphism fails to preserve {operation} at {witness}")
 
 
-@dataclass(frozen=True)
-class SimilaritySpace:
+class SimilaritySpace(NamedTuple):
     atoms: tuple             # atom ids of the source lattice
     gmap: dict               # self-dual involution on the join-irreducibles
     simeq: frozenset         # ordered atom pairs (x, y) with x <= gmap(y)
@@ -273,8 +272,7 @@ def extend_iso(dm: DeMorgan, dp: DoubleP, phi: dict, rs: RoughSetAlgebra):
     return iso, {"meet": n * n, "join": n * n, "neg": n, "star": n, "plus": n, "order": n * n}
 
 
-@dataclass(frozen=True)
-class RepresentationResult:
+class RepresentationResult(NamedTuple):
     source: DeMorgan
     similarity: SimilaritySpace
     universe: tuple          # source-lattice element ids carrying the points

@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
+from typing import NamedTuple
 
 from .demorgan import compute_g, is_kleene, validate_demorgan
 from .posets import (
@@ -275,8 +275,7 @@ def tolerance_from_covering(cov: Covering) -> Tolerance:
     return Tolerance(cov.labels, nbr)
 
 
-@dataclass(frozen=True)
-class IrredundanceReport:
+class IrredundanceReport(NamedTuple):
     irredundant: bool
     removable: int | None        # a block whose removal keeps the family covering
     not_a_neighborhood: int | None   # a block that is nobody's neighborhood
@@ -724,8 +723,7 @@ def build_rs_spatial(tol: Tolerance) -> RoughSetAlgebra:
     return _assemble(tol, pairs, cov, downsets, below)
 
 
-@dataclass(frozen=True)
-class RSJoinIrreducibles:
+class RSJoinIrreducibles(NamedTuple):
     members: tuple       # pair values, sorted
     atoms: tuple         # pair values, sorted
 
@@ -814,7 +812,7 @@ def rs_join_irreducibles(rs: RoughSetAlgebra) -> RSJoinIrreducibles:
     lattice_atoms = sorted(rs.pairs[a] for a in ji.atoms)
     if atom_formula != lattice_atoms:
         raise FormulaMismatch("atoms", {"formula": atom_formula, "lattice": lattice_atoms})
-    raise FormulaMismatch("the pair decision disagrees with the join folds", {"formula": formula})
+    raise FormulaMismatch("the pair decision disagrees with the lattice's covers", {"formula": formula})
 
 
 def rs_g_map(rs: RoughSetAlgebra) -> dict:
@@ -837,8 +835,7 @@ def rs_g_map(rs: RoughSetAlgebra) -> dict:
     return g
 
 
-@dataclass(frozen=True)
-class IsolatedBlockReport:
+class IsolatedBlockReport(NamedTuple):
     block: int
     isolated: bool       # the three readings of isolated_blocks agree on it
 
@@ -946,32 +943,33 @@ def skeleton_isomorphism_report(rs: RoughSetAlgebra):
 
     The images are the projections of the rough pairs, which are the
     (lower X, upper X) of every X; powerset_image_report sweeps the powerset
-    for them independently."""
+    for them independently.  The map's values are the algebra's own star
+    and plus: _assemble read the star of a pair from its upper set and the
+    plus from its lower one, as the rough pair of the complement, and
+    checked both against J.  A map that reflects the order is one-to-one,
+    so the image test only names that failure first."""
     if rs.covering is None:
         raise ToleranceError("skeleton analysis needs an irredundant covering")
-    tol = rs.tolerance
-    full = (1 << tol.n) - 1
-    los = sorted({lo for lo, _ in rs.pairs})
-    ups = sorted({up for _, up in rs.pairs})
-    star_image = sorted({rs.star[i] for i in range(rs.n)})
-    plus_image = sorted({rs.plus[i] for i in range(rs.n)})
-    for image, target, name in ((ups, star_image, "star"), (los, plus_image, "plus")):
-        mapped = [rs.index[approximations(tol, full & ~b)] for b in image]
-        if sorted(set(mapped)) != target:
+    star_of = dict(zip((up for _, up in rs.pairs), rs.star))
+    plus_of = dict(zip((lo for lo, _ in rs.pairs), rs.plus))
+    for image_of, name in ((star_of, "star"), (plus_of, "plus")):
+        image = sorted(image_of)
+        mapped = [image_of[b] for b in image]
+        if len(set(mapped)) != len(image):
             raise FormulaMismatch(f"{name} skeleton image", {})
-        witness = _reversal_witness(image, mapped, rs.lattice, tol.n)
+        witness = _reversal_witness(image, mapped, rs.lattice, rs.tolerance.n)
         if witness is not None:
             raise FormulaMismatch(f"{name} skeleton order", {"pair": witness})
-    return {"star": len(star_image), "plus": len(plus_image)}
+    return {"star": len(star_of), "plus": len(plus_of)}
 
 
 # The checks that verify and the covering sweep both run on a built algebra
 # whose tolerance an irredundant covering induces, by output name.  Each
 # looks its function up in this module when it runs, so a wrapper or a
 # patch installed here is what both outputs run.  joinIrreducibleFormulas
-# decides on the pairs and folds only after a failure.  The two powerset
-# checks share the algebra's one sweep and its one list of distinct pairs,
-# rs.powerset_table.
+# decides on the pairs and reads the lattice's covers only after a failure.
+# The two powerset checks share the algebra's one sweep and its one list of
+# distinct pairs, rs.powerset_table.
 RS_CHECKS = (
     ("joinIrreducibleFormulas", lambda rs: rs_join_irreducibles(rs) is not None),
     ("gmapClosedForm", lambda rs: rs_g_map(rs) is not None),

@@ -5,17 +5,17 @@ rough-algebra battery), tolerances (lattice census plus the promised
 non-lattice witness), and De Morgan structures on small lattices (the
 regularity-criteria equivalences).  Both point sweeps stop at five points,
 where the non-lattice witness is always found.  All three share one runner
-(_sweep), serial or over a worker pool.  Instances carry sequence numbers so
-the first witness of any failure is deterministic, also under a worker pool,
-and an instance's witness document is built only when a check on it fails.
+(_sweep), serial or over a worker pool, which imports concurrent.futures
+and with it multiprocessing on its first pooled sweep, so a serial run never
+loads them.  Instances carry sequence numbers so the first witness of any
+failure is deterministic, also under a worker pool, and an instance's
+witness document is built only when a check on it fails.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 
 from .demorgan import antitone_involutions, compute_g, is_kleene, neg_from_g, validate_demorgan
 from .generators import (
@@ -60,12 +60,12 @@ def worker_count() -> int:
         return 1
 
 
-@dataclass
 class PropertyOutcome:
-    name: str
-    checked: int = 0
-    failures: int = 0
-    first_witness: tuple | None = None  # (seq, witness dict)
+    def __init__(self, name):
+        self.name = name
+        self.checked = 0
+        self.failures = 0
+        self.first_witness = None  # (seq, witness dict)
 
     def record(self, seq, ok, witness):
         self.checked += 1
@@ -82,12 +82,12 @@ class PropertyOutcome:
                 self.first_witness = other.first_witness
 
 
-@dataclass
 class EnumerationReport:
-    instances_tested: int = 0
-    runtime_seconds: float = 0.0
-    properties: dict = field(default_factory=dict)
-    findings: dict = field(default_factory=dict)
+    def __init__(self):
+        self.instances_tested = 0
+        self.runtime_seconds = 0.0
+        self.properties = {}
+        self.findings = {}
 
     def outcome(self, name) -> PropertyOutcome:
         if name not in self.properties:
@@ -315,9 +315,9 @@ def _run_chunk(task):
 def _sweep(evaluate, items, workers) -> EnumerationReport:
     """Evaluate the (seq, *args) items (_run_chunk), serially, or in one
     chunk per worker over a process pool of at most one process per CPU,
-    the parts merged.  The items are plain tuples, so the pool pickles
-    them.  runtime_seconds is the wall time of the whole sweep, building
-    the items included."""
+    the parts merged; the pool is imported here, on its first use.  The
+    items are plain tuples, so the pool pickles them.  runtime_seconds is
+    the wall time of the whole sweep, building the items included."""
     workers = min(worker_count() if workers is None else workers, os.cpu_count() or 1)
     start = time.perf_counter()
     items = list(items)
@@ -326,6 +326,8 @@ def _sweep(evaluate, items, workers) -> EnumerationReport:
     else:
         size = (len(items) + workers - 1) // workers
         chunks = [(evaluate, items[i : i + size]) for i in range(0, len(items), size)]
+        from concurrent.futures import ProcessPoolExecutor
+
         report = EnumerationReport()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_run_chunk, chunks):

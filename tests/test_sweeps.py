@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 
@@ -244,7 +245,7 @@ def test_the_pool_takes_at_most_one_process_per_cpu(monkeypatch, cpus, pools):
             return map(fn, items)
 
     serial = sweep_coverings(3, workers=1).to_dict(include_runtime=False)
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert sweep_coverings(3, workers=100_000).to_dict(include_runtime=False) == serial
     monkeypatch.setenv("ROUGHKLEENE_WORKERS", "100000")

@@ -948,15 +948,22 @@ class TestReversalWitness:
     def test_skeletons_of_the_irredundant_coverings(self):
         """Both skeleton maps of the 522 covering algebras, and each with
         two of its values swapped (three seeded swaps per map): the masks
-        name the nested scan's first (b, c), or None with it."""
+        name the nested scan's first (b, c), or None with it.  The maps
+        that skeleton_isomorphism_report reads off the algebra's star and
+        plus are the approximations of the complements."""
         rng = random.Random(1604)
         verdicts = {True: 0, False: 0}
         for n in range(1, 6):
             for cov in irredundant_coverings(n):
                 tol = tolerance_from_covering(cov)
                 rs, full = build_rs(tol), (1 << tol.n) - 1
-                for image in (sorted({up for _, up in rs.pairs}), sorted({lo for lo, _ in rs.pairs})):
+                star_of = dict(zip((up for _, up in rs.pairs), rs.star))
+                plus_of = dict(zip((lo for lo, _ in rs.pairs), rs.plus))
+                for image, image_of in ((sorted({up for _, up in rs.pairs}), star_of),
+                                        (sorted({lo for lo, _ in rs.pairs}), plus_of)):
                     mapped = [rs.index[approximations(tol, full & ~b)] for b in image]
+                    assert sorted(image_of) == image
+                    assert [image_of[b] for b in image] == mapped
                     cases = [mapped]
                     for _ in range(3 if len(image) > 1 else 0):
                         i, j = rng.sample(range(len(image)), 2)
@@ -1445,8 +1452,8 @@ def decision_corpus():
 
 class TestPairDecision:
     """rough._join_irreducible_atoms, the decision rs_join_irreducibles
-    makes on the pairs, against the join folds it replaced on the passing
-    path."""
+    makes on the pairs, against the order's route it replaced on the
+    passing path, posets.join_irreducibles on the lattice's covers."""
 
     def test_equals_the_folds(self):
         """On the block formulas F, and on the folds' own members, the
@@ -1521,9 +1528,9 @@ class TestPairDecision:
         assert len(calls) == 2
 
     def test_a_fold_that_finds_nothing_raises(self, monkeypatch):
-        """A failed decision whose folds agree with the formulas is a
-        defect: it raises, never passes."""
+        """A failed decision whose cover pass agrees with the formulas is
+        a defect: it raises, never passes."""
         monkeypatch.setattr(rough, "_join_irreducible_atoms", lambda rs, candidates: None)
-        with pytest.raises(FormulaMismatch, match="^the pair decision disagrees with the join folds"):
+        with pytest.raises(FormulaMismatch, match="^the pair decision disagrees with the lattice's covers"):
             rough.rs_join_irreducibles(build_rs(partition(2)))
 
