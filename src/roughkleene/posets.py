@@ -434,10 +434,16 @@ class Poset:
         self.above = tuple(transpose(self.below, self.n))
 
     def _set_labels(self, labels: Sequence[str], n: int):
-        labels = tuple(labels)
+        """Keep the labels as a tuple, or as they are when the sequence
+        carries a distinct attribute (rough.RoughLabels, which formats each
+        label on read): a true one is trusted, so no label is formatted
+        here, and a false one leaves the check below to run."""
+        distinct = getattr(labels, "distinct", None)
+        if distinct is None:
+            labels = tuple(labels)
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} elements")
-        if len(set(labels)) != n:
+        if not distinct and len(set(labels)) != n:
             raise ValueError("labels must be pairwise distinct")
         self.n = n
         self.labels = labels
@@ -453,14 +459,40 @@ class Poset:
     def from_covers(cls, labels: Sequence[str], covers: Iterable[tuple]) -> "Poset":
         """Build from Hasse edges (i, j) meaning i is covered by j.
 
-        The edge list is closed reflexively and transitively on load.
+        The edge list is closed reflexively and transitively on load, in
+        one topological pass (Kahn): an element is taken once every edge
+        into it has been, and ORs its ↓ into the ↓ of each element above
+        it, one OR per edge.  Self-loop edges say nothing and are skipped.
+        Elements never taken lie on or above a cycle; only then is the
+        closure taken by whole passes, to name the first pair of a cycle.
         """
         n = len(labels)
-        below = [1 << i for i in range(n)]
         edges = [tuple(e) for e in covers]
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"cover edge ({i},{j}) out of range")
+        below = [1 << i for i in range(n)]
+        ups, waiting = [[] for _ in range(n)], [0] * n
+        for i, j in edges:
+            if i != j:
+                ups[i].append(j)
+                waiting[j] += 1
+        taken = [i for i in range(n) if not waiting[i]]
+        for i in taken:
+            for j in ups[i]:
+                below[j] |= below[i]
+                waiting[j] -= 1
+                if not waiting[j]:
+                    taken.append(j)
+        if len(taken) < n:
+            cls._name_cycle(n, edges)
+        return cls(labels, below)
+
+    @staticmethod
+    def _name_cycle(n: int, edges: list):
+        """Raise PosetError at the first pair (i, j), row-major, that lies
+        on a cycle of the edges, closed by whole passes."""
+        below = [1 << i for i in range(n)]
         changed = True
         while changed:
             changed = False
@@ -473,7 +505,6 @@ class Poset:
             for j in range(n):
                 if i != j and below[j] >> i & 1 and below[i] >> j & 1:
                     raise PosetError(f"cover edges create a cycle through ({i},{j})")
-        return cls(labels, below)
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.below[j] >> i & 1)

@@ -15,10 +15,11 @@ table cap.  Any other tolerance takes the powerset sweep, the defining
 construction: 2^|U| subsets, capped at POWERSET_CAP points.  The sweep
 (_approximation_table) works in columns, one big int per point with a
 byte per subset, so it costs O(U) big-int operations on 2^U bytes and no
-Python step per subset.  On every covering-induced algebra that verify
-and the sweeps check, the powerset sweep is the independent oracle
+Python step per subset; its two arrays hold 4 bytes per subset, written
+at stride 4.  On every covering-induced algebra that verify and the
+sweeps check, the powerset sweep is the independent oracle
 (dualRouteEqual); the algebra sweeps it once for both of its checks, and
-finds its distinct pairs once, over one int code per subset
+finds its distinct pairs once, over one 4-byte code per subset
 (RoughSetAlgebra.powerset_table, _powerset_table).
 
 A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
@@ -49,8 +50,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Sequence
 from functools import reduce
-from operator import and_, or_
+from operator import and_, invert, or_
 from typing import NamedTuple
 
 from .demorgan import compute_g, is_kleene, validate_demorgan
@@ -77,6 +79,9 @@ class ToleranceError(Exception):
 
 # The most points the 2^U powerset sweep (_approximation_table) accepts.
 POWERSET_CAP = 16
+# The array typecode of 4-byte entries, which hold a set of the sweep and
+# the code of a pair (_powerset_table).
+_U32 = next(code for code in "IL" if array(code).itemsize == 4)
 
 
 class BoundsExceeded(ToleranceError):
@@ -104,13 +109,47 @@ def _fmt_set(mask, labels):
     return "{" + ",".join(labels[i] for i in bits(mask)) + "}"
 
 
+class RoughLabels(Sequence):
+    """The labels "(lower,upper)" of rough pairs, each set formatted by
+    _fmt_set over the point labels, formatted only when read.
+
+    distinct says the labels are pairwise distinct without formatting one:
+    distinct pairs give distinct labels when the point labels are nonempty,
+    pairwise distinct and free of ",{}()", as then each label parses back
+    to its pair.  Poset._set_labels trusts it, and formats every label for
+    its own check only when the O(U) scan of the point labels finds one
+    that breaks the rule.  Each set is formatted once, on its first read.
+    """
+
+    __slots__ = ("pairs", "points", "distinct", "_sets")
+
+    def __init__(self, pairs, points):
+        self.pairs, self.points, self._sets = pairs, points, None
+        self.distinct = len(set(points)) == len(points) and all(
+            label and not any(c in label for c in ",{}()") for label in points)
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        if self._sets is None:
+            self._sets = Memo(lambda mask: _fmt_set(mask, self.points))
+        lo, up = self.pairs[i]
+        return f"({self._sets[lo]},{self._sets[up]})"
+
+    def __reduce__(self):
+        return RoughLabels, (self.pairs, self.points)
+
+
 class Tolerance:
     """Reflexive symmetric relation; nbr[x] is the bitmask of R(x).
 
     blocks is blocks_of(self), built on first read and kept, so each
-    tolerance finds its blocks once."""
+    tolerance finds its blocks once.  So are the lane tables of _union,
+    one per eight points: lower, upper, closure and interior then cost a
+    few lookups each, for any number of points."""
 
-    __slots__ = ("n", "labels", "nbr", "_blocks")
+    __slots__ = ("n", "labels", "nbr", "_blocks", "_lanes")
 
     def __init__(self, labels, nbr):
         n = len(nbr)
@@ -126,7 +165,7 @@ class Tolerance:
                 if not nbr[y] >> x & 1:
                     raise ToleranceError(f"relation not symmetric at ({x},{y})")
         self.nbr = nbr
-        self._blocks = None
+        self._blocks = self._lanes = None
 
     @property
     def blocks(self) -> tuple:
@@ -150,13 +189,30 @@ class Tolerance:
         return bool(self.nbr[x] >> y & 1)
 
     def _union(self, mask: int) -> int:
-        """The union of R(u) over the points u of mask, one OR per point."""
-        nbr, out = self.nbr, 0
-        while mask:
-            low = mask & -mask
-            out |= nbr[low.bit_length() - 1]
-            mask ^= low
+        """The union of R(u) over the points u of mask, a subset of U: one
+        lookup per lane of eight points, of the entry that byte of mask
+        selects (_lane_tables)."""
+        if self._lanes is None:
+            self._lanes = self._lane_tables()
+        first, rest = self._lanes
+        out = first[mask & 255]
+        for table in rest:
+            mask >>= 8
+            out |= table[mask & 255]
         return out
+
+    def _lane_tables(self) -> tuple:
+        """(first, rest): for each run of eight points from 8k (fewer in
+        the last), the table whose entry t is the union of R(8k + i) over
+        the bits i of t.  Each point doubles its table, each new entry one
+        OR over an earlier one, so a lane of m points costs 2^m ORs."""
+        lanes = []
+        for k in range(0, max(self.n, 1), 8):
+            table = [0]
+            for r in self.nbr[k:k + 8]:
+                table += [t | r for t in table]
+            lanes.append(table)
+        return lanes[0], tuple(lanes[1:])
 
     def lower(self, X: int) -> int:
         """The x with R(x) ⊆ X: since R is symmetric, U minus the union of
@@ -354,7 +410,9 @@ class RoughSetAlgebra:
     irredundant covering the full Kleene/regularity battery has been run
     and demorgan/doublep are populated, and ji is lattice.ji.  The
     label of element i, lattice.labels[i], is "(lower,upper)" of pairs[i],
-    each set formatted by _fmt_set.
+    each set formatted by _fmt_set when it is read (RoughLabels): a bundle,
+    a render or an error message formats the labels it reads, and verify
+    and the sweeps format none.
     """
 
     __slots__ = (
@@ -408,9 +466,10 @@ def _approximation_table(tol: Tolerance):
     the columns of the u whose R(u) holds x (transpose), which is upper's
     definition only when R is symmetric, so the duality check below can
     fail.  The columns of the points 8k..8k+7, each shifted by its offset
-    in the group, OR into one lane whose byte X is byte k of the row: its
-    bytes go into the arrays at stride 8.  Per lane, three big-int tests
-    decide the checks for every X at once:
+    in the group, OR into one lane whose byte X is byte k of the row.  Each
+    array entry is 4 bytes (_U32), since a set of at most POWERSET_CAP
+    points fits in two, so a lane's bytes go in at stride 4.  Per lane,
+    three big-int tests decide the checks for every X at once:
       duality, full ^ lower(X) = upper(full ^ X): the complement of the
         lower lane, in bytes, is the upper lane's bytes reversed;
       sandwich, lower(X) ⊆ X ⊆ upper(X): against the lane of X itself.
@@ -431,7 +490,7 @@ def _approximation_table(tol: Tolerance):
         lo_lanes[k] |= reduce(and_, map(points.__getitem__, bits(r)), ones) << shift
         up_lanes[k] |= reduce(or_, map(points.__getitem__, bits(holders)), 0) << shift
         x_lanes[k] |= points[x] << shift
-    los, ups = array("Q", [0]) * size, array("Q", [0]) * size
+    los, ups = array(_U32, [0]) * size, array(_U32, [0]) * size
     holds = True
     with memoryview(los).cast("B") as lo_rows, memoryview(ups).cast("B") as up_rows:
         for k, (lo, up, xs) in enumerate(zip(lo_lanes, up_lanes, x_lanes)):
@@ -439,7 +498,7 @@ def _approximation_table(tol: Tolerance):
             lane_full = ones * ((1 << min(8, n - 8 * k)) - 1)
             holds = (holds and (lo ^ lane_full).to_bytes(size, "little") == up_bytes[::-1]
                      and lo & xs == lo and xs & up == xs)
-            lo_rows[k::8], up_rows[k::8] = lo.to_bytes(size, "little"), up_bytes
+            lo_rows[k::4], up_rows[k::4] = lo.to_bytes(size, "little"), up_bytes
     if sys.byteorder == "big":
         los.byteswap()
         ups.byteswap()
@@ -458,15 +517,16 @@ def _powerset_table(tol: Tolerance):
     pairs, sorted.
 
     The pairs are found over one int code per subset, ups[X] | los[X] <<
-    32, with no tuple per subset: each array entry is 64 bits and each set
-    at most POWERSET_CAP bits, so the codes are one OR and one shift of the
-    two arrays read as big ints, and sorting them sorts the pairs."""
+    16, with no tuple per subset: each array entry is 32 bits and each set
+    at most POWERSET_CAP = 16 bits, so the codes are one OR and one shift
+    of the two arrays read as big ints, 4 bytes each, and sorting them
+    sorts the pairs."""
     los, ups = _approximation_table(tol)
-    byteorder, size = sys.byteorder, 8 * len(los)
-    codes = array("Q")
-    codes.frombytes((int.from_bytes(ups, byteorder) | int.from_bytes(los, byteorder) << 32)
+    byteorder, size = sys.byteorder, 4 * len(los)
+    codes = array(_U32)
+    codes.frombytes((int.from_bytes(ups, byteorder) | int.from_bytes(los, byteorder) << 16)
                     .to_bytes(size, byteorder))
-    return los, ups, [(code >> 32, code & 0xFFFFFFFF) for code in sorted(set(codes))]
+    return los, ups, [(code >> 16, code & 0xFFFF) for code in sorted(set(codes))]
 
 
 def _powerset_pairs(tol: Tolerance, table=None):
@@ -653,8 +713,8 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
     induced_irredundant_covering(tol), found once by the caller; the
     algebra carries it as rs.covering.
     """
-    fmt = Memo(lambda mask: _fmt_set(mask, tol.labels))
-    labels = [f"({fmt[lo]},{fmt[up]})" for lo, up in pairs]
+    pairs = tuple(pairs)
+    labels = RoughLabels(pairs, tol.labels)
     if downsets is None:
         lattice = rough_lattice(labels, pairs, tol.n)
         holds = _keys_hold(tol, pairs, lattice)
@@ -668,16 +728,18 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
     # star reads only the upper set of a pair and plus only the lower one
     star_of = Memo(lambda up: approximations(tol, full & ~up))
     plus_of = Memo(lambda lo: approximations(tol, full & ~lo))
-    neg, star, plus = [], [], []
-    for lo, up in pairs:
-        for target, source in ((neg, (full & ~up, full & ~lo)),
-                               (star, star_of[up]),
-                               (plus, plus_of[lo])):
-            i = index.get(source)
-            if i is None:
-                raise FormulaMismatch("unary operation leaves the pair set", {"value": source})
-            target.append(i)
-    neg, star, plus = tuple(neg), tuple(star), tuple(plus)
+    # each map is one C-level pass of lookups over a column of halves
+    lows, ups = zip(*pairs)
+    get, complement = index.get, (lambda halves: map(full.__and__, map(invert, halves)))
+    neg = tuple(map(get, zip(complement(ups), complement(lows))))
+    star = tuple(map(get, map(star_of.__getitem__, ups)))
+    plus = tuple(map(get, map(plus_of.__getitem__, lows)))
+    if None in neg or None in star or None in plus:
+        # name the first value outside the pair set, pair by pair
+        for lo, up in pairs:
+            for source in ((full & ~up, full & ~lo), star_of[up], plus_of[lo]):
+                if source not in index:
+                    raise FormulaMismatch("unary operation leaves the pair set", {"value": source})
     demorgan = doublep = None
     if covering is not None:
         demorgan = validate_demorgan(lattice, neg)
@@ -693,7 +755,7 @@ def _assemble(tol: Tolerance, pairs, covering: Covering | None, downsets=None, b
         if not has_two_levels(lattice)[0]:
             raise FormulaMismatch("irredundant rough algebra is not regular", {})
     return RoughSetAlgebra(
-        tol, tuple(pairs), index, lattice, neg, star, plus, covering, demorgan, doublep
+        tol, pairs, index, lattice, neg, star, plus, covering, demorgan, doublep
     )
 
 

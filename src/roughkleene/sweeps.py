@@ -315,12 +315,15 @@ def _run_chunk(task):
 def _sweep(evaluate, items, workers) -> EnumerationReport:
     """Evaluate the (seq, *args) items (_run_chunk), serially, or in one
     chunk per worker over a process pool of at most one process per CPU,
-    the parts merged; the pool is imported here, on its first use.  The
-    items are plain tuples, so the pool pickles them.  runtime_seconds is
-    the wall time of the whole sweep, building the items included."""
+    the parts merged; the pool is imported here, on its first use.  A
+    serial sweep draws each item as it evaluates it, so it holds one at a
+    time; only the pool lists them, to cut its chunks.  The items are
+    plain tuples, so the pool pickles them.  runtime_seconds is the wall
+    time of the whole sweep, building the items included."""
     workers = min(worker_count() if workers is None else workers, os.cpu_count() or 1)
     start = time.perf_counter()
-    items = list(items)
+    if workers > 1:
+        items = list(items)
     if workers <= 1 or not items:
         report = _run_chunk((evaluate, items))
     else:

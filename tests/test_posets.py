@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from conftest import (
     chain,
     diamond_m3,
     find_isomorphism,
+    fixture_path,
     pentagon_n5,
     rows,
     two_level_fixture,
@@ -177,6 +179,76 @@ class TestPoset:
     def test_cycle_rejected(self):
         with pytest.raises(PosetError):
             Poset.from_covers(["a", "b"], [(0, 1), (1, 0)])
+
+
+def ref_closure(n, edges):
+    """The reflexive transitive closure of cover edges by whole passes over
+    the edge list until nothing changes, as down-masks."""
+    below = [1 << i for i in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in edges:
+            if below[j] | below[i] != below[j]:
+                below[j] |= below[i]
+                changed = True
+    return below
+
+
+def seeded_dag(rng, n):
+    """Edges up a random linear order of n ids, with a self-loop and a
+    repeated edge when there is room."""
+    ranks = rng.sample(range(n), n)
+    edges = [(ranks[a], ranks[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.2]
+    if edges:
+        edges += [edges[0], (edges[0][0], edges[0][0])]
+    return edges
+
+
+class TestFromCovers:
+    """from_covers closes the edges in one topological pass."""
+
+    def test_fixtures(self):
+        for name in ("four_chain", "jposet_two_level"):
+            with open(fixture_path(name + ".json"), encoding="utf-8") as fh:
+                doc = json.load(fh)
+            edges = [tuple(e) for e in doc["covers"]]
+            p = Poset.from_covers(doc["labels"], edges)
+            assert list(p.below) == ref_closure(len(doc["labels"]), edges)
+
+    def test_covers_of_every_lattice_up_to_eight(self):
+        count = 0
+        for lat in all_lattices(8):
+            edges = list(zip(*lat.covers))
+            for order in (edges, edges[::-1]):
+                p = Poset.from_covers(lat.labels, order)
+                assert list(p.below) == ref_closure(lat.n, order) == list(lat.poset.below)
+            count += 1
+        assert count == 300
+
+    def test_seeded_dags_in_both_edge_orders(self):
+        rng = random.Random(28)
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            edges = seeded_dag(rng, n)
+            for order in (edges, edges[::-1]):
+                p = Poset.from_covers([str(i) for i in range(n)], order)
+                assert list(p.below) == ref_closure(n, order)
+
+    def test_long_chain_with_top_down_edges(self):
+        n = 2000
+        edges = [(i, i + 1) for i in range(n - 1)][::-1]
+        p = Poset.from_covers([str(i) for i in range(n)], edges)
+        assert p.below == tuple((2 << i) - 1 for i in range(n))
+
+    @pytest.mark.parametrize("edges, pair", [
+        ([(0, 1), (1, 0)], (0, 1)),
+        ([(0, 1), (1, 2), (2, 3), (3, 1)], (1, 2)),
+        ([(2, 3), (3, 2), (0, 1), (1, 0)], (0, 1)),
+    ])
+    def test_cycle_message(self, edges, pair):
+        with pytest.raises(PosetError, match=rf"^cover edges create a cycle through \({pair[0]},{pair[1]}\)$"):
+            Poset.from_covers(["a", "b", "c", "d"], edges)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):

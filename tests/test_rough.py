@@ -494,3 +494,153 @@ class TestPartitions:
             singles = sum(1 for b in cov.blocks if b.bit_count() == 1)
             multis = len(cov.blocks) - singles
             assert rs.n == 2**singles * 3**multis
+
+
+def eager_labels(pairs, names):
+    """Every rough label formatted up front, "(lower,upper)" of each pair."""
+    def fmt(mask):
+        return "{" + ",".join(names[i] for i in bits(mask)) + "}"
+
+    return [f"({fmt(lo)},{fmt(up)})" for lo, up in pairs]
+
+
+def verify_ladder():
+    """The partitions into 4..6 pairs and the paths of 4..7 blocks, with
+    point labels p0, p1, ... and q0, q1, ..., each also in a seeded order."""
+    rng = random.Random(28)
+    out = []
+    for prefix, blocks in [("p", [3 << 2 * i for i in range(k)]) for k in (4, 5, 6)] + \
+                          [("q", [7 << 2 * i for i in range(b)]) for b in (4, 5, 6, 7)]:
+        n = max(blocks).bit_length()
+        perm = rng.sample(range(n), n)
+        for order in (range(n), perm):
+            moved = [mask_of(order[x] for x in bits(b)) for b in blocks]
+            out.append(Covering([f"{prefix}{i}" for i in range(n)], moved).tolerance)
+    return out
+
+
+class TestLabelsOnRead:
+    """The rough labels are formatted when read, and equal the eager ones."""
+
+    def test_equal_the_eager_labels_and_pickle(self):
+        import pickle
+
+        count = 0
+        tolerances = [cov.tolerance for n in range(1, 6) for cov in irredundant_coverings(n)]
+        for tol in tolerances + verify_ladder():
+            rs = build_rs(tol)
+            labels, want = rs.lattice.labels, eager_labels(rs.pairs, tol.labels)
+            assert isinstance(labels, rough.RoughLabels) and labels.distinct
+            assert len(labels) == len(want) and list(labels) == want
+            assert [labels[i] for i in range(-len(want), len(want))] == want + want
+            back = pickle.loads(pickle.dumps(rs.lattice))
+            assert type(back.labels) is rough.RoughLabels and list(back.labels) == want
+            count += 1
+        assert count == 522 + 14
+
+    def test_a_passing_verify_formats_no_label(self, monkeypatch):
+        """verify of the 7-block path reads no rough label; a render or a
+        bundle formats only the labels it reads."""
+        from roughkleene.reports import verify_report
+
+        real, calls = rough._fmt_set, []
+
+        def counted(mask, labels):
+            calls.append(mask)
+            return real(mask, labels)
+
+        monkeypatch.setattr(rough, "_fmt_set", counted)
+        cov = Covering([f"q{i}" for i in range(15)], [7 << 2 * i for i in range(7)])
+        report = verify_report(cov)
+        assert report["failures"] == [] and report["rsSize"] == 577
+        assert calls == []
+        lattice = build_rs(cov.tolerance).lattice
+        assert calls == []
+        assert lattice.labels[lattice.top] == "({" + ",".join(cov.labels) + "},{" + ",".join(cov.labels) + "})"
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("names, nbr, raises", [
+        (["x", "y", "x,y"], [1, 2, 4], True),
+        (["a", "a"], [1, 2], True),
+        (["", "a"], [1, 2], True),
+        (["a", "b,c"], [1, 2], False),
+        (["(a)", "{b}", "c"], [3, 3, 4], False),
+        (["x", "y", "x,y", "z"], [0b1011, 0b0111, 0b1110, 0b1101], False),
+        (["x", "x", "y", "z"], [0b1011, 0b0111, 0b1110, 0b1101], True),
+        (["a", "b", "c", ""], [0b1011, 0b0111, 0b1110, 0b1101], True),
+        (["a", "b", "c", "d,e"], [0b1011, 0b0111, 0b1110, 0b1101], False),
+    ])
+    def test_point_labels_that_break_the_rule(self, names, nbr, raises):
+        """With a point label that is empty, repeated or holds one of
+        ",{}()", the labels are checked as formatted; they raise exactly
+        when two rough pairs format alike.  The 4-cycle takes the powerset
+        route, the others the downset route."""
+        tol = Tolerance(names, nbr)
+        assert (len(set(eager_labels(_powerset_pairs(tol), names)))
+                != len(_powerset_pairs(tol))) == raises
+        if raises:
+            with pytest.raises(ValueError, match=r"^labels must be pairwise distinct$"):
+                build_rs(tol)
+            return
+        try:
+            rs = build_rs(tol)
+        except NotALattice:
+            return
+        assert not rs.lattice.labels.distinct
+        assert list(rs.lattice.labels) == eager_labels(rs.pairs, names)
+
+
+def assemble_bent(monkeypatch, tol, value_of):
+    """_assemble of tol's covering algebra with approximations returning
+    (full, 0), a pair of no algebra, wherever value_of(X) holds; the pair
+    set and its downsets are found before the patch."""
+    cov = induced_irredundant_covering(tol)
+    pairs, downsets, below = join_closure_pairs(tol, cov)
+    real, full = rough.approximations, (1 << tol.n) - 1
+    monkeypatch.setattr(rough, "approximations",
+                        lambda t, X: (full, 0) if value_of(X) else real(t, X))
+    return _assemble(tol, pairs, cov, downsets, below)
+
+
+class TestUnaryMaps:
+    """neg, star and plus are looked up in one pass each; a value outside
+    the pair set is named by the pair-by-pair scan, as before."""
+
+    def test_maps_equal_the_pair_lookups(self):
+        for tol in verify_ladder()[::3]:
+            rs, full = build_rs(tol), (1 << tol.n) - 1
+            for (lo, up), n, s, p in zip(rs.pairs, rs.neg, rs.star, rs.plus):
+                assert rs.pairs[n] == (full & ~up, full & ~lo)
+                assert rs.pairs[s] == approximations(tol, full & ~up)
+                assert rs.pairs[p] == approximations(tol, full & ~lo)
+
+    def test_a_lost_neg_target(self):
+        """The pairs of the 3-block path over a universe with one more,
+        isolated point: the order and closed forms hold, and the neg of the
+        bottom is the new top, outside the pair set."""
+        tol = path_tolerance(3)
+        wider = Tolerance(tol.labels + ("z",), tol.nbr + (1 << tol.n,))
+        with pytest.raises(FormulaMismatch) as info:
+            _assemble(wider, build_rs(tol).pairs, None)
+        assert str(info.value) == "unary operation leaves the pair set: {'value': (255, 255)}"
+
+    @pytest.mark.parametrize("half, message", [
+        ("star", "unary operation leaves the pair set: {'value': (127, 0)}"),
+        ("plus", "unary operation leaves the pair set: {'value': (127, 0)}"),
+    ])
+    def test_a_lost_star_or_plus_target(self, monkeypatch, half, message):
+        """The complement approximation of one half, an upper set that is
+        no pair's lower set (star) or a lower set that is no pair's upper
+        set (plus), bent out of the pair set."""
+        tol = path_tolerance(3)
+        pairs, full = build_rs(tol).pairs, (1 << tol.n) - 1
+        los, ups = {lo for lo, _ in pairs}, {up for _, up in pairs}
+        bent = min(ups - los) if half == "star" else min(los - ups)
+        with pytest.raises(FormulaMismatch) as info:
+            assemble_bent(monkeypatch, tol, lambda X: X == full & ~bent)
+        assert str(info.value) == message
+
+
+def path_tolerance(b):
+    """The tolerance of the path covering {0,1,2}, {2,3,4}, ... of b blocks."""
+    return Covering([str(i) for i in range(2 * b + 1)], [7 << 2 * i for i in range(b)]).tolerance

@@ -251,3 +251,28 @@ def test_the_pool_takes_at_most_one_process_per_cpu(monkeypatch, cpus, pools):
     monkeypatch.setenv("ROUGHKLEENE_WORKERS", "100000")
     assert sweep_coverings(3).to_dict(include_runtime=False) == serial
     assert sizes == pools * 2
+
+
+def test_a_serial_sweep_draws_each_item_as_it_evaluates_it():
+    """The serial runner holds one item at a time: each evaluation sees
+    exactly the items drawn up to its own, and runtime_seconds counts the
+    drawing too."""
+    drawn, seen = [], []
+
+    def items():
+        for seq in range(5):
+            drawn.append(seq)
+            yield seq, seq * seq
+
+    def evaluate(report, seq, square):
+        seen.append((seq, len(drawn)))
+
+    report = sweeps._sweep(evaluate, items(), 1)
+    assert seen == [(seq, seq + 1) for seq in range(5)]
+    assert report.instances_tested == 5 and report.runtime_seconds > 0
+
+
+def test_the_lattice_sweep_streams_and_matches_the_pool():
+    serial, pooled = sweep_demorgan(7, workers=1), sweep_demorgan(7, workers=2)
+    assert serial.instances_tested == pooled.instances_tested == 78
+    assert serial.to_dict(include_runtime=False) == pooled.to_dict(include_runtime=False)

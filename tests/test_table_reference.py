@@ -92,6 +92,7 @@ from roughkleene.rough import (
     _closed_forms_hold,
     _codes,
     _powerset_pairs,
+    _powerset_table,
     _reversal_witness,
     approximations,
     build_rs,
@@ -657,7 +658,9 @@ class TestPowerset:
                 sorted({lo for lo, _ in subsets}), sorted({up for _, up in subsets})
             )
             counts.append(len(pairs))
-        assert _approximation_table(Tolerance([], [])) == (array("Q", [0]), array("Q", [0]))
+        empty = _approximation_table(Tolerance([], []))
+        assert empty == (array("I", [0]), array("I", [0]))
+        assert [table.itemsize for table in empty] == [4, 4]
         assert counts[-len(ladder):] == [81, 243, 729, 41, 99, 239, 577, 1154]
 
     def test_image_report_calls_no_tolerance_method(self, monkeypatch):
@@ -684,6 +687,15 @@ class TestPowerset:
             for X in range(1 << tol.n):
                 assert (tol.lower(X), tol.upper(X)) == ref_approximations(tol, X)
 
+    @pytest.mark.parametrize("tol", [partition(8), path_and_singleton()], ids=["partition", "path"])
+    def test_four_byte_codes_at_the_cap(self, tol):
+        """At U = 16 each lower set shifted by 16 reaches bit 31 of its
+        4-byte code, and the codes still give the distinct pairs."""
+        los, ups, pairs = _powerset_table(tol)
+        assert tol.n == 16 and los.itemsize == ups.itemsize == 4
+        assert max(los) >> 15 == 1
+        assert pairs == sorted(set(zip(los, ups)))
+
     @pytest.mark.parametrize("blocks, x, y, what, X", [
         (2, 0, 1, "approximation duality", 5),
         (7, 12, 13, "approximation duality", 23552),
@@ -697,6 +709,62 @@ class TestPowerset:
             _approximation_table(mutated(path(blocks), x, y))
         assert str(info.value) == f"{what}: {{'X': {X}}}"
         assert info.value.details == {"X": X}
+
+
+def ref_union(tol, X):
+    """The union of R(u) over the points u of X, one OR per point."""
+    out = 0
+    for u in bits(X):
+        out |= tol.nbr[u]
+    return out
+
+
+def ref_four(tol, X):
+    """lower, upper, closure and interior of X by their definitions."""
+    lower = lambda Y: ref_approximations(tol, Y)[0]
+    upper = lambda Y: ref_approximations(tol, Y)[1]
+    return lower(X), upper(X), lower(upper(X)), upper(lower(X))
+
+
+def four(tol, X):
+    return tol.lower(X), tol.upper(X), tol.closure(X), tol.interior(X)
+
+
+class TestLaneTables:
+    """Tolerance._union reads one table per lane of eight points."""
+
+    def test_every_tolerance_up_to_five_points(self):
+        for tol in [Tolerance([], []), *small_tolerances()]:
+            for X in range(1 << tol.n):
+                assert tol._union(X) == ref_union(tol, X)
+                assert four(tol, X) == ref_four(tol, X)
+
+    @pytest.mark.parametrize("U", [8, 9, 16, 17, 41])
+    def test_coverings_across_the_lane_boundaries(self, U):
+        """Path coverings on odd U, partitions into pairs on even U (with
+        a singleton block past them on odd U), each also relabelled: every
+        subset up to 9 points, and past that the points, each lane's byte
+        full, the runs that straddle a boundary and seeded subsets."""
+        rng = random.Random(U)
+        labels = [str(i) for i in range(U)]
+        coverings = [Covering(labels, [3 << 2 * i for i in range(U // 2)] + [1 << U - 1] * (U % 2))]
+        if U % 2:
+            coverings.append(Covering(labels, [7 << 2 * i for i in range(U // 2)]))
+        tols = [cov.tolerance for cov in coverings]
+        tols += [relabelled(tol, rng) for tol in tols]
+        full = (1 << U) - 1
+        if U <= 9:
+            masks = range(1 << U)
+        else:
+            masks = [0, full, *(1 << x for x in range(U)), *(255 << k & full for k in range(0, U, 8)),
+                     *(0xFF0 << k & full for k in range(0, U, 8)),
+                     *(rng.getrandbits(U) for _ in range(400))]
+        for tol in tols:
+            assert len(tol.blocks) >= U // 2
+            for X in masks:
+                assert four(tol, X) == ref_four(tol, X)
+            assert (len(tol._lanes[0]), [len(t) for t in tol._lanes[1]]) == \
+                (1 << min(U, 8), [1 << min(8, U - k) for k in range(8, U, 8)])
 
 
 def regular_kleene_algebras():
