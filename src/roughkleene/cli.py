@@ -15,7 +15,7 @@ import sys
 from . import jsonio
 from .demorgan import DeMorganError
 from .dot import hasse_dot, rs_dot
-from .posets import PosetError, TableCapExceeded
+from .posets import LabelsNotDistinct, PosetError, TableCapExceeded
 from .represent import NotKleene, NotRegular, RepresentError, represent
 from .reports import check_report, represent_bundle, verify_report
 from .rough import BoundsExceeded, ToleranceError, build_rs
@@ -69,6 +69,9 @@ def cmd_represent(args) -> int:
         return _fail(str(exc), 1)
     except RepresentError as exc:
         return _fail(f"verification failed: {exc}", 1)
+    except LabelsNotDistinct as exc:
+        return _fail(f"input error: the point labels of the universe give two rough pairs "
+                     f"the label {exc.label!r}", 2)
     _emit(jsonio.dumps(represent_bundle(result)), args.out)
     if args.dot:
         os.makedirs(args.dot, exist_ok=True)

@@ -7,7 +7,8 @@ can be rebuilt:  neg(x) = join of {j | gmap(j) not<= x}.
 
 A jposet's algebra is the downset lattice of its join-irreducibles
 (posets.downset_lattice), built with no pair lookups, and its negation is
-read from g on J with no fold: neg(D) = J ∖ g(D).  On every lattice
+read from g on J with no fold: neg(D) = J ∖ g(D), g(D) a union over the
+points of D (posets.point_unions).  On every lattice
 antitonicity of neg is one subset test per covering pair
 (posets.codes_within); only when that fails is the order pulled back along
 neg (posets.pulled_back), bit-sliced, to name the first witness.  On D(J)
@@ -27,7 +28,7 @@ from .posets import (
     downset_lattice,
     first_bad_triple,
     first_not_below,
-    mask_of,
+    point_unions,
     pulled_back,
 )
 
@@ -184,42 +185,37 @@ def _check_j1_j2(codes, members, g: dict):
                 raise GViolatesJ1J2J3("J1", (x, y))
 
 
-def _downset_label(jposet: Poset, d: int) -> str:
-    if d == 0:
-        return "0"
-    maxima = [i for i in bits(d) if jposet.above[i] & d == 1 << i]
-    return "|".join(jposet.labels[i] for i in maxima)
-
-
 def build_kleene_from_jposet(jposet: Poset, g: dict) -> DeMorgan:
     """Materialize the distributive lattice of downsets of a poset of
     join-irreducibles, carrying an antitone involution g of that poset, and
     install the negation it determines.  g must also satisfy J3: each x is
     comparable with g(x), which makes the result a Kleene algebra.
 
-    Element labels: "0" for the empty downset, the generator's label for a
-    principal downset, otherwise the labels of the downset's maximal
-    elements joined by "|".  The downset walk raises TableCapExceeded once
-    there are more downsets than the table cap, before any order is built.
-    The lattice is downset_lattice of the downsets themselves, which proves
-    them all of D(J) with no pair lookups and reads its join-irreducibles
-    from J.
+    Element labels: "0" for the empty downset alone, else the labels of
+    its maxima, d minus the union of ↓p ∖ {p} over its points p, joined by
+    "|" (a point label may be "").  The downset walk raises
+    TableCapExceeded past the table cap, before any order is built.
+    downset_lattice proves the downsets all of D(J) with no pair lookups
+    and reads its join-irreducibles from J.
 
     The negation is the J formula neg(D) = {j : g(j) ∉ D} = J ∖ g(D), a
     downset because g is an antitone involution: one lookup in the index
     map per downset, no join fold.  validate_demorgan still checks it.
     """
-    _check_j1_j2(jposet.below, range(jposet.n), g)
-    for x in range(jposet.n):
+    n, below = jposet.n, jposet.below
+    _check_j1_j2(below, range(n), g)
+    for x in range(n):
         if not (jposet.leq(x, g[x]) or jposet.leq(g[x], x)):
             raise GViolatesJ1J2J3("J3", x)
     downsets = jposet.downsets()
     downsets.sort(key=lambda d: (d.bit_count(), d))
-    labels = [_downset_label(jposet, d) for d in downsets]
-    lat = downset_lattice(labels, downsets, jposet.below)
-    full = (1 << jposet.n) - 1
-    neg = [lat.meets[full ^ mask_of(g[j] for j in bits(d))] for d in downsets]
-    return validate_demorgan(lat, neg)
+    strict = point_unions(downsets, [b ^ 1 << p for p, b in enumerate(below)])
+    labels = ["|".join(map(jposet.labels.__getitem__, bits(d & ~s))) if d else "0"
+              for d, s in zip(downsets, strict)]
+    lat = downset_lattice(labels, downsets, below)
+    full = (1 << n) - 1
+    images = point_unions(downsets, [1 << g[j] for j in range(n)])
+    return validate_demorgan(lat, [lat.meets[full ^ image] for image in images])
 
 
 def antitone_involutions(lat: Lattice):

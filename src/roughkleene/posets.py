@@ -63,6 +63,26 @@ def mask_of(ids: Iterable[int]) -> int:
     return m
 
 
+def point_unions(masks: Iterable[int], images: Sequence[int]) -> list:
+    """out[k] = the union of images[p] over the points p of the k-th mask.
+
+    A map of the subsets of J that keeps unions is fixed by its values on
+    the points, so every per-element map of a D(J) lattice is one call:
+    the maxima that label a downset, the negation, star, plus and the
+    isomorphism extension.  One OR per point, in an inline loop with no
+    bits() generator, since it runs once per element.
+    """
+    out = []
+    for mask in masks:
+        union = 0
+        while mask:
+            top = mask.bit_length() - 1
+            union |= images[top]
+            mask ^= 1 << top
+        out.append(union)
+    return out
+
+
 class PosetError(Exception):
     pass
 
@@ -74,6 +94,15 @@ class NotALattice(PosetError):
         self.pair = pair
         self.kind = kind  # "meet" or "join"
         super().__init__(f"no unique {kind} for elements {pair}")
+
+
+class LabelsNotDistinct(ValueError):
+    """Two elements share a label; label is the first one that repeats."""
+
+    def __init__(self, labels):
+        seen = set()
+        self.label = next(x for x in labels if x in seen or seen.add(x))
+        super().__init__("labels must be pairwise distinct")
 
 
 # The most elements an order, a lattice or a downset list is built for: 3^7,
@@ -444,7 +473,7 @@ class Poset:
         if len(labels) != n:
             raise ValueError(f"{len(labels)} labels for {n} elements")
         if not distinct and len(set(labels)) != n:
-            raise ValueError("labels must be pairwise distinct")
+            raise LabelsNotDistinct(labels)
         self.n = n
         self.labels = labels
 

@@ -26,6 +26,7 @@ from .posets import (
     has_two_levels,
     is_join_prime,
     mask_of,
+    point_unions,
     transpose,
 )
 
@@ -85,28 +86,19 @@ def _j_pseudocomplements(lat: Lattice):
     the minimal members a of D, which are minimal in J, and ↓(J ∖ D) the
     union of the ↓m over the maximal members m of J outside D.  The code
     of x is its downset S_x, ↓p is the point mask of p and {S_x: x} is
-    the index map, so each element costs one OR per minimal point in S_x
-    and one per maximal point outside it, and one lookup, with no fold
-    and no P-bit row.
+    the index map, so each map is one posets.point_unions over the codes
+    cut to the minimal, or to the maximal, points of J: one OR per minimal
+    point in S_x, or per maximal point outside it, and one lookup per
+    element, with no fold and no P-bit row.
     """
-    down, jsets, element = lat.points, lat.meet_codes, lat.meets
+    down, codes, element = lat.points, lat.meet_codes, lat.meets
     jmask = (1 << len(down)) - 1
     up = transpose(down, len(down))
-    minimal = [p for p in bits(jmask) if down[p] & jmask == 1 << p]
-    maximal = [p for p in bits(jmask) if up[p] & jmask == 1 << p]
-    star, plus = [], []
-    for s in jsets:
-        meets = 0
-        for a in minimal:
-            if s >> a & 1:
-                meets |= up[a]
-        star.append(element[jmask & ~meets])
-        joins = 0
-        for m in maximal:
-            if not s >> m & 1:
-                joins |= down[m]
-        plus.append(element[jmask & joins])
-    return star, plus
+    minimal = mask_of(p for p, d in enumerate(down) if d == 1 << p)
+    maximal = mask_of(p for p, u in enumerate(up) if u == 1 << p)
+    meets = point_unions([s & minimal for s in codes], up)
+    joins = point_unions([maximal & ~s for s in codes], down)
+    return [element[jmask & ~m] for m in meets], [element[j] for j in joins]
 
 
 def _fold_pseudocomplements(lat: Lattice):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .demorgan import DeMorgan, compute_g, is_kleene
-from .posets import Lattice, bits, codes_within, has_two_levels, mask_of
+from .posets import Lattice, codes_within, has_two_levels, mask_of, point_unions
 from .pseudo import DoubleP, compute_pseudocomplements
 from .rough import (
     Covering,
@@ -205,19 +205,13 @@ def join_extension(lat: Lattice, target: Lattice, phi: dict) -> tuple:
 
     Both lattices must be D(J) (they have points), as represent's source
     and rough-set algebra are, and the join of downsets is their union:
-    iso(x) is the target element whose code is the OR of the target codes
-    of phi(↓p) over the points p of x's code, one OR per point and one
-    index lookup.
+    iso(x) is the target element whose code is the union of the target
+    codes of phi(↓p) over the points p of x's code, one posets.point_unions
+    over the source codes and one index lookup per element.
     """
     tcodes, ids = target.join_codes, lat.meets
     point_codes = [tcodes[phi[ids[down]]] for down in lat.points]
-    out = []
-    for code in lat.meet_codes:
-        union = 0
-        for p in bits(code):
-            union |= point_codes[p]
-        out.append(target.joins[union])
-    return tuple(out)
+    return tuple(map(target.joins.__getitem__, point_unions(lat.meet_codes, point_codes)))
 
 
 def _order_isomorphism(lat: Lattice, target: Lattice, iso: tuple) -> bool:

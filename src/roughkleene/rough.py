@@ -18,9 +18,9 @@ byte per subset, so it costs O(U) big-int operations on 2^U bytes and no
 Python step per subset; its two arrays hold 4 bytes per subset, written
 at stride 4.  On every covering-induced algebra that verify and the
 sweeps check, the powerset sweep is the independent oracle
-(dualRouteEqual); the algebra sweeps it once for both of its checks, and
+(dualRouteEqual); the tolerance sweeps it once for both checks, and
 finds its distinct pairs once, over one 4-byte code per subset
-(RoughSetAlgebra.powerset_table, _powerset_table).
+(Tolerance.powerset, _powerset_table).
 
 A pair (lo, up) is coded as the one set lo ∪ (up shifted past the points),
 so the coordinatewise order is inclusion of codes.  _assemble decides once,
@@ -118,7 +118,8 @@ class RoughLabels(Sequence):
     pairwise distinct and free of ",{}()", as then each label parses back
     to its pair.  Poset._set_labels trusts it, and formats every label for
     its own check only when the O(U) scan of the point labels finds one
-    that breaks the rule.  Each set is formatted once, on its first read.
+    that breaks the rule.  Each set is formatted once, on its first read;
+    a slice is the tuple of its labels, as a tuple's slice is.
     """
 
     __slots__ = ("pairs", "points", "distinct", "_sets")
@@ -132,6 +133,8 @@ class RoughLabels(Sequence):
         return len(self.pairs)
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self.pairs))[i]))
         if self._sets is None:
             self._sets = Memo(lambda mask: _fmt_set(mask, self.points))
         lo, up = self.pairs[i]
@@ -145,11 +148,12 @@ class Tolerance:
     """Reflexive symmetric relation; nbr[x] is the bitmask of R(x).
 
     blocks is blocks_of(self), built on first read and kept, so each
-    tolerance finds its blocks once.  So are the lane tables of _union,
-    one per eight points: lower, upper, closure and interior then cost a
-    few lookups each, for any number of points."""
+    tolerance finds its blocks once.  So are powerset, the 2^U table
+    _powerset_table(self), and the lane tables of _union, one per eight
+    points: lower, upper, closure and interior then cost a few lookups
+    each, for any number of points."""
 
-    __slots__ = ("n", "labels", "nbr", "_blocks", "_lanes")
+    __slots__ = ("n", "labels", "nbr", "_blocks", "_lanes", "_powerset")
 
     def __init__(self, labels, nbr):
         n = len(nbr)
@@ -165,13 +169,19 @@ class Tolerance:
                 if not nbr[y] >> x & 1:
                     raise ToleranceError(f"relation not symmetric at ({x},{y})")
         self.nbr = nbr
-        self._blocks = self._lanes = None
+        self._blocks = self._lanes = self._powerset = None
 
     @property
     def blocks(self) -> tuple:
         if self._blocks is None:
             self._blocks = tuple(blocks_of(self))
         return self._blocks
+
+    @property
+    def powerset(self) -> tuple:
+        if self._powerset is None:
+            self._powerset = _powerset_table(self)
+        return self._powerset
 
     @classmethod
     def from_pairs(cls, labels, pairs):
@@ -412,13 +422,12 @@ class RoughSetAlgebra:
     label of element i, lattice.labels[i], is "(lower,upper)" of pairs[i],
     each set formatted by _fmt_set when it is read (RoughLabels): a bundle,
     a render or an error message formats the labels it reads, and verify
-    and the sweeps format none.
+    and the sweeps format none.  The 2^U table its powerset checks read is
+    the tolerance's (Tolerance.powerset).
     """
 
-    __slots__ = (
-        "tolerance", "pairs", "index", "lattice",
-        "neg", "star", "plus", "covering", "demorgan", "doublep", "_table",
-    )
+    __slots__ = ("tolerance", "pairs", "index", "lattice",
+                 "neg", "star", "plus", "covering", "demorgan", "doublep")
 
     def __init__(self, tolerance, pairs, index, lattice, neg, star, plus,
                  covering, demorgan, doublep):
@@ -432,7 +441,6 @@ class RoughSetAlgebra:
         self.covering = covering
         self.demorgan = demorgan
         self.doublep = doublep
-        self._table = None
 
     @property
     def n(self):
@@ -443,15 +451,6 @@ class RoughSetAlgebra:
         """lattice.ji when an irredundant covering induces the tolerance,
         else None."""
         return None if self.covering is None else self.lattice.ji
-
-    @property
-    def powerset_table(self):
-        """_powerset_table of the tolerance, swept on first use and kept
-        with this algebra, so that its two powerset checks share one sweep
-        and one pass over its distinct pairs."""
-        if self._table is None:
-            self._table = _powerset_table(self.tolerance)
-        return self._table
 
 
 def _approximation_table(tol: Tolerance):
@@ -529,10 +528,9 @@ def _powerset_table(tol: Tolerance):
     return los, ups, [(code >> 16, code & 0xFFFF) for code in sorted(set(codes))]
 
 
-def _powerset_pairs(tol: Tolerance, table=None):
-    """The sorted rough pairs of every subset, from table, or from a fresh
-    _powerset_table when it is None."""
-    return (_powerset_table(tol) if table is None else table)[2]
+def _powerset_pairs(tol: Tolerance):
+    """The sorted rough pairs of every subset (tol.powerset)."""
+    return tol.powerset[2]
 
 
 def formula_join_irreducibles(tol: Tolerance, cov: Covering):
@@ -927,29 +925,26 @@ def isolated_blocks(rs: RoughSetAlgebra):
     return out
 
 
-def powerset_images(tol: Tolerance, table=None):
+def powerset_images(tol: Tolerance):
     """The sorted images of lower and upper over the whole powerset: the two
-    projections of the distinct pairs of table, or of a fresh
-    _powerset_table when it is None."""
-    pairs = (_powerset_table(tol) if table is None else table)[2]
+    projections of the distinct pairs of tol.powerset."""
+    pairs = tol.powerset[2]
     return sorted({lo for lo, _ in pairs}), sorted({up for _, up in pairs})
 
 
-def powerset_image_report(tol: Tolerance, cov: Covering | None, table=None):
+def powerset_image_report(tol: Tolerance, cov: Covering | None):
     """For irredundant-covering tolerances: both images are atomistic Boolean
     lattices with the block cores / blocks as atoms and the stated
     double-approximation complements.  cov is
-    induced_irredundant_covering(tol); None raises ToleranceError.  table
-    is a _powerset_table of tol, or None for a fresh one: the images are
-    powerset_images of it, and every lower, upper, closure and interior of
-    a subset X is read from its arrays, as lower[X], upper[X],
-    lower[upper[X]] and upper[lower[X]], with no Tolerance method called."""
+    induced_irredundant_covering(tol); None raises ToleranceError.  The
+    images are powerset_images, and every lower, upper, closure and
+    interior of a subset X is read from the arrays of tol.powerset, as
+    lower[X], upper[X], lower[upper[X]] and upper[lower[X]], with no
+    Tolerance method called."""
     if cov is None:
         raise ToleranceError("image analysis needs an irredundant covering")
-    if table is None:
-        table = _powerset_table(tol)
-    lower, upper = table[0], table[1]
-    los, ups = powerset_images(tol, table)
+    lower, upper, _ = tol.powerset
+    los, ups = powerset_images(tol)
     full = (1 << tol.n) - 1
     lo_atoms = sorted({lower[b] for b in cov.blocks})
     up_atoms = sorted(cov.blocks)
@@ -1030,16 +1025,15 @@ def skeleton_isomorphism_report(rs: RoughSetAlgebra):
 # looks its function up in this module when it runs, so a wrapper or a
 # patch installed here is what both outputs run.  joinIrreducibleFormulas
 # decides on the pairs and reads the lattice's covers only after a failure.
-# The two powerset checks share the algebra's one sweep and its one list of
-# distinct pairs, rs.powerset_table.
+# The two powerset checks share the tolerance's one sweep and its one list
+# of distinct pairs, rs.tolerance.powerset.
 RS_CHECKS = (
     ("joinIrreducibleFormulas", lambda rs: rs_join_irreducibles(rs) is not None),
     ("gmapClosedForm", lambda rs: rs_g_map(rs) is not None),
     ("skeletonIsomorphisms", lambda rs: skeleton_isomorphism_report(rs) is not None),
     ("imageLatticesAtomisticBoolean",
-     lambda rs: powerset_image_report(rs.tolerance, rs.covering, rs.powerset_table) is not None),
-    ("dualRouteEqual",
-     lambda rs: list(rs.pairs) == _powerset_pairs(rs.tolerance, rs.powerset_table)),
+     lambda rs: powerset_image_report(rs.tolerance, rs.covering) is not None),
+    ("dualRouteEqual", lambda rs: list(rs.pairs) == _powerset_pairs(rs.tolerance)),
 )
 
 

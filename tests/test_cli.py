@@ -16,7 +16,35 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
+EMPTY_LABEL_DOT = """digraph lattice {
+  rankdir=BT;
+  node [shape=circle];
+  n0 [label="0"];
+  n1 [label="" style=filled fillcolor=black fontcolor=white];
+  n2 [label="a" style=filled fillcolor=black fontcolor=white];
+  n3 [label="|a"];
+  n0 -> n1;
+  n0 -> n2;
+  n1 -> n3;
+  n2 -> n3;
+}
+"""
+
+
 class TestCheck:
+    def test_an_empty_point_label(self, capsys, tmp_path):
+        """Only the empty downset is labelled "0": the principal downset of
+        the point labelled "" is labelled "", and its join with a is "|a"."""
+        path = tmp_path / "empty_label.json"
+        path.write_text(json.dumps({"labels": ["", "a"], "covers": [], "g": {"": "", "a": "a"}}))
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {
+            "size": 4, "distributive": True, "deMorgan": True, "M": True, "D": True, "N": True,
+            "K": True, "primeChainMax": 1, "twoLevels": True, "regular": True, "witnesses": {},
+        }
+        assert run_cli(capsys, "render", str(path)) == (0, EMPTY_LABEL_DOT, "")
+
     def test_fixture_is_regular(self, capsys):
         code, out, _ = run_cli(capsys, "check", fixture_path("jposet_two_level.json"))
         assert code == 0
@@ -153,6 +181,28 @@ class TestRepresent:
         code, out, err = run_cli(capsys, "represent", str(path))
         assert (code, out) == (1, "")
         assert err == "input is not a Kleene structure, witness (1, 2)\n"
+
+    @pytest.mark.parametrize("labels, clash", [
+        (["x", "y", "x,y"], "({x,y},{x,y})"),
+        (["", "a"], "({},{})"),
+        (["a,b"], None),
+    ])
+    def test_point_labels_that_clash_in_the_universe(self, capsys, tmp_path, labels, clash):
+        """The universe reuses the source labels, so two rough pairs can
+        format alike: represent refuses that with exit 2 and one input
+        error line naming the label, while check and render accept the
+        document.  A label that clashes with nothing still represents."""
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps({"labels": labels, "covers": [], "g": {x: x for x in labels}}))
+        code, out, err = run_cli(capsys, "represent", str(path))
+        if clash is None:
+            assert (code, err) == (0, "") and json.loads(out)["report"]["verified"]
+        else:
+            assert (code, out) == (2, "")
+            assert err == ("input error: the point labels of the universe give two rough "
+                           f"pairs the label {clash!r}\n")
+        for command in ("check", "render"):
+            assert run_cli(capsys, command, str(path))[0] == 0
 
     def test_lattice_without_negation_is_input_error(self, capsys, tmp_path):
         doc = {"labels": ["0", "1"], "covers": [[0, 1]]}
@@ -465,7 +515,7 @@ class TestRoutes:
         from roughkleene import rough
 
         real = rough._powerset_pairs
-        monkeypatch.setattr(rough, "_powerset_pairs", lambda tol, table=None: real(tol, table)[1:])
+        monkeypatch.setattr(rough, "_powerset_pairs", lambda tol: real(tol)[1:])
         code, out, _ = run_cli(capsys, "verify", fixture_path("partition_2_3.json"))
         assert code == 1
         report = json.loads(out)

@@ -45,14 +45,15 @@ def test_counts_code_lines_only(tmp_path, capsys):
     multi-line expression counts its lines with a token, and a string
     that is no docstring counts every line it spans.  The sample's code
     lines are import, the bare string, class, def, three of the
-    expression's four, two of the assigned string's, and return."""
+    expression's four, two of the assigned string's, and return.  Each
+    line also gives the file's size in bytes, and the last their sum."""
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "__init__.py").write_text('"""Only a docstring."""\n# and a comment\n')
     (package / "sample.py").write_text(SAMPLE)
     assert load_tool().main(["code_lines.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out == (
-        "     0  pkg/__init__.py\n"
-        "    10  pkg/sample.py\n"
-        "    10  total\n"
+        "     0       40  pkg/__init__.py\n"
+        "    10      413  pkg/sample.py\n"
+        "    10      453  total\n"
     )

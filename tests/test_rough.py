@@ -538,6 +538,26 @@ class TestLabelsOnRead:
             count += 1
         assert count == 522 + 14
 
+    def test_slices_are_tuples_of_labels(self):
+        """A slice of the labels is the tuple of those labels, as a slice of
+        the eager tuple is, over a grid of starts, stops and steps, negative
+        ones too, on the covering {ab, bc} and on the seven-block path."""
+        for cov in (Covering(["a", "b", "c"], [0b011, 0b110]),
+                    Covering([f"q{i}" for i in range(15)], [7 << 2 * i for i in range(7)])):
+            labels = build_rs(cov.tolerance).lattice.labels
+            want = tuple(list(labels))
+            n = len(want)
+            ends = [None, 0, 1, 2, n // 2, n - 1, n, n + 3, -1, -2, -n, -n - 3]
+            for start in ends:
+                for stop in ends:
+                    for step in (None, 1, 2, 3, n, -1, -2, -3, -n):
+                        s = slice(start, stop, step)
+                        assert labels[s] == want[s], s
+                        assert type(labels[s]) is tuple
+            assert labels[:] == want and labels[::-1] == want[::-1]
+            with pytest.raises(ValueError):
+                labels[::0]
+
     def test_a_passing_verify_formats_no_label(self, monkeypatch):
         """verify of the 7-block path reads no rough label; a render or a
         bundle formats only the labels it reads."""

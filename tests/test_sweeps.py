@@ -170,7 +170,8 @@ def test_demorgan_sweep_builds_each_lattice_once(monkeypatch):
 
 def test_covering_battery_sweeps_the_powerset_once_per_algebra(monkeypatch):
     """imageLatticesAtomisticBoolean and dualRouteEqual share one sweep of
-    each covering algebra's powerset, and verify sweeps it once per call."""
+    each covering algebra's powerset, kept by its tolerance: verify sweeps
+    it once for a fresh covering and not again for the same covering."""
     swept = []
     real = rough._approximation_table
 
@@ -179,9 +180,12 @@ def test_covering_battery_sweeps_the_powerset_once_per_algebra(monkeypatch):
         return real(tol)
 
     monkeypatch.setattr(rough, "_approximation_table", counted)
-    cov = jsonio.parse_covering(jsonio.load_document(fixture_path("partition_2_3.json")))
+    doc = jsonio.load_document(fixture_path("partition_2_3.json"))
+    cov = jsonio.parse_covering(doc)
     for _ in range(2):
         assert verify_report(cov)["failures"] == []
+    assert swept == [cov.n]
+    assert verify_report(jsonio.parse_covering(doc))["failures"] == []
     assert swept == [cov.n, cov.n]
     swept.clear()
     report = sweep_coverings(3, workers=1)

@@ -17,6 +17,8 @@ import importlib
 import random
 import tracemalloc
 from array import array
+from functools import reduce
+from operator import or_
 
 import pytest
 from conftest import isomorphisms, reversed_ids, rows, two_level_fixture, two_level_jposet
@@ -59,7 +61,9 @@ from roughkleene.posets import (
     is_distributive,
     join_irreducibles,
     mask_of,
+    point_unions,
     pulled_back,
+    transpose,
 )
 from roughkleene.pseudo import (
     DoubleP,
@@ -79,6 +83,7 @@ from roughkleene.represent import (
     NotRegular,
     _order_isomorphism,
     extend_iso,
+    join_extension,
     represent,
 )
 from roughkleene import rough
@@ -1602,3 +1607,153 @@ class TestPairDecision:
         with pytest.raises(FormulaMismatch, match="^the pair decision disagrees with the lattice's covers"):
             rough.rs_join_irreducibles(build_rs(partition(2)))
 
+
+
+def ref_downset_label(jposet, d):
+    """The label build_kleene_from_jposet gave the downset d before
+    posets.point_unions: one scan of d's points against ↑p."""
+    if d == 0:
+        return "0"
+    maxima = [i for i in bits(d) if jposet.above[i] & d == 1 << i]
+    return "|".join(jposet.labels[i] for i in maxima)
+
+
+def ref_jposet_neg(lat, g):
+    """neg(D) = J ∖ g(D), one mask_of of g over the points of each D."""
+    full = (1 << len(lat.points)) - 1
+    return tuple(lat.meets[full ^ mask_of(g[j] for j in bits(d))] for d in lat.meet_codes)
+
+
+def ref_j_pseudocomplements(lat):
+    """_j_pseudocomplements as its per-point loops over the minimal and the
+    maximal points of J."""
+    down, jsets, element = lat.points, lat.meet_codes, lat.meets
+    jmask = (1 << len(down)) - 1
+    up = transpose(down, len(down))
+    minimal = [p for p in bits(jmask) if down[p] & jmask == 1 << p]
+    maximal = [p for p in bits(jmask) if up[p] & jmask == 1 << p]
+    star, plus = [], []
+    for s in jsets:
+        meets = 0
+        for a in minimal:
+            if s >> a & 1:
+                meets |= up[a]
+        star.append(element[jmask & ~meets])
+        joins = 0
+        for m in maximal:
+            if not s >> m & 1:
+                joins |= down[m]
+        plus.append(element[jmask & joins])
+    return star, plus
+
+
+def ref_join_extension(lat, target, phi):
+    """join_extension as its loop: the OR of phi's target codes over the
+    points of each source code, then one lookup."""
+    tcodes, ids = target.join_codes, lat.meets
+    point_codes = [tcodes[phi[ids[down]]] for down in lat.points]
+    out = []
+    for code in lat.meet_codes:
+        union = 0
+        for p in bits(code):
+            union |= point_codes[p]
+        out.append(target.joins[union])
+    return tuple(out)
+
+
+# labels that only a nonempty downset's maxima may carry: "" and the
+# characters that rough-pair labels use
+ODD_NAMES = ["", "a,b", "(c)", "{d}"] + [f"p{i}" for i in range(4, 20)]
+
+
+def jposet_of(dm):
+    """The points of dm's D(J) lattice as a jposet labelled by ODD_NAMES,
+    with the g of dm's negation on them."""
+    lat = dm.lattice
+    point = {lat.meets[down]: p for p, down in enumerate(lat.points)}
+    g = {point[j]: point[v] for j, v in compute_g(dm).items()}
+    return Poset(ODD_NAMES[:len(lat.points)], lat.points), g
+
+
+def kleene_algebras_of(lattices):
+    for lat in lattices:
+        for neg in antitone_involutions(lat):
+            dm = validate_demorgan(lat, neg)
+            if is_kleene(dm)[0]:
+                yield dm
+
+
+def seeded_jposets(count=60):
+    rng = random.Random(29)
+    for _ in range(count):
+        yield random_two_level_structure(rng, max_atoms=6, max_ji=12)
+
+
+# (jposet, g) documents, by corpus
+JPOSET_CORPUS = {
+    "g-documents": g_documents,
+    "seeded": seeded_jposets,
+    "coverings": lambda: (jposet_of(build_rs(tol).demorgan) for tol, *_ in covering_algebras()),
+    "distributive-10": lambda: map(jposet_of, kleene_algebras_of(all_distributive_lattices(10))),
+}
+
+
+class TestPointUnions:
+    """The five per-element maps of D(J) that posets.point_unions serves
+    (the labels, the negation of a jposet, star, plus and the isomorphism
+    extension) against the per-point loops they replaced."""
+
+    def test_unions_over_the_points(self):
+        """Empty masks and empty images, points past bit 64, and masks
+        from an iterator."""
+        assert point_unions([], [1, 2]) == []
+        assert point_unions([0, 0], []) == [0, 0]
+        rng = random.Random(3)
+        images = [rng.getrandbits(100) for _ in range(130)]
+        masks = [0, 1 << 129, 1 << 64, (1 << 130) - 1, *(rng.getrandbits(130) for _ in range(50))]
+        want = [reduce(or_, (images[p] for p in bits(m)), 0) for m in masks]
+        assert point_unions(masks, images) == want
+        assert point_unions(iter(masks), tuple(images)) == want
+        assert point_unions([1 << 70 | 1 << 3], [0] * 3 + [5] + [0] * 66 + [1 << 90]) == [1 << 90 | 5]
+
+    @pytest.mark.parametrize("corpus, size", [
+        ("g-documents", 202), ("seeded", 60), ("coverings", 522), ("distributive-10", 38),
+    ])
+    def test_jposet_algebras(self, corpus, size):
+        """build_kleene_from_jposet's labels and negation, and star and
+        plus of its lattice, equal the loops, with "" among the point
+        labels of the coverings and distributive-10 corpora."""
+        count = 0
+        for jposet, g in JPOSET_CORPUS[corpus]():
+            dm = build_kleene_from_jposet(jposet, g)
+            lat = dm.lattice
+            assert list(lat.labels) == [ref_downset_label(jposet, d) for d in lat.meet_codes]
+            assert dm.neg == ref_jposet_neg(lat, g)
+            assert _j_pseudocomplements(lat) == ref_j_pseudocomplements(lat)
+            count += 1
+        assert count == size
+
+    @pytest.mark.parametrize("corpus, size", [("distributive-10", 109), ("coverings", 522)])
+    def test_star_and_plus_of_other_lattices(self, corpus, size):
+        """The D(J) lattices of CODE_ROUTE_CORPUS that no jposet built."""
+        lattices = [lat for lat, _ in CODE_ROUTE_CORPUS[corpus]()]
+        assert all(_j_pseudocomplements(lat) == ref_j_pseudocomplements(lat) for lat in lattices)
+        assert len(lattices) == size
+
+    def test_join_extension(self):
+        """iso of represent on the rough algebras of the 522 irredundant
+        coverings and on seeded two-level jposets, and the identity phi on
+        all_distributive_lattices(10), equal the loop."""
+        rng = random.Random(30)
+        sources = [build_rs(tol).demorgan for tol, *_ in covering_algebras()]
+        sources += [build_kleene_from_jposet(*random_two_level_structure(rng)) for _ in range(40)]
+        for dm in sources:
+            result = represent(dm)
+            target = result.rs.lattice
+            assert (join_extension(dm.lattice, target, result.phi) == result.iso
+                    == ref_join_extension(dm.lattice, target, result.phi))
+        for lat in all_distributive_lattices(10):
+            identity = {j: j for j in lat.ji.members}
+            assert join_extension(lat, lat, identity) == ref_join_extension(lat, lat, identity)
+            assert join_extension(lat, lat, identity) == tuple(range(lat.n))
+        assert len(sources) == 562

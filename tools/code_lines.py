@@ -3,9 +3,11 @@ other than a comment, a docstring or layout.
 
 Usage: python tools/code_lines.py [ROOT]   (ROOT defaults to src/)
 
-Prints one line per file and the total.  A docstring is the string that
-opens a module, class or function body (ast.get_docstring's string); its
-lines do not count, and neither do blank or comment-only lines.
+Prints one line per file, its code lines and its source bytes, and the two
+totals.  Bytes count on their own: a process that imports the package
+with no cached bytecode compiles every byte.  A docstring is the string
+that opens a module, class or function body (ast.get_docstring's string);
+its lines do not count, and neither do blank or comment-only lines.
 """
 
 from __future__ import annotations
@@ -42,12 +44,13 @@ def code_lines(path: Path) -> int:
 
 def main(argv) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src"
-    total = 0
+    total = total_bytes = 0
     for path in sorted(root.rglob("*.py")):
-        n = code_lines(path)
+        n, size = code_lines(path), path.stat().st_size
         total += n
-        print(f"{n:6d}  {path.relative_to(root)}")
-    print(f"{total:6d}  total")
+        total_bytes += size
+        print(f"{n:6d}  {size:7d}  {path.relative_to(root)}")
+    print(f"{total:6d}  {total_bytes:7d}  total")
     return 0
 
 
